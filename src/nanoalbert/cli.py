@@ -243,7 +243,7 @@ def _cmd_evaluate(args, cfg, out: Path) -> None:
     from .ner import evaluate_entities, metrics_keyvalues, metrics_report, read_conll
 
     gold_examples, _ = read_conll(args.gold)
-    pred_examples, _ = read_conll(args.pred)
+    pred_examples, _ = read_conll(args.pred, predicted=True)
     metrics = evaluate_entities(
         [example.labels for example in gold_examples],
         [example.labels for example in pred_examples],

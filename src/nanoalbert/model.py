@@ -240,9 +240,12 @@ def _block_forward(params, config, x, neg_mask, rate, rng):
     v_full, v_cache = ops.linear_forward(x, params["block_value_weight"], params["block_value_bias"])
     q, k, v = (_split_heads(z, a) for z in (q_full, k_full, v_full))
 
-    scores = np.einsum("bhqd,bhkd->bhqk", q, k) * scale + neg_mask
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    scores += neg_mask
     probs, probs_cache = ops.softmax_forward(scores, axis=-1)
-    ctx = _join_heads(np.einsum("bhqk,bhkd->bhqd", probs, v))
+    del scores
+    ctx = _join_heads(probs @ v)
     attn_out, out_cache = ops.linear_forward(
         ctx, params["block_attn_output_weight"], params["block_attn_output_bias"]
     )
@@ -287,6 +290,7 @@ def _block_backward(params, config, cache, d_out, grads):
     d_x1_ffn, d_w, d_b = ops.linear_backward(in_cache, d_inner)
     bump("block_ffn_in_weight", d_w)
     bump("block_ffn_in_bias", d_b)
+    del d_act, d_inner  # (b, T, I) each: free them before attention's backward
     d_x1 = d_x1_plus + d_x1_ffn
 
     d_x_plus, d_gain, d_bias = ops.layer_norm_backward(attn_norm_cache, d_x1)
@@ -298,11 +302,14 @@ def _block_backward(params, config, cache, d_out, grads):
     bump("block_attn_output_bias", d_b)
 
     d_ctx = _split_heads(d_ctx, a)
-    d_probs = np.einsum("bhqd,bhkd->bhqk", d_ctx, v)
-    d_v = np.einsum("bhqk,bhqd->bhkd", probs, d_ctx)
+    d_probs = d_ctx @ v.swapaxes(-1, -2)
+    d_v = probs.swapaxes(-1, -2) @ d_ctx
     d_scores = ops.softmax_backward(probs_cache, d_probs)
-    d_q = np.einsum("bhqk,bhkd->bhqd", d_scores, k) * scale
-    d_k = np.einsum("bhqk,bhqd->bhkd", d_scores, q) * scale
+    del d_probs
+    d_q = d_scores @ k
+    d_q *= scale
+    d_k = d_scores.swapaxes(-1, -2) @ q
+    d_k *= scale
 
     d_x = d_x_plus
     for full, lin_cache, w_name in (

@@ -99,9 +99,14 @@ class LabelSet:
         return f"LabelSet({list(self.labels)!r})"
 
 
-def read_conll(path) -> tuple[list[NerExample], LabelSet]:
+def read_conll(path, *, predicted=False) -> tuple[list[NerExample], LabelSet | None]:
     """Parse token-per-line files: first column is the word, last the label,
-    blank lines separate sentences, -DOCSTART- lines are skipped."""
+    blank lines separate sentences, -DOCSTART- lines are skipped.
+
+    Gold and training files must give every "I-X" a "B-X". A file of
+    predicted tags (predicted=True) may hold an orphan "I-X", which an
+    undertrained tagger emits and decode_spans repairs; no LabelSet is built
+    for it, so the second item is None."""
     path = Path(path)
     examples: list[NerExample] = []
     words: list[str] = []
@@ -134,6 +139,8 @@ def read_conll(path) -> tuple[list[NerExample], LabelSet]:
             words.append(word)
             labels.append(label)
     flush()
+    if predicted:
+        return examples, None
 
     try:
         label_set = LabelSet(first_line_of)

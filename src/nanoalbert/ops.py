@@ -29,18 +29,31 @@ def assert_all_finite(name: str, x: np.ndarray) -> None:
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    return 0.5 * x * (1.0 + special.erf(x * _INV_SQRT2))
+    return gelu_forward(x)[0]
 
 
 def gelu_forward(x):
-    return gelu(x), x
+    """Returns (x * cdf, slope). The cache is the derivative
+    slope = cdf + x * pdf, not the input: the backward needs only that one
+    array, and building it here reuses the forward's cdf instead of a second
+    erf. Each step rounds as the closed forms do, so output and slope are
+    bitwise equal to them; the cdf buffer becomes the output."""
+    cdf = x * _INV_SQRT2
+    special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    slope = x * x
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= x
+    slope += cdf
+    cdf *= x
+    return cdf, slope
 
 
 def gelu_backward(cache, d_out):
-    x = cache
-    cdf = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return d_out * (cdf + x * pdf)
+    return d_out * cache
 
 
 def tanh_forward(x):
@@ -127,9 +140,9 @@ def layer_norm_backward(cache, d_out):
 # ---------------------------------------------------------------------------
 
 def softmax_forward(x, axis=-1):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = x - x.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
     return p, (p, axis)
 
 

@@ -280,6 +280,22 @@ def test_evaluate_perfect_predictions(pipeline, tmp_path, capsys):
     assert "f1=1.0000" in read(out / "metrics.kv")
 
 
+def test_evaluate_scores_orphan_inside_predictions(tmp_path, capsys):
+    gold = tmp_path / "gold.conll"
+    gold.write_text("Ada B-PER\nwrote O\n\nBob B-PER\nSmith I-PER\n")
+    pred = tmp_path / "pred.conll"
+    pred.write_text("Ada I-PER\nwrote O\n\nBob O\nSmith I-PER\n")
+    assert run_cli("evaluate", "--out", tmp_path / "eval",
+                   "--gold", gold, "--pred", pred) == 0
+    # the orphan "Ada" span matches gold; the orphan "Smith" span does not
+    assert "precision=0.5000 recall=0.5000 f1=0.5000" in capsys.readouterr().out
+
+    # gold files keep the strict check
+    assert run_cli("evaluate", "--out", tmp_path / "strict",
+                   "--gold", pred, "--pred", gold) == 1
+    assert "pred.conll:1: label 'I-PER' has no matching B" in capsys.readouterr().err
+
+
 def test_evaluate_leaves_inputs_untouched(pipeline, tmp_path):
     gold = pipeline / "train.conll"
     before = gold.read_bytes()

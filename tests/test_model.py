@@ -17,9 +17,13 @@ import numpy as np
 import pytest
 
 import synthdata
+from nanoalbert import ops
 from nanoalbert.gradcheck import max_grad_error
 from nanoalbert.model import (
+    NEG_INF,
     ModelConfig,
+    _block_backward,
+    _block_forward,
     PretrainLosses,
     block_shapes,
     count_parameters,
@@ -398,3 +402,99 @@ def test_ner_gradients_match_finite_differences():
 
     err = max_grad_error(fn, [params[n] for n in names])
     assert err < 1e-3, f"worst relative error {err:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# shared block against an einsum reference
+# ---------------------------------------------------------------------------
+
+def einsum_block(p, num_heads, x, neg_mask, d_out):
+    """The shared block written with einsum attention products: returns the
+    output, the input gradient and the parameter gradients for d_out."""
+    b, t, h = x.shape
+    dh = h // num_heads
+    scale = dh ** -0.5
+
+    def split(z):
+        return z.reshape(b, t, num_heads, dh).transpose(0, 2, 1, 3)
+
+    def join(z):
+        return z.transpose(0, 2, 1, 3).reshape(b, t, h)
+
+    lin, grads = {}, {}
+
+    def linear(name, z):
+        y, lin[name] = ops.linear_forward(z, p[f"block_{name}_weight"], p[f"block_{name}_bias"])
+        return y
+
+    def linear_back(name, d):
+        d_in, grads[f"block_{name}_weight"], grads[f"block_{name}_bias"] = (
+            ops.linear_backward(lin[name], d)
+        )
+        return d_in
+
+    q, k, v = (split(linear(name, x)) for name in ("query", "key", "value"))
+    probs, probs_cache = ops.softmax_forward(
+        np.einsum("bhqd,bhkd->bhqk", q, k) * scale + neg_mask
+    )
+    attn = linear("attn_output", join(np.einsum("bhqk,bhkd->bhqd", probs, v)))
+    x1, norm1 = ops.layer_norm_forward(
+        x + attn, p["block_attn_norm_gain"], p["block_attn_norm_bias"]
+    )
+    act, act_cache = ops.gelu_forward(linear("ffn_in", x1))
+    out, norm2 = ops.layer_norm_forward(
+        x1 + linear("ffn_out", act), p["block_ffn_norm_gain"], p["block_ffn_norm_bias"]
+    )
+
+    d_sum2, grads["block_ffn_norm_gain"], grads["block_ffn_norm_bias"] = (
+        ops.layer_norm_backward(norm2, d_out)
+    )
+    d_inner = ops.gelu_backward(act_cache, linear_back("ffn_out", d_sum2))
+    d_x1 = d_sum2 + linear_back("ffn_in", d_inner)
+    d_sum1, grads["block_attn_norm_gain"], grads["block_attn_norm_bias"] = (
+        ops.layer_norm_backward(norm1, d_x1)
+    )
+    d_ctx = split(linear_back("attn_output", d_sum1))
+    d_scores = ops.softmax_backward(probs_cache, np.einsum("bhqd,bhkd->bhqk", d_ctx, v))
+    d_q = np.einsum("bhqk,bhkd->bhqd", d_scores, k) * scale
+    d_k = np.einsum("bhqk,bhqd->bhkd", d_scores, q) * scale
+    d_v = np.einsum("bhqk,bhqd->bhkd", probs, d_ctx)
+    d_x = d_sum1
+    for name, d in (("query", d_q), ("key", d_k), ("value", d_v)):
+        d_x = d_x + linear_back(name, join(d))
+    return out, d_x, grads
+
+
+def test_block_matches_einsum_reference():
+    config = ModelConfig(
+        vocab_size=40, embedding_size=8, hidden_size=12, num_layers=1,
+        num_heads=3, intermediate_size=20, max_positions=16,
+    )
+    r = RngStream(21)
+    params = {
+        name: truncated_normal(r, shape, 0.5, dtype=np.float64)
+        for name, shape in block_shapes(config).items()
+    }
+    x = truncated_normal(r, (3, 7, 12), 1.0, dtype=np.float64)
+    d_out = truncated_normal(r, (3, 7, 12), 1.0, dtype=np.float64)
+    mask = np.ones((3, 7), dtype=np.int32)
+    mask[1, 4:] = 0
+    mask[2, 2:] = 0
+    neg_mask = ((1 - mask) * NEG_INF).astype(np.float64)[:, None, None, :]
+
+    out, cache = _block_forward(params, config, x, neg_mask, 0.0, None)
+    grads = {}
+    d_x = _block_backward(params, config, cache, d_out, grads)
+    want_out, want_d_x, want_grads = einsum_block(params, config.num_heads, x, neg_mask, d_out)
+
+    def rel_err(got, want, scale=None):
+        return np.abs(got - want).max() / np.abs(want if scale is None else scale).max()
+
+    assert rel_err(out, want_out) < 1e-12
+    assert rel_err(d_x, want_d_x) < 1e-12
+    assert sorted(grads) == sorted(want_grads)
+    for name, want in want_grads.items():
+        # the key bias gradient is zero up to round-off (softmax ignores a
+        # per-row shift), so measure it against the key weight gradient
+        scale = want_grads["block_key_weight"] if name == "block_key_bias" else None
+        assert rel_err(grads[name], want, scale) < 1e-12, name

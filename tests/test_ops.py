@@ -6,8 +6,11 @@ gelu(1) = Phi(1) = 0.8413447460685429 and gelu'(1) = Phi(1) + phi(1)
 = 1.0833154705876863.  Cross-entropy of uniform two-way logits is ln 2.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from nanoalbert.gradcheck import grad_check
 from nanoalbert.ops import (
@@ -70,6 +73,32 @@ def test_gelu_preserves_float32():
     assert y.dtype == np.float32
 
 
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bitwise_equals_closed_forms(dtype):
+    r = RngStream(11)
+    x = (4.0 * randn(r, 64, 33)).astype(dtype)
+    d = randn(r, 64, 33).astype(dtype)
+    # python-float constants, as in ops, so float32 stays float32
+    cdf = 0.5 * (1.0 + special.erf(x * math.sqrt(0.5)))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    y, cache = gelu_forward(x)
+    assert_bitwise(y, 0.5 * x * (1.0 + special.erf(x * math.sqrt(0.5))))
+    assert_bitwise(gelu_backward(cache, d), d * (cdf + x * pdf))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_kernels_leave_input_untouched(dtype):
+    x = (3.0 * randn(RngStream(12), 6, 9)).astype(dtype)
+    before = x.copy()
+    softmax_forward(x)
+    gelu_forward(x)
+    assert_bitwise(x, before)
+
+
 def test_tanh_backward_matches_identity():
     x = np.array([0.3, -1.2, 2.0])
     y, cache = tanh_forward(x)
@@ -124,6 +153,14 @@ def test_softmax_shift_invariance_and_overflow_safety():
     p = softmax(x)
     assert np.all(np.isfinite(p))
     assert np.allclose(p, softmax(x - 1000.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_bitwise_equals_closed_form(dtype):
+    x = (10.0 * randn(RngStream(13), 8, 3, 20)).astype(dtype)
+    for axis in (-1, 1):
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        assert_bitwise(softmax(x, axis=axis), e / e.sum(axis=axis, keepdims=True))
 
 
 def test_cross_entropy_known_values():
