@@ -68,19 +68,8 @@ class Vocab:
         self._id_pieces = list(content_pieces)
         self.size = NUM_SPECIALS + len(content_pieces)
 
-    @property
-    def pad_id(self) -> int:
-        return PAD_ID
-
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(range(NUM_SPECIALS))
-
     def piece_id(self, piece: bytes) -> int:
         return self._piece_ids[piece]
-
-    def id_piece(self, idx: int) -> bytes:
-        return self._id_pieces[idx - NUM_SPECIALS]
 
     def encode(self, text: str | bytes) -> list[int]:
         """Greedy merge application over the byte sequence; no specials added."""

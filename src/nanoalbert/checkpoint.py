@@ -85,10 +85,7 @@ def _validate(config, params, labels):
 def _header_text(config, step, kind, labels, optim_t) -> str:
     lines = []
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name}={value}")
+        lines.append(f"{f.name}={getattr(config, f.name)}")
     lines.append(f"step={step}")
     lines.append(f"kind={kind}")
     lines.append(f"optim_t={optim_t}")
@@ -152,9 +149,6 @@ class _Reader:
         return _U32.unpack(self.take(4))[0]
 
 
-_BOOL_WORDS = {"true": True, "false": False}
-
-
 def _parse_header(text: str):
     pairs = {}
     for line in text.splitlines():
@@ -164,6 +158,9 @@ def _parse_header(text: str):
             raise CorruptCheckpointError(f"malformed header line {line!r}")
         key, value = line.split("=", 1)
         pairs[key] = value
+    # checkpoints written while ModelConfig still had this flag carry it; the
+    # model only ever ran with shared parameters, so the line says nothing
+    pairs.pop("share_parameters", None)
 
     kwargs = {}
     for f in dataclasses.fields(ModelConfig):
@@ -172,13 +169,8 @@ def _parse_header(text: str):
         raw = pairs.pop(f.name)
         type_name = f.type if isinstance(f.type, str) else f.type.__name__
         try:
-            if type_name == "bool":
-                kwargs[f.name] = _BOOL_WORDS[raw]
-            elif type_name == "float":
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = int(raw)
-        except (KeyError, ValueError):
+            kwargs[f.name] = float(raw) if type_name == "float" else int(raw)
+        except ValueError:
             raise CorruptCheckpointError(f"bad value {raw!r} for config key {f.name}")
     try:
         config = ModelConfig(**kwargs)

@@ -2,8 +2,9 @@
 
 Subcommands: prep-corpus, build-vocab, pretrain, finetune, evaluate,
 predict, stats. Every command writes only under its --out directory, which
-is guarded by a .lock file (one run at a time) and an INCOMPLETE marker
-that is removed on success — if a run dies, the marker stays behind.
+is guarded by an flock on its .lock file (one run at a time; the lock dies
+with its process) and an INCOMPLETE marker that is removed on success — if
+a run dies, the marker stays behind.
 
 Heavy imports happen inside the command handlers so that --threads can pin
 BLAS/OpenMP thread counts via environment variables before numpy loads.
@@ -12,6 +13,7 @@ BLAS/OpenMP thread counts via environment variables before numpy loads.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import sys
 from contextlib import contextmanager
@@ -81,21 +83,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lock(lock: Path) -> int:
+    """Open and flock the lock file; a killed run's lock is released with
+    its process, so only a live run blocks."""
+    while True:
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise CliError(f"output directory {lock.parent} is in use by another run "
+                           f"(it holds {lock})") from None
+        # a finishing run unlinks the file before unlocking it: retry unless
+        # the path still names the inode we locked
+        try:
+            if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                break
+        except FileNotFoundError:
+            pass
+        os.close(fd)
+    os.ftruncate(fd, 0)
+    os.write(fd, f"{os.getpid()}\n".encode())
+    return fd
+
+
 @contextmanager
 def _run_dir(out, config_text: str):
     """Lock the output directory, drop effective.cfg, manage INCOMPLETE."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CliError(
-            f"output directory {out} is in use by another run "
-            f"(remove {lock} if that run is dead)"
-        ) from None
-    os.write(fd, f"{os.getpid()}\n".encode())
-    os.close(fd)
+    fd = _lock(lock)
     marker = out / "INCOMPLETE"
     try:
         marker.write_text("run started; this marker is removed on success\n")
@@ -104,6 +122,7 @@ def _run_dir(out, config_text: str):
         marker.unlink()
     finally:
         lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _load_vocab_dir(vocab_dir):

@@ -38,7 +38,6 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "learning_rate": (float, 0.00176),
     "rescale_learning_rate": (bool, False),
     "train_batch_size": (int, 1024),
-    "eval_batch_size": (int, 16),
     "training_steps": (int, 200000),
     "warmup_steps": (int, 3125),
     "weight_decay": (float, 0.01),

@@ -37,7 +37,6 @@ class ModelConfig:
     intermediate_size: int = 0  # 0 means 4 * hidden_size
     max_positions: int = 512
     type_vocab_size: int = 2
-    share_parameters: bool = True
     dropout_rate: float = 0.0
 
     def __post_init__(self):
@@ -121,21 +120,9 @@ def count_parameters(
     heads=("mlm", "sop"),
     num_labels: int | None = None,
 ) -> int:
-    """Total trainable elements; one shared block unless sharing is off."""
+    """Total trainable elements; the one shared block counts once at any depth."""
     shapes = parameter_shapes(config, heads, num_labels)
-    total = 0
-    block_total = 0
-    for name, shape in shapes.items():
-        n = int(np.prod(shape))
-        if name.startswith("block_"):
-            block_total += n
-        else:
-            total += n
-    if config.share_parameters:
-        total += block_total
-    else:
-        total += block_total * config.num_layers
-    return total
+    return sum(int(np.prod(shape)) for shape in shapes.values())
 
 
 def init_parameters(
@@ -146,7 +133,7 @@ def init_parameters(
     dtype=np.float32,
 ) -> dict[str, np.ndarray]:
     """Truncated-normal weights (std 0.02, clipped at 2 sigma), zero biases,
-    unit norm gains. Only the shared-block training mode is materialized."""
+    unit norm gains."""
     params = {}
     for name, shape in parameter_shapes(config, heads, num_labels).items():
         if name.endswith("_gain"):

@@ -23,14 +23,9 @@ from .model import (
     token_logits,
     truncated_normal,
 )
-from .optim import (
-    DEFAULT_WEIGHT_DECAY,
-    OptimizerState,
-    Schedule,
-    adamw_step,
-    lr_at,
-)
-from .pretrain import batch_indices
+from .optim import DEFAULT_WEIGHT_DECAY, OptimizerState, Schedule, adamw_step
+from .pretrain import batch_indices  # unused here; perfbench traces it at ner.batch_indices
+from .pretrain import fit
 from .rng import RngStream
 
 
@@ -427,9 +422,10 @@ def finetune(
     log=None,
     out_dir=None,
 ) -> FinetuneResult:
-    """AdamW fine-tuning with dev F1 every eval_every steps; the best-dev
-    parameter snapshot is kept, scored on test, and optionally written to
-    out_dir/best.ckpt. The pretrained checkpoint is never modified."""
+    """AdamW fine-tuning with dev F1 every eval_every steps and at the last
+    step (eval_every=0: last step only); the best-dev parameter snapshot is
+    kept, scored on test, and optionally written to out_dir/best.ckpt. The
+    pretrained checkpoint is never modified."""
     if vocab.size != pretrained.config.vocab_size:
         raise ValueError(
             f"vocabulary size {vocab.size} does not match checkpoint "
@@ -465,45 +461,43 @@ def finetune(
         dev_examples, vocab, label_set, max_len, lowercase, encode_fn
     )
 
-    schedule = Schedule(peak_lr, warmup_steps, num_steps)
     state = OptimizerState.for_params(params)
-    use_dropout = config.dropout_rate > 0
-    n_train = len(train_examples)
     history: list[tuple[int, float]] = []
     best_f1 = -1.0
     best_step = 0
     best_params = {name: arr.copy() for name, arr in params.items()}
 
-    for step in range(num_steps):
-        idx = np.array(batch_indices(seed, step, n_train, batch_size))
-        dropout_rng = (
-            RngStream(seed).child("dropout").child(f"step{step}") if use_dropout else None
-        )
-        loss, grads = ner_loss_and_grads(
+    def loss_fn(idx, dropout_rng):
+        idx = np.array(idx)
+        return ner_loss_and_grads(
             params, config,
             train_packed["token_ids"][idx],
             train_packed["type_ids"][idx],
             train_packed["attention_mask"][idx],
             train_packed["label_ids"][idx],
-            training=use_dropout,
+            training=dropout_rng is not None,
             dropout_rng=dropout_rng,
         )
-        adamw_step(state, params, grads, lr_at(schedule, step + 1), weight_decay)
-        done = step + 1
+
+    def evaluate_dev(done):
+        nonlocal best_f1, best_step, best_params
+        f1 = evaluate_split(
+            params, config, label_set, dev_packed, dev_examples, eval_batch_size
+        ).overall.f1
+        history.append((done, f1))
         if log is not None:
-            log(f"{done}\tner_loss\t{loss:.6f}")
-        if done % eval_every == 0 or done == num_steps:
-            dev_metrics = evaluate_split(
-                params, config, label_set, dev_packed, dev_examples, eval_batch_size
-            )
-            f1 = dev_metrics.overall.f1
-            history.append((done, f1))
-            if log is not None:
-                log(f"{done}\tdev_f1\t{f1:.4f}")
-            if f1 > best_f1:
-                best_f1 = f1
-                best_step = done
-                best_params = {name: arr.copy() for name, arr in params.items()}
+            log(f"{done}\tdev_f1\t{f1:.4f}")
+        if f1 > best_f1:
+            best_f1 = f1
+            best_step = done
+            best_params = {name: arr.copy() for name, arr in params.items()}
+
+    fit(loss_fn, params, state, step_fn=adamw_step,
+        schedule=Schedule(peak_lr, warmup_steps, num_steps), seed=seed,
+        num_examples=len(train_examples), batch_size=batch_size, num_steps=num_steps,
+        weight_decay=weight_decay, dropout=config.dropout_rate > 0,
+        log=log, log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
+        hook=evaluate_dev, every=eval_every)
 
     test_metrics = None
     if test_examples:

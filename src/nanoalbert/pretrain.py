@@ -1,4 +1,5 @@
-"""Deterministic pretraining loop over packed MLM+SOP examples.
+"""The deterministic step loop (fit) that pretraining and NER fine-tuning
+share, and pretraining over packed MLM+SOP examples on top of it.
 
 Batch composition at every step is a pure function of (seed, step), so a run
 resumed from a step-N checkpoint replays exactly the batches an uninterrupted
@@ -67,6 +68,36 @@ def latest_checkpoint(directory) -> Path | None:
     return best
 
 
+def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Schedule,
+        seed: int, num_examples: int, batch_size: int, num_steps: int, first: int = 0,
+        weight_decay: float = DEFAULT_WEIGHT_DECAY, dropout: bool = False,
+        log=None, log_lines=None, hook=None, every: int = 0):
+    """The step loop shared by pretraining and fine-tuning.
+
+    Step s trains on batch_indices(seed, s, ...) with the dropout stream
+    "dropout/step{s}" (when dropout is on) at lr_at(schedule, s + 1):
+    loss_fn(indices, dropout_rng) returns (loss, grads) and step_fn updates
+    params and state in place. After each step, log_lines(loss, lr) gives
+    the "metric<TAB>value" lines logged under the step number, and
+    hook(done) runs every `every` steps and at the last step (every=0:
+    last step only). Returns the last step's loss, None if no step ran.
+    """
+    loss = None
+    for step in range(first, num_steps):
+        idx = batch_indices(seed, step, num_examples, batch_size)
+        lr = lr_at(schedule, step + 1)
+        dropout_rng = RngStream(seed).child("dropout").child(f"step{step}") if dropout else None
+        loss, grads = loss_fn(idx, dropout_rng)
+        step_fn(state, params, grads, lr, weight_decay)
+        done = step + 1
+        if log is not None:
+            for line in log_lines(loss, lr):
+                log(f"{done}\t{line}")
+        if hook is not None and (done == num_steps or (every and done % every == 0)):
+            hook(done)
+    return loss
+
+
 def train(
     examples,
     config: ModelConfig,
@@ -82,7 +113,8 @@ def train(
     checkpoint_every: int = 0,
     checkpoint_dir=None,
 ) -> TrainResult:
-    """Run (or resume, via start=(params, optim, step)) the pretraining loop."""
+    """Run (or resume, via start=(params, optim, step)) the pretraining loop;
+    with a checkpoint_dir, save every checkpoint_every steps and at the end."""
     if not examples:
         raise ValueError("no pretraining examples")
     if num_steps > schedule.total_steps:
@@ -101,33 +133,25 @@ def train(
     else:
         params, state, first = start
 
-    use_dropout = config.dropout_rate > 0
-    last = None
-    for step in range(first, num_steps):
-        idx = batch_indices(seed, step, len(examples), batch_size)
+    def loss_fn(idx, dropout_rng):
         batch = pack_pretrain_batch([examples[i] for i in idx])
-        lr = lr_at(schedule, step + 1)
-        dropout_rng = (
-            RngStream(seed).child("dropout").child(f"step{step}") if use_dropout else None
-        )
-        losses, grads = pretrain_loss_and_grads(
-            params, config, batch, training=use_dropout, dropout_rng=dropout_rng
-        )
-        step_fn(state, params, grads, lr, weight_decay)
-        last = losses
-        done = step + 1
-        if log is not None:
-            log(f"{done}\tlr\t{lr:.8f}")
-            log(f"{done}\tmlm_loss\t{losses.mlm_loss:.6f}")
-            log(f"{done}\tsop_loss\t{losses.sop_loss:.6f}")
-            log(f"{done}\ttotal_loss\t{losses.total:.6f}")
-        if checkpoint_dir is not None and checkpoint_every and done % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path(checkpoint_dir, done), config, params,
-                            step=done, kind="pretrain", optim=state)
+        return pretrain_loss_and_grads(params, config, batch,
+                                       training=dropout_rng is not None,
+                                       dropout_rng=dropout_rng)
 
-    if checkpoint_dir is not None:
-        save_checkpoint(checkpoint_path(checkpoint_dir, num_steps), config, params,
-                        step=num_steps, kind="pretrain", optim=state)
+    def log_lines(losses, lr):
+        return (f"lr\t{lr:.8f}", f"mlm_loss\t{losses.mlm_loss:.6f}",
+                f"sop_loss\t{losses.sop_loss:.6f}", f"total_loss\t{losses.total:.6f}")
+
+    def save(done):
+        save_checkpoint(checkpoint_path(checkpoint_dir, done), config, params,
+                        step=done, kind="pretrain", optim=state)
+
+    last = fit(loss_fn, params, state, step_fn=step_fn, schedule=schedule, seed=seed,
+               num_examples=len(examples), batch_size=batch_size, num_steps=num_steps,
+               first=first, weight_decay=weight_decay, dropout=config.dropout_rate > 0,
+               log=log, log_lines=log_lines,
+               hook=save if checkpoint_dir is not None else None, every=checkpoint_every)
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 

@@ -45,9 +45,6 @@ class RngStream:
         self.seed = seed & _MASK64
         self.position = position
 
-    def clone(self) -> "RngStream":
-        return RngStream(self.seed, self.position)
-
     def child(self, tag: str) -> "RngStream":
         """Independent stream derived from a label; stable across runs."""
         digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
@@ -81,12 +78,6 @@ class RngStream:
         if n <= 0:
             raise ValueError("n must be positive")
         return self.next_uint64() % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
 
     def sample(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), uniform, in draw order."""

@@ -5,6 +5,8 @@ bitwise identical and a forward pass from the reloaded parameters must match
 the original to the last bit.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ def test_unknown_header_key_detected(saved, tmp_path):
     bad.write_bytes(patched)
     with pytest.raises(CorruptCheckpointError):
         load_checkpoint(bad)
+
+
+def test_header_with_retired_share_parameters_key_loads(saved, tmp_path):
+    # checkpoints written while ModelConfig had a share_parameters flag
+    _, params, path = saved
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", raw[len(MAGIC):start])
+    header = raw[start:start + length]
+    old = header.replace(b"\ndropout_rate=", b"\nshare_parameters=true\ndropout_rate=")
+    assert old != header
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_bytes(raw[:len(MAGIC)] + struct.pack("<I", len(old)) + old
+                       + raw[start + length:])
+    ck = load_checkpoint(legacy)
+    assert ck.step == 120
+    for name, arr in params.items():
+        assert ck.params[name].tobytes() == arr.tobytes(), name
 
 
 def test_checkpoint_dataclass_defaults():

@@ -5,7 +5,13 @@ one shared prep-corpus -> build-vocab -> pretrain chain; each test writes its
 own fresh --out directory.
 """
 
+import fcntl
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +19,7 @@ import pytest
 from nanoalbert.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 RAW = [str(FIXTURES / "raw" / name) for name in ("doc_a.txt", "doc_b.txt", "doc_c.txt")]
 
 TINY_OVERRIDES = [
@@ -97,10 +104,18 @@ def test_prep_corpus_never_mutates_inputs(tmp_path):
 def test_lock_blocks_concurrent_use(tmp_path, capsys):
     out = tmp_path / "busy"
     out.mkdir()
-    (out / ".lock").write_text("12345\n")
-    assert run_cli("prep-corpus", "--out", out, "--inputs", RAW[0]) == 1
+    holder = open(out / ".lock", "w")
+    fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    try:
+        assert run_cli("prep-corpus", "--out", out, "--inputs", RAW[0]) == 1
+    finally:
+        holder.close()
     err = capsys.readouterr().err
     assert "in use" in err and ".lock" in err
+    # once its holder is gone, the leftover file no longer blocks
+    assert (out / ".lock").exists()
+    assert run_cli("prep-corpus", "--out", out, "--inputs", RAW[0]) == 0
+    assert not (out / ".lock").exists()
 
 
 def test_failure_leaves_incomplete_marker(tmp_path, capsys):
@@ -182,12 +197,13 @@ def test_pretrain_resumes_after_simulated_crash(pipeline, tmp_path, capsys):
     crash = tmp_path / "crash"
     crash.mkdir()
     # reconstruct the state a killed run leaves behind: an intermediate
-    # checkpoint, a partial log, the INCOMPLETE marker, and no lock (the
-    # operator removed the stale one as the error message instructs)
+    # checkpoint, a partial log, the INCOMPLETE marker, and its unlocked
+    # .lock file
     shutil.copy(pipeline / "pt" / "checkpoint-000002.ckpt", crash)
     full_log = read(pipeline / "pt" / "train.log").splitlines(keepends=True)
     (crash / "train.log").write_text("".join(full_log[:8]))
     (crash / "INCOMPLETE").write_text("run started\n")
+    (crash / ".lock").write_text("12345\n")
 
     assert run_cli("pretrain", "--out", crash, "--corpus", corpus,
                    "--vocab", pipeline / "vocab", *TINY_OVERRIDES) == 0
@@ -196,6 +212,34 @@ def test_pretrain_resumes_after_simulated_crash(pipeline, tmp_path, capsys):
     assert (crash / "checkpoint-000004.ckpt").read_bytes() == \
         (pipeline / "pt" / "checkpoint-000004.ckpt").read_bytes()
     assert not (crash / "INCOMPLETE").exists()
+
+
+def test_pretrain_rerun_after_sigkill_matches_uninterrupted_run(pipeline, tmp_path, capsys):
+    # long enough that the kill lands hundreds of steps before the end
+    args = ["--corpus", pipeline / "prep" / "corpus.txt", "--vocab", pipeline / "vocab",
+            *TINY_OVERRIDES, "training_steps=600", "save_checkpoint=50"]
+    killed = tmp_path / "killed"
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nanoalbert", "pretrain", "--out", str(killed),
+         *map(str, args)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 120
+    while not (killed / "checkpoint-000050.ckpt").exists() and proc.poll() is None:
+        assert time.monotonic() < deadline, "no first checkpoint"
+        time.sleep(0.001)
+    proc.kill()
+    assert proc.wait(timeout=60) == -signal.SIGKILL
+    assert (killed / ".lock").exists() and (killed / "INCOMPLETE").exists()
+
+    assert run_cli("pretrain", "--out", killed, *args) == 0
+    assert "resuming from step" in capsys.readouterr().out
+    assert run_cli("pretrain", "--out", tmp_path / "straight", *args) == 0
+    final = "checkpoint-000600.ckpt"
+    assert (killed / final).read_bytes() == (tmp_path / "straight" / final).read_bytes()
+    assert not (killed / ".lock").exists()
 
 
 def test_pretrain_rejects_vocab_size_mismatch(pipeline, tmp_path, capsys):
@@ -243,6 +287,18 @@ def test_finetune_outputs(finetuned, capsys):
     assert any(line.startswith("f1=") for line in kv.splitlines())
     log = read(finetuned / "train.log").splitlines()
     assert sum(1 for l in log if "\tdev_f1\t" in l) == 2  # steps 3 and 6
+
+
+def test_finetune_without_periodic_eval_scores_dev_at_last_step(pipeline, tmp_path):
+    out = tmp_path / "ft0"
+    overrides = [o for o in FT_OVERRIDES if not o.startswith("save_checkpoint=")]
+    assert run_cli("finetune", "--out", out,
+                   "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                   "--vocab", pipeline / "vocab",
+                   "--train", pipeline / "train.conll", "--dev", pipeline / "dev.conll",
+                   *overrides, "save_checkpoint=0") == 0
+    dev = [l for l in read(out / "train.log").splitlines() if "\tdev_f1\t" in l]
+    assert len(dev) == 1 and dev[0].startswith("6\t")  # finetune_steps=6
 
 
 def test_predict_writes_conll_blocks(pipeline, finetuned, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Run configuration: defaults, file/override precedence, round-trips."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from nanoalbert.config import (
@@ -123,3 +126,11 @@ def test_model_config_mapping():
 def test_run_config_items_sorted():
     items = RunConfig({"b": 1, "a": 2}).items()
     assert items == [("a", 2), ("b", 1)]
+
+
+def test_every_schema_key_has_a_reader():
+    package = Path(__file__).parent.parent / "src" / "nanoalbert"
+    source = "\n".join(path.read_text(encoding="utf-8") for path in package.glob("*.py"))
+    unread = [key for key in SCHEMA
+              if not re.search(rf"\b(?:cfg|config)\.{key}\b", source)]
+    assert unread == []

@@ -96,22 +96,6 @@ def test_shared_count_ignores_depth():
         assert count_parameters(cfg) == 5070
 
 
-def test_unshared_count_grows_linearly_with_depth():
-    block_size = sum(int(np.prod(s)) for s in block_shapes(TINY).values())
-    assert block_size == 3280
-    counts = {}
-    for layers in (1, 3, 5):
-        cfg = ModelConfig(
-            vocab_size=100, embedding_size=8, hidden_size=16, num_layers=layers,
-            num_heads=2, intermediate_size=64, max_positions=32,
-            share_parameters=False,
-        )
-        counts[layers] = count_parameters(cfg)
-    assert counts[3] - counts[1] == 2 * block_size
-    assert counts[5] - counts[3] == 2 * block_size
-    assert counts[3] == 5070 + 2 * block_size  # shared L=3 materializes one block
-
-
 def test_factorized_embeddings_beat_direct_lookup():
     shapes = parameter_shapes(BASE)
     lookup = sum(

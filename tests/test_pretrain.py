@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import synthdata
+from nanoalbert import pretrain
 from nanoalbert.checkpoint import load_checkpoint, save_checkpoint
 from nanoalbert.optim import Schedule
 from nanoalbert.pretrain import (
     batch_indices,
     checkpoint_path,
     evaluate_pretrain,
+    fit,
     latest_checkpoint,
     sop_accuracy,
     train,
@@ -66,6 +68,55 @@ def test_checkpoint_naming_and_latest(tmp_path):
 # ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
+
+def _hook_steps(num_steps, every, first=0):
+    fired = []
+    fit(lambda idx, dropout_rng: (0.0, {}), {}, None,
+        step_fn=lambda state, params, grads, lr, weight_decay: None,
+        schedule=SCHED, seed=0, num_examples=20, batch_size=4,
+        num_steps=num_steps, first=first, hook=fired.append, every=every)
+    return fired
+
+
+def test_fit_hook_cadence():
+    assert _hook_steps(10, 4) == [4, 8, 10]
+    assert _hook_steps(12, 4) == [4, 8, 12]  # the last step fires once
+    assert _hook_steps(10, 0) == [10]
+    assert _hook_steps(10, 4, first=5) == [8, 10]
+    assert _hook_steps(5, 4, first=5) == []
+
+
+def test_fit_feeds_batches_dropout_and_lr_by_step():
+    seen = []
+
+    def loss_fn(idx, dropout_rng):
+        seen.append((idx, dropout_rng.next_uint64()))
+        return 0.0, {}
+
+    lrs = []
+    fit(loss_fn, {}, None, step_fn=lambda state, params, grads, lr, wd: lrs.append(lr),
+        schedule=SCHED, seed=9, num_examples=30, batch_size=5, num_steps=3,
+        first=1, dropout=True)
+    assert seen == [
+        (batch_indices(9, step, 30, 5),
+         RngStream(9).child("dropout").child(f"step{step}").next_uint64())
+        for step in (1, 2)
+    ]
+    assert lrs == [SCHED.peak_lr * 2 / 10, SCHED.peak_lr * 3 / 10]
+
+
+def test_train_saves_each_checkpoint_once(tmp_path, corpus, monkeypatch):
+    saved = []
+
+    def counting_save(path, *args, **kwargs):
+        saved.append(path.name)
+        return save_checkpoint(path, *args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "save_checkpoint", counting_save)
+    train(corpus, synthdata.tiny_config(), seed=8, num_steps=10, batch_size=8,
+          schedule=SCHED, checkpoint_every=5, checkpoint_dir=tmp_path)
+    assert saved == ["checkpoint-000005.ckpt", "checkpoint-000010.ckpt"]
+
 
 def test_train_validates_inputs(corpus):
     config = synthdata.tiny_config()
