@@ -7,6 +7,12 @@
 # Run:  bash demos/cli_pipeline.sh
 set -euo pipefail
 
+# without the installed console script, run the package from this checkout
+if ! command -v nanoalbert >/dev/null; then
+    export PYTHONPATH="$(cd "$(dirname "$0")/../src" && pwd)${PYTHONPATH:+:$PYTHONPATH}"
+    nanoalbert() { python3 -m nanoalbert "$@"; }
+fi
+
 OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 mkdir "$OUT/raw"

@@ -170,6 +170,21 @@ def _pretrain_examples(args, cfg, out: Path, vocab):
     return examples
 
 
+def _cut_log(path: Path, step: int) -> None:
+    """Cut a step log back to its last complete line logged at or before
+    `step`, so a run continuing from `step` logs each later step once."""
+    if not path.exists():
+        return
+    keep = 0
+    with open(path, "r+b") as f:
+        for line in f:
+            head = line.split(b"\t", 1)[0]
+            if not line.endswith(b"\n") or not head.isdigit() or int(head) > step:
+                break
+            keep += len(line)
+        f.truncate(keep)
+
+
 def _cmd_pretrain(args, cfg, out: Path) -> None:
     from .checkpoint import load_checkpoint
     from .optim import Schedule, rescaled_peak
@@ -202,8 +217,10 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
             raise CliError(f"{resume_from} has no optimizer state; cannot resume")
         start = (snapshot.params, snapshot.optim, snapshot.step)
         print(f"resuming from step {snapshot.step}")
+    _cut_log(out / "train.log", start[2] if start else 0)
 
-    with open(out / "train.log", "a", encoding="utf-8") as log_file:
+    # line-buffered, so a killed run loses no complete line
+    with open(out / "train.log", "a", encoding="utf-8", buffering=1) as log_file:
         result = train(
             examples, model_config,
             seed=cfg.seed,
@@ -235,7 +252,7 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
     if args.test:
         test_examples, _ = read_conll(args.test)
 
-    with open(out / "train.log", "a", encoding="utf-8") as log_file:
+    with open(out / "train.log", "a", encoding="utf-8", buffering=1) as log_file:
         result = finetune(
             snapshot, vocab, train_examples, dev_examples, test_examples,
             seed=cfg.seed,

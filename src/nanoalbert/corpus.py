@@ -12,10 +12,13 @@ Pretraining examples pair adjacent sentences for sentence-order prediction
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bpe import MASK_ID, NUM_SPECIALS, InputSequence, Vocab, build_input_pair
+from .ops import IGNORE_INDEX
 from .rng import RngStream
 
 MIN_SENTENCE_CHARS = 20
@@ -101,12 +104,19 @@ def corpus_stats(text: str) -> CorpusStats:
 # example construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PretrainExample:
-    input: InputSequence
-    mlm_positions: list[int]
-    mlm_labels: list[int]
-    sop_label: int
+def example_dtype(max_len: int, max_predictions: int) -> np.dtype:
+    """Record layout of one pretraining example: the input row of length
+    max_len, masked positions and their original ids padded to
+    max_predictions (unused slots: position 0, label IGNORE_INDEX), and the
+    sentence-order label."""
+    row = ("<i4", (max_len,))
+    slots = ("<i4", (max_predictions,))
+    return np.dtype([
+        ("input", [("token_ids", *row), ("type_ids", *row), ("attention_mask", *row)]),
+        ("mlm_positions", *slots),
+        ("mlm_labels", *slots),
+        ("sop_label", "<i4"),
+    ])
 
 
 def make_sop_pairs(docs, rng: RngStream, dup_factor: int):
@@ -177,8 +187,9 @@ def build_pretrain_examples(
     max_predictions: int = 20,
     dup_factor: int = 1,
     encode_fn=None,
-) -> list[PretrainExample]:
-    """Full pipeline: SOP pairing, packing, and MLM masking."""
+) -> np.recarray:
+    """Full pipeline: SOP pairing, packing, and MLM masking, one record
+    (example_dtype) per sentence pair."""
     encode = encode_fn if encode_fn is not None else vocab.encode
     id_cache: dict[str, list[int]] = {}
 
@@ -187,81 +198,60 @@ def build_pretrain_examples(
             id_cache[sentence] = encode(sentence)
         return id_cache[sentence]
 
-    examples = []
-    for seg_a, seg_b, sop_label in make_sop_pairs(docs, rng, dup_factor):
+    pairs = make_sop_pairs(docs, rng, dup_factor)
+    examples = np.zeros(len(pairs), example_dtype(max_len, max_predictions))
+    examples["mlm_labels"] = IGNORE_INDEX
+    for ex, (seg_a, seg_b, sop_label) in zip(examples, pairs):
         seq = build_input_pair(vocab, ids_of(seg_a), ids_of(seg_b), max_len)
         positions, labels, new_ids = apply_mlm_mask(
             seq, vocab, rng, mask_rate, max_predictions
         )
-        packed = InputSequence(new_ids, seq.type_ids, seq.attention_mask)
-        examples.append(PretrainExample(packed, positions, labels, sop_label))
-    return examples
+        ex["input"] = (new_ids, seq.type_ids, seq.attention_mask)
+        ex["mlm_positions"][:len(positions)] = positions
+        ex["mlm_labels"][:len(labels)] = labels
+        ex["sop_label"] = sop_label
+    return examples.view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
 # example cache file
 # ---------------------------------------------------------------------------
 
-# Header: magic, then record count as little-endian u32. Each record is a
-# u32 byte length followed by u32 fields: T, token_ids[T], type_ids[T],
-# attention_mask[T], n_pred, positions[n_pred], labels[n_pred], sop_label.
-CACHE_MAGIC = b"ABPT\x001"
+# Layout: magic, then N, T and P as little-endian u32, then N raw records of
+# example_dtype(T, P).
+EXAMPLES_MAGIC = b"ABPT\x002"
+_HEADER_BYTES = len(EXAMPLES_MAGIC) + 12
 
 
 def write_examples(path, examples) -> None:
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<I", len(examples)))
-        for ex in examples:
-            t = len(ex.input.token_ids)
-            n = len(ex.mlm_positions)
-            body = struct.pack(
-                f"<I{t}I{t}I{t}II{n}I{n}II",
-                t,
-                *ex.input.token_ids,
-                *ex.input.type_ids,
-                *ex.input.attention_mask,
-                n,
-                *ex.mlm_positions,
-                *ex.mlm_labels,
-                ex.sop_label,
-            )
-            f.write(struct.pack("<I", len(body)))
-            f.write(body)
+    """Write atomically (temp file + rename), so a killed write leaves no cache."""
+    max_len = examples.dtype["input"]["token_ids"].shape[0]
+    max_predictions = examples.dtype["mlm_positions"].shape[0]
+    header = np.array([len(examples), max_len, max_predictions], dtype="<u4")
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(EXAMPLES_MAGIC + header.tobytes())
+        f.write(np.ascontiguousarray(examples).tobytes())
+    os.replace(tmp, path)
 
 
-def read_examples(path) -> list[PretrainExample]:
+def read_examples(path) -> np.recarray:
     with open(path, "rb") as f:
         data = f.read()
-    if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+    if data[: len(EXAMPLES_MAGIC)] != EXAMPLES_MAGIC:
         raise CorpusError(f"{path}: bad example-cache magic")
-    off = len(CACHE_MAGIC)
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise CorpusError(f"{path}: truncated example cache")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
-
-    (count,) = take("<I")
-    examples = []
-    for _ in range(count):
-        (body_len,) = take("<I")
-        end = off + body_len
-        (t,) = take("<I")
-        token_ids = list(take(f"<{t}I"))
-        type_ids = list(take(f"<{t}I"))
-        mask = list(take(f"<{t}I"))
-        (n,) = take("<I")
-        positions = list(take(f"<{n}I"))
-        labels = list(take(f"<{n}I"))
-        (sop,) = take("<I")
-        if off != end:
-            raise CorpusError(f"{path}: record length mismatch")
-        examples.append(
-            PretrainExample(InputSequence(token_ids, type_ids, mask), positions, labels, sop)
+    if len(data) < _HEADER_BYTES:
+        raise CorpusError(f"{path}: truncated example-cache header")
+    count, max_len, max_predictions = (
+        int(v) for v in np.frombuffer(data, "<u4", 3, len(EXAMPLES_MAGIC))
+    )
+    # record bytes of example_dtype(T, P), computed before numpy sees a
+    # header that may be corrupt
+    want = _HEADER_BYTES + count * 4 * (3 * max_len + 2 * max_predictions + 1)
+    if len(data) != want:
+        raise CorpusError(
+            f"{path}: example cache is {len(data)} bytes but its header "
+            f"(N={count} T={max_len} P={max_predictions}) needs {want}"
         )
-    return examples
+    dtype = example_dtype(max_len, max_predictions)
+    return np.frombuffer(data, dtype, count, _HEADER_BYTES).view(np.recarray)

@@ -375,36 +375,24 @@ class PretrainLosses:
         self.total = self.mlm_loss + self.sop_loss
 
 
-def pack_inputs(seqs):
-    """List of InputSequence -> (token_ids, type_ids, attention_mask) int32."""
-    if not seqs:
-        empty = np.zeros((0, 0), dtype=np.int32)
-        return empty, empty.copy(), empty.copy()
-    token_ids = np.array([s.token_ids for s in seqs], dtype=np.int32)
-    type_ids = np.array([s.type_ids for s in seqs], dtype=np.int32)
-    mask = np.array([s.attention_mask for s in seqs], dtype=np.int32)
-    return token_ids, type_ids, mask
+def pack_pretrain_batch(batch):
+    """Batch arrays from pretraining example records (corpus.example_dtype).
 
-
-def pack_pretrain_batch(examples):
-    """Flatten a list of PretrainExample into batch arrays.
-
-    Masked positions become flat row indices into (batch * T, H).
+    Masked positions become flat row indices into (batch * T, H), in example
+    order and, within an example, in slot order; unused slots are dropped.
     """
-    token_ids, type_ids, mask = pack_inputs([ex.input for ex in examples])
-    seq_len = token_ids.shape[1]
-    rows, labels = [], []
-    for b, ex in enumerate(examples):
-        for pos, label in zip(ex.mlm_positions, ex.mlm_labels):
-            rows.append(b * seq_len + pos)
-            labels.append(label)
+    inputs = batch["input"]
+    token_ids = np.ascontiguousarray(inputs["token_ids"])
+    offsets = np.arange(len(batch), dtype=np.int64)[:, None] * token_ids.shape[1]
+    labels = batch["mlm_labels"]
+    used = labels != ops.IGNORE_INDEX
     return {
         "token_ids": token_ids,
-        "type_ids": type_ids,
-        "attention_mask": mask,
-        "mlm_rows": np.array(rows, dtype=np.int64),
-        "mlm_labels": np.array(labels, dtype=np.int64),
-        "sop_labels": np.array([ex.sop_label for ex in examples], dtype=np.int64),
+        "type_ids": np.ascontiguousarray(inputs["type_ids"]),
+        "attention_mask": np.ascontiguousarray(inputs["attention_mask"]),
+        "mlm_rows": (offsets + batch["mlm_positions"])[used],
+        "mlm_labels": labels[used].astype(np.int64),
+        "sop_labels": batch["sop_label"].astype(np.int64),
     }
 
 

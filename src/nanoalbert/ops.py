@@ -158,13 +158,10 @@ def softmax_backward(cache, d_out):
 IGNORE_INDEX = -100
 
 
-def softmax_cross_entropy(logits, target_ids, ignore_index=IGNORE_INDEX):
-    """Mean negative log-probability over rows whose target != ignore_index."""
-    return softmax_cross_entropy_with_grad(logits, target_ids, ignore_index)[0]
-
-
 def softmax_cross_entropy_with_grad(logits, target_ids, ignore_index=IGNORE_INDEX):
-    """Returns (loss, d_loss/d_logits). Stabilized by max-subtraction."""
+    """Returns (loss, d_loss/d_logits): the mean negative log-probability over
+    rows whose target != ignore_index, and its gradient. Stabilized by
+    max-subtraction."""
     targets = np.asarray(target_ids)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ValueError("logits must be (rows, classes) with one target per row")

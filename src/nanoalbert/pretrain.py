@@ -17,7 +17,6 @@ from .model import (
     ModelConfig,
     PretrainLosses,
     init_parameters,
-    pack_inputs,
     pack_pretrain_batch,
     pretrain_loss,
     pretrain_loss_and_grads,
@@ -115,7 +114,7 @@ def train(
 ) -> TrainResult:
     """Run (or resume, via start=(params, optim, step)) the pretraining loop;
     with a checkpoint_dir, save every checkpoint_every steps and at the end."""
-    if not examples:
+    if len(examples) == 0:
         raise ValueError("no pretraining examples")
     if num_steps > schedule.total_steps:
         raise ValueError("num_steps exceeds schedule.total_steps")
@@ -134,7 +133,7 @@ def train(
         params, state, first = start
 
     def loss_fn(idx, dropout_rng):
-        batch = pack_pretrain_batch([examples[i] for i in idx])
+        batch = pack_pretrain_batch(examples[idx])
         return pretrain_loss_and_grads(params, config, batch,
                                        training=dropout_rng is not None,
                                        dropout_rng=dropout_rng)
@@ -162,7 +161,7 @@ def _chunks(items, size):
 
 def evaluate_pretrain(params, config, examples, batch_size: int = 32) -> PretrainLosses:
     """Per-prediction MLM loss and per-example SOP loss over a fixed set."""
-    if not examples:
+    if len(examples) == 0:
         raise ValueError("no examples to evaluate")
     mlm_sum = sop_sum = 0.0
     mlm_n = sop_n = 0
@@ -179,12 +178,12 @@ def evaluate_pretrain(params, config, examples, batch_size: int = 32) -> Pretrai
 
 def sop_accuracy(params, config, examples, batch_size: int = 32) -> float:
     """Fraction of examples whose order/swapped call matches the label."""
-    if not examples:
+    if len(examples) == 0:
         raise ValueError("no examples to evaluate")
     correct = 0
     for chunk in _chunks(examples, batch_size):
-        token_ids, type_ids, mask = pack_inputs([ex.input for ex in chunk])
-        logits = sop_logits(params, config, token_ids, type_ids, mask)
-        preds = logits.argmax(axis=1)
-        correct += sum(int(p == ex.sop_label) for p, ex in zip(preds, chunk))
+        batch = pack_pretrain_batch(chunk)
+        logits = sop_logits(params, config, batch["token_ids"], batch["type_ids"],
+                            batch["attention_mask"])
+        correct += int((logits.argmax(axis=1) == batch["sop_labels"]).sum())
     return correct / len(examples)

@@ -16,8 +16,10 @@ heavy word repetition keeps masked-token prediction easy.
 
 from __future__ import annotations
 
+import numpy as np
+
 from nanoalbert import bpe
-from nanoalbert.corpus import PretrainExample, build_pretrain_examples
+from nanoalbert.corpus import build_pretrain_examples
 from nanoalbert.model import ModelConfig
 from nanoalbert.ner import NerExample
 from nanoalbert.rng import RngStream
@@ -83,7 +85,7 @@ def ordered_examples(
     *,
     dup_factor: int = 2,
     max_len: int = 16,
-) -> list[PretrainExample]:
+) -> np.recarray:
     """Masked ordered-pair examples over a fresh synthetic corpus."""
     docs = ordered_docs(count, rng.child("docs"))
     return build_pretrain_examples(

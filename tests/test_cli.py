@@ -239,7 +239,63 @@ def test_pretrain_rerun_after_sigkill_matches_uninterrupted_run(pipeline, tmp_pa
     assert run_cli("pretrain", "--out", tmp_path / "straight", *args) == 0
     final = "checkpoint-000600.ckpt"
     assert (killed / final).read_bytes() == (tmp_path / "straight" / final).read_bytes()
+    assert (killed / "train.log").read_bytes() == \
+        (tmp_path / "straight" / "train.log").read_bytes()
     assert not (killed / ".lock").exists()
+
+
+def test_pretrain_resume_cuts_log_back_to_checkpoint_step(pipeline, tmp_path, capsys):
+    # the final checkpoint is gone but the log ran on past step 2 and ends
+    # in a torn line: the rerun resumes from step 2 and logs steps 3-4 once
+    corpus = pipeline / "prep" / "corpus.txt"
+    run = tmp_path / "run"
+    shutil.copytree(pipeline / "pt", run)
+    (run / "checkpoint-000004.ckpt").unlink()
+    with open(run / "train.log", "a", encoding="utf-8") as log:
+        log.write("5\tlr\t0.0")
+    assert run_cli("pretrain", "--out", run, "--corpus", corpus,
+                   "--vocab", pipeline / "vocab", *TINY_OVERRIDES) == 0
+    assert "resuming from step 2" in capsys.readouterr().out
+    assert read(run / "train.log") == read(pipeline / "pt" / "train.log")
+
+
+def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, monkeypatch, capsys):
+    from nanoalbert import corpus as corpus_module
+
+    class FailingFile:
+        """Writes its first chunk, half of the second, then fails."""
+
+        def __init__(self, path):
+            self.file = open(path, "wb")
+            self.writes = 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                self.file.write(data[: len(data) // 2])
+                raise OSError("No space left on device")
+            return self.file.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+    corpus = pipeline / "prep" / "corpus.txt"
+    out = tmp_path / "pt"
+    args = ["pretrain", "--out", out, "--corpus", corpus, "--vocab", pipeline / "vocab",
+            *TINY_OVERRIDES]
+    monkeypatch.setattr(corpus_module, "open", lambda path, mode: FailingFile(path),
+                        raising=False)
+    assert run_cli(*args) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert not (out / "examples.bin").exists()
+
+    monkeypatch.undo()
+    assert run_cli(*args) == 0
+    for name in ("examples.bin", "checkpoint-000004.ckpt", "train.log"):
+        assert (out / name).read_bytes() == (pipeline / "pt" / name).read_bytes(), name
 
 
 def test_pretrain_rejects_vocab_size_mismatch(pipeline, tmp_path, capsys):

@@ -6,12 +6,15 @@ trailing newline at the end. Character counts in these fixtures were done by
 hand.
 """
 
+import struct
+
+import numpy as np
 import pytest
 
 import synthdata
-from nanoalbert.bpe import MASK_ID, NUM_SPECIALS, InputSequence, train_vocab
+from nanoalbert.bpe import MASK_ID, NUM_SPECIALS, InputSequence, build_input_pair, train_vocab
 from nanoalbert.corpus import (
-    CACHE_MAGIC,
+    EXAMPLES_MAGIC,
     SOP_IN_ORDER,
     SOP_SWAPPED,
     CorpusError,
@@ -20,6 +23,7 @@ from nanoalbert.corpus import (
     build_pretrain_examples,
     clean_document,
     corpus_stats,
+    example_dtype,
     make_sop_pairs,
     preprocess_documents,
     preprocess_files,
@@ -27,6 +31,7 @@ from nanoalbert.corpus import (
     split_corpus,
     write_examples,
 )
+from nanoalbert.ops import IGNORE_INDEX
 from nanoalbert.rng import RngStream
 
 LONG_A = "This sentence is longer than twenty characters."  # 47 chars
@@ -221,15 +226,18 @@ def test_mask_input_validation(mask_vocab):
 def test_build_pretrain_examples_invariants():
     rng = RngStream(55)
     examples = synthdata.ordered_examples(40, rng)
+    assert isinstance(examples, np.recarray)
+    assert examples.dtype == example_dtype(16, 20)
     assert len(examples) == 80  # 40 docs x 1 pair x dup_factor 2
-    labels = [ex.sop_label for ex in examples]
-    assert {SOP_IN_ORDER, SOP_SWAPPED} >= set(labels)
+    assert {SOP_IN_ORDER, SOP_SWAPPED} >= set(examples.sop_label.tolist())
     for ex in examples:
-        assert len(ex.input) == 16
-        assert ex.mlm_positions == sorted(ex.mlm_positions)
-        assert len(ex.mlm_positions) == len(ex.mlm_labels) >= 1
-        for pos in ex.mlm_positions:
-            assert ex.input.attention_mask[pos] == 1
+        used = ex.mlm_labels != IGNORE_INDEX
+        n = int(used.sum())
+        assert n >= 1 and used[:n].all()  # used slots first, then padding
+        positions = ex.mlm_positions[:n]
+        assert (np.diff(positions) > 0).all()
+        assert (ex.mlm_positions[n:] == 0).all()
+        assert (ex.input.attention_mask[positions] == 1).all()
 
 
 def test_build_pretrain_examples_with_byte_vocab():
@@ -240,19 +248,59 @@ def test_build_pretrain_examples_with_byte_vocab():
     assert all(tok < vocab.size for tok in examples[0].input.token_ids)
 
 
+def test_build_pretrain_examples_match_masking_per_pair():
+    # the records hold exactly what pairing then masking produce, pair by pair
+    docs = synthdata.ordered_docs(6, RngStream(4))
+    vocab = synthdata.word_vocab()
+    examples = build_pretrain_examples(docs, vocab, RngStream(8), max_len=16,
+                                       max_predictions=3, encode_fn=synthdata.encode_words)
+    rng = RngStream(8)
+    pairs = make_sop_pairs(docs, rng, 1)
+    assert len(examples) == len(pairs)
+    for ex, (seg_a, seg_b, sop_label) in zip(examples, pairs):
+        seq = build_input_pair(vocab, synthdata.encode_words(seg_a),
+                               synthdata.encode_words(seg_b), 16)
+        positions, labels, new_ids = apply_mlm_mask(seq, vocab, rng, max_predictions=3)
+        pad = 3 - len(positions)
+        assert ex.input.token_ids.tolist() == new_ids
+        assert ex.input.type_ids.tolist() == seq.type_ids
+        assert ex.input.attention_mask.tolist() == seq.attention_mask
+        assert ex.mlm_positions.tolist() == positions + [0] * pad
+        assert ex.mlm_labels.tolist() == labels + [IGNORE_INDEX] * pad
+        assert ex.sop_label == sop_label
+
+
 def test_example_cache_round_trip(tmp_path):
     examples = synthdata.ordered_examples(10, RngStream(77))
-    path = tmp_path / "examples.bin"
-    write_examples(path, examples)
-    loaded = read_examples(path)
-    assert len(loaded) == len(examples)
-    for got, want in zip(loaded, examples):
-        assert got.input.token_ids == want.input.token_ids
-        assert got.input.type_ids == want.input.type_ids
-        assert got.input.attention_mask == want.input.attention_mask
-        assert got.mlm_positions == want.mlm_positions
-        assert got.mlm_labels == want.mlm_labels
-        assert got.sop_label == want.sop_label
+    for name, batch in (("all.bin", examples), ("none.bin", examples[:0])):
+        path = tmp_path / name
+        write_examples(path, batch)
+        assert path.stat().st_size == len(EXAMPLES_MAGIC) + 12 + len(batch) * batch.dtype.itemsize
+        loaded = read_examples(path)
+        assert isinstance(loaded, np.recarray)
+        assert loaded.dtype == batch.dtype and len(loaded) == len(batch)
+        for field in ("token_ids", "type_ids", "attention_mask"):
+            assert np.array_equal(loaded.input[field], batch.input[field])
+        for field in ("mlm_positions", "mlm_labels", "sop_label"):
+            assert np.array_equal(loaded[field], batch[field])
+    assert loaded.input.token_ids.shape == (0, 16)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["all.bin", "none.bin"]
+
+
+def _v1_cache(examples) -> bytes:
+    """The retired per-record struct format: magic, u32 count, then per record
+    a u32 byte length and u32 fields T, tokens, types, mask, n, positions,
+    labels, sop."""
+    out = [b"ABPT\x001", struct.pack("<I", len(examples))]
+    for ex in examples:
+        n = int((ex.mlm_labels != IGNORE_INDEX).sum())
+        fields = [len(ex.input.token_ids), *ex.input.token_ids.tolist(),
+                  *ex.input.type_ids.tolist(), *ex.input.attention_mask.tolist(), n,
+                  *ex.mlm_positions[:n].tolist(), *ex.mlm_labels[:n].tolist(),
+                  int(ex.sop_label)]
+        body = struct.pack(f"<{len(fields)}I", *fields)
+        out += [struct.pack("<I", len(body)), body]
+    return b"".join(out)
 
 
 def test_example_cache_rejects_corruption(tmp_path):
@@ -260,12 +308,28 @@ def test_example_cache_rejects_corruption(tmp_path):
     path = tmp_path / "examples.bin"
     write_examples(path, examples)
     raw = path.read_bytes()
-    assert raw.startswith(CACHE_MAGIC)
+    assert raw.startswith(EXAMPLES_MAGIC)
+    head = len(EXAMPLES_MAGIC) + 12
+    assert struct.unpack_from("<3I", raw, len(EXAMPLES_MAGIC)) == (8, 16, 20)
+    body = raw[head:]
 
-    (tmp_path / "truncated.bin").write_bytes(raw[:-7])
-    with pytest.raises(CorpusError, match="truncated"):
-        read_examples(tmp_path / "truncated.bin")
+    def header(n, t, p):
+        return EXAMPLES_MAGIC + struct.pack("<3I", n, t, p)
 
-    (tmp_path / "badmagic.bin").write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(CorpusError, match="magic"):
-        read_examples(tmp_path / "badmagic.bin")
+    cases = {
+        "truncated.bin": (raw[:-7], "needs"),
+        "truncated_header.bin": (raw[:head - 1], "truncated"),
+        "trailing.bin": (raw + b"\0", "needs"),
+        "badmagic.bin": (b"XXXX" + raw[4:], "magic"),
+        "wrong_t.bin": (header(8, 17, 20) + body, "T=17"),
+        "wrong_p.bin": (header(8, 16, 19) + body, "P=19"),
+        "v1.bin": (_v1_cache(examples), "magic"),
+    }
+    for name, (data, reason) in cases.items():
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        with pytest.raises(CorpusError) as err:
+            read_examples(bad)
+        message = str(err.value)
+        assert message.startswith(f"{bad}: ") and reason in message, name
+        assert "\n" not in message

@@ -18,6 +18,7 @@ import pytest
 
 import synthdata
 from nanoalbert import ops
+from nanoalbert.corpus import build_pretrain_examples, read_examples, write_examples
 from nanoalbert.gradcheck import max_grad_error
 from nanoalbert.model import (
     NEG_INF,
@@ -30,7 +31,6 @@ from nanoalbert.model import (
     encode_forward,
     init_parameters,
     ner_loss_and_grads,
-    pack_inputs,
     pack_pretrain_batch,
     parameter_shapes,
     pretrain_loss,
@@ -291,22 +291,66 @@ def test_pack_pretrain_batch_layout():
     t = batch["token_ids"].shape[1]
     assert batch["token_ids"].dtype == np.int32
     assert batch["mlm_rows"].dtype == np.int64
+    used = examples.mlm_labels != ops.IGNORE_INDEX
     want_rows = [
         b * t + pos
         for b, ex in enumerate(examples)
-        for pos in ex.mlm_positions
+        for pos in ex.mlm_positions[used[b]].tolist()
     ]
     assert batch["mlm_rows"].tolist() == want_rows
-    assert batch["sop_labels"].tolist() == [ex.sop_label for ex in examples]
+    assert batch["sop_labels"].tolist() == examples.sop_label.tolist()
+
+
+def _reference_pack(examples):
+    """The per-example packing loop, one list row per example."""
+    token_ids, type_ids, mask, rows, labels, sop = [], [], [], [], [], []
+    for b, ex in enumerate(examples):
+        t = len(ex.input.token_ids)
+        token_ids.append(ex.input.token_ids.tolist())
+        type_ids.append(ex.input.type_ids.tolist())
+        mask.append(ex.input.attention_mask.tolist())
+        for pos, label in zip(ex.mlm_positions.tolist(), ex.mlm_labels.tolist()):
+            if label != ops.IGNORE_INDEX:
+                rows.append(b * t + pos)
+                labels.append(label)
+        sop.append(int(ex.sop_label))
+    return {
+        "token_ids": np.array(token_ids, dtype=np.int32),
+        "type_ids": np.array(type_ids, dtype=np.int32),
+        "attention_mask": np.array(mask, dtype=np.int32),
+        "mlm_rows": np.array(rows, dtype=np.int64),
+        "mlm_labels": np.array(labels, dtype=np.int64),
+        "sop_labels": np.array(sop, dtype=np.int64),
+    }
+
+
+def test_pack_pretrain_batch_matches_per_example_reference(tmp_path):
+    # sentences of 2..11 words at mask rate 0.3 give 1..6 masked slots of 6
+    words = synthdata.FILLER
+    r = RngStream(12)
+    docs = [[" ".join(words[r.randint(len(words))] for _ in range(2 + r.randint(10)))
+             for _ in range(2)] for _ in range(24)]
+    examples = build_pretrain_examples(docs, synthdata.word_vocab(), RngStream(3),
+                                       max_len=24, mask_rate=0.3, max_predictions=6,
+                                       encode_fn=synthdata.encode_words)
+    counts = (examples.mlm_labels != ops.IGNORE_INDEX).sum(axis=1)
+    assert len(set(counts.tolist())) >= 3
+    write_examples(tmp_path / "examples.bin", examples)
+    cached = read_examples(tmp_path / "examples.bin")
+    for batch in (examples, examples[[5, 0, 17, 3, 3]], cached[7:15]):
+        got, want = pack_pretrain_batch(batch), _reference_pack(batch)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert np.array_equal(got[key], want[key]), key
 
 
 def test_empty_and_unmasked_batches_rejected(tiny_model):
     config, params = tiny_model
-    with pytest.raises(ValueError, match="empty batch"):
-        pretrain_loss(params, config, pack_pretrain_batch([]))
     examples = synthdata.ordered_examples(2, RngStream(1), dup_factor=1)
-    for ex in examples:
-        ex.mlm_positions, ex.mlm_labels = [], []
+    with pytest.raises(ValueError, match="empty batch"):
+        pretrain_loss(params, config, pack_pretrain_batch(examples[:0]))
+    examples["mlm_labels"] = ops.IGNORE_INDEX
     with pytest.raises(ValueError, match="no masked positions"):
         pretrain_loss(params, config, pack_pretrain_batch(examples))
 

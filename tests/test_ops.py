@@ -28,7 +28,6 @@ from nanoalbert.ops import (
     linear_forward,
     softmax,
     softmax_backward,
-    softmax_cross_entropy,
     softmax_cross_entropy_with_grad,
     softmax_forward,
     tanh_backward,
@@ -164,8 +163,8 @@ def test_softmax_bitwise_equals_closed_form(dtype):
 
 
 def test_cross_entropy_known_values():
-    assert abs(softmax_cross_entropy(np.zeros((1, 2)), [0]) - LN2) < 1e-12
-    loss = softmax_cross_entropy(np.array([[2.0, 0.0]]), [0])
+    assert abs(softmax_cross_entropy_with_grad(np.zeros((1, 2)), [0])[0] - LN2) < 1e-12
+    loss = softmax_cross_entropy_with_grad(np.array([[2.0, 0.0]]), [0])[0]
     assert abs(loss - 0.12692801104297263) < 1e-12
 
 
@@ -183,14 +182,14 @@ def test_cross_entropy_ignored_rows():
 
 def test_cross_entropy_all_ignored_rejected():
     with pytest.raises(ValueError, match="all rows ignored"):
-        softmax_cross_entropy(np.zeros((2, 3)), [IGNORE_INDEX, IGNORE_INDEX])
+        softmax_cross_entropy_with_grad(np.zeros((2, 3)), [IGNORE_INDEX, IGNORE_INDEX])
 
 
 def test_cross_entropy_shape_validation():
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros((2, 3)), [0])
+        softmax_cross_entropy_with_grad(np.zeros((2, 3)), [0])
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros(3), [0])
+        softmax_cross_entropy_with_grad(np.zeros(3), [0])
 
 
 # ---------------------------------------------------------------------------
