@@ -20,10 +20,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, format_pairs, parse_pairs
 from .model import ModelConfig, parameter_shapes
 from .optim import OptimizerState
 
@@ -83,18 +85,14 @@ def _validate(config, params, labels):
 
 
 def _header_text(config, step, kind, labels, optim_t) -> str:
-    lines = []
-    for f in dataclasses.fields(config):
-        lines.append(f"{f.name}={getattr(config, f.name)}")
-    lines.append(f"step={step}")
-    lines.append(f"kind={kind}")
-    lines.append(f"optim_t={optim_t}")
+    pairs = [*dataclasses.asdict(config).items(),
+             ("step", step), ("kind", kind), ("optim_t", optim_t)]
     if labels is not None:
         for label in labels:
             if "," in label or "\n" in label:
                 raise ValueError(f"label {label!r} may not contain ',' or newline")
-        lines.append("labels=" + ",".join(labels))
-    return "\n".join(lines) + "\n"
+        pairs.append(("labels", ",".join(labels)))
+    return format_pairs(pairs)
 
 
 def _tensor_bytes(name: str, values: np.ndarray) -> bytes:
@@ -149,45 +147,30 @@ class _Reader:
         return _U32.unpack(self.take(4))[0]
 
 
-def _parse_header(text: str):
-    pairs = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        if "=" not in line:
-            raise CorruptCheckpointError(f"malformed header line {line!r}")
-        key, value = line.split("=", 1)
-        pairs[key] = value
-    # checkpoints written while ModelConfig still had this flag carry it; the
-    # model only ever ran with shared parameters, so the line says nothing
-    pairs.pop("share_parameters", None)
+# checkpoints written while ModelConfig still had a share_parameters flag
+# carry it; the model only ever ran with shared parameters, so it says nothing
+_HEADER_TYPES = {**typing.get_type_hints(ModelConfig), "step": int, "optim_t": int,
+                 "kind": str, "labels": str, "share_parameters": str}
 
+
+def _parse_header(text: str):
+    lines = [(f"header line {n}", line) for n, line in enumerate(text.split("\n"), 1)]
+    try:
+        pairs = parse_pairs(lines, _HEADER_TYPES)
+    except ConfigError as exc:
+        raise CorruptCheckpointError(str(exc)) from None
     kwargs = {}
     for f in dataclasses.fields(ModelConfig):
         if f.name not in pairs:
             raise CorruptCheckpointError(f"header missing config key {f.name}")
-        raw = pairs.pop(f.name)
-        type_name = f.type if isinstance(f.type, str) else f.type.__name__
-        try:
-            kwargs[f.name] = float(raw) if type_name == "float" else int(raw)
-        except ValueError:
-            raise CorruptCheckpointError(f"bad value {raw!r} for config key {f.name}")
+        kwargs[f.name] = pairs[f.name]
     try:
         config = ModelConfig(**kwargs)
     except ValueError as exc:
         raise ConfigMismatchError(f"invalid config in header: {exc}")
-
-    try:
-        step = int(pairs.pop("step", "0"))
-        optim_t = int(pairs.pop("optim_t", "0"))
-    except ValueError as exc:
-        raise CorruptCheckpointError(f"bad header value: {exc}")
-    kind = pairs.pop("kind", "pretrain")
-    labels_raw = pairs.pop("labels", None)
-    labels = labels_raw.split(",") if labels_raw is not None else None
-    if pairs:
-        raise CorruptCheckpointError(f"unknown header keys {sorted(pairs)}")
-    return config, step, kind, optim_t, labels
+    labels = pairs["labels"].split(",") if "labels" in pairs else None
+    return (config, pairs.get("step", 0), pairs.get("kind", "pretrain"),
+            pairs.get("optim_t", 0), labels)
 
 
 def load_checkpoint(path) -> Checkpoint:

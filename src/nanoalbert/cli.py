@@ -13,13 +13,14 @@ BLAS/OpenMP thread counts via environment variables before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fcntl
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .config import ConfigError, effective_text, model_config_from, parse_config
+from .config import ConfigError, effective_text, format_pairs, model_config_from, parse_config
 
 
 class CliError(Exception):
@@ -156,7 +157,16 @@ def _pretrain_examples(args, cfg, out: Path, vocab):
 
     cache = out / "examples.bin"
     if cache.exists():
-        return read_examples(cache)
+        examples = read_examples(cache)
+        have = (examples.dtype["input"]["token_ids"].shape[0],
+                examples.dtype["mlm_positions"].shape[0])
+        want = (cfg.max_seq_length, cfg.max_predictions_per_seq)
+        if have != want:
+            raise CliError(
+                f"{cache} holds examples for max_seq_length={have[0]} max_predictions_per_seq="
+                f"{have[1]}, but the config says {want[0]} and {want[1]}; delete it to rebuild"
+            )
+        return examples
     text = Path(args.corpus).read_text(encoding="utf-8")
     docs = split_corpus(text)
     examples = build_pretrain_examples(
@@ -252,7 +262,8 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
     if args.test:
         test_examples, _ = read_conll(args.test)
 
-    with open(out / "train.log", "a", encoding="utf-8", buffering=1) as log_file:
+    # fine-tuning has no resume: a rerun starts over, and so does its log
+    with open(out / "train.log", "w", encoding="utf-8", buffering=1) as log_file:
         result = finetune(
             snapshot, vocab, train_examples, dev_examples, test_examples,
             seed=cfg.seed,
@@ -335,22 +346,13 @@ def _cmd_stats(args, cfg, out: Path) -> None:
         from .corpus import corpus_stats
 
         stats = corpus_stats(Path(args.corpus).read_text(encoding="utf-8"))
-        lines = [
-            f"documents={stats.documents}",
-            f"sentences={stats.sentences}",
-            f"words={stats.words}",
-        ]
     else:
         from .ner import dataset_stats
 
         stats = dataset_stats(args.conll)
-        lines = [
-            f"sentences={stats.sentences}",
-            f"tokens={stats.tokens}",
-            f"annotations={stats.annotations}",
-        ]
-    (out / "stats.txt").write_text("\n".join(lines) + "\n")
-    print(" ".join(lines))
+    text = format_pairs(dataclasses.asdict(stats).items())
+    (out / "stats.txt").write_text(text)
+    print(" ".join(text.splitlines()))
 
 
 _HANDLERS = {

@@ -88,12 +88,14 @@ def test_ner_checkpoint_keeps_labels(tmp_path):
     params = init_parameters(config, RngStream(4).child("init"),
                              heads=("ner",), num_labels=3)
     path = tmp_path / "tagger.ckpt"
-    save_checkpoint(path, config, params, step=5, kind="ner",
-                    labels=["O", "B-Chem", "I-Chem"])
-    ck = load_checkpoint(path)
-    assert ck.kind == "ner"
-    assert ck.labels == ["O", "B-Chem", "I-Chem"]
-    assert ck.params["ner_weight"].shape == (32, 3)
+    # '#' starts a comment only in config files, and a header line splits
+    # at its first '=', so both are plain label text
+    for labels in (["O", "B-Chem", "I-Chem"], ["O", "B-C#=x", "I-C#=x"]):
+        save_checkpoint(path, config, params, step=5, kind="ner", labels=labels)
+        ck = load_checkpoint(path)
+        assert ck.kind == "ner"
+        assert ck.labels == labels
+        assert ck.params["ner_weight"].shape == (32, 3)
 
 
 def test_labels_with_reserved_characters_rejected(tmp_path):
@@ -166,7 +168,20 @@ def test_unknown_header_key_detected(saved, tmp_path):
     assert patched != raw
     bad = tmp_path / "unknown.ckpt"
     bad.write_bytes(patched)
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CorruptCheckpointError, match="unknown key 'stop'"):
+        load_checkpoint(bad)
+
+
+def test_malformed_header_value_names_the_key(saved, tmp_path):
+    _, _, path = saved
+    raw = path.read_bytes()
+    # same-length swap keeps the framing valid but the value is no int
+    patched = raw.replace(b"\nnum_layers=2\n", b"\nnum_layers=z\n")
+    assert patched != raw
+    bad = tmp_path / "bad_value.ckpt"
+    bad.write_bytes(patched)
+    with pytest.raises(CorruptCheckpointError,
+                       match=r"invalid value 'z' for num_layers \(expected int\)"):
         load_checkpoint(bad)
 
 

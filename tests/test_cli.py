@@ -298,6 +298,22 @@ def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, 
         assert (out / name).read_bytes() == (pipeline / "pt" / name).read_bytes(), name
 
 
+def test_pretrain_refuses_example_cache_of_other_shape(pipeline, tmp_path, capsys):
+    # the shared run cached T=24 P=20 records
+    corpus = pipeline / "prep" / "corpus.txt"
+    for override, message in (("max_seq_length=16", "max_seq_length=24"),
+                              ("max_predictions_per_seq=10", "max_predictions_per_seq=20")):
+        out = tmp_path / override.split("=")[0]
+        out.mkdir()
+        shutil.copy(pipeline / "pt" / "examples.bin", out)
+        assert run_cli("pretrain", "--out", out, "--corpus", corpus,
+                       "--vocab", pipeline / "vocab", *TINY_OVERRIDES, override) == 1
+        err = capsys.readouterr().err
+        assert str(out / "examples.bin") in err and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not list(out.glob("checkpoint-*"))
+
+
 def test_pretrain_rejects_vocab_size_mismatch(pipeline, tmp_path, capsys):
     corpus = pipeline / "prep" / "corpus.txt"
     overrides = [o if not o.startswith("vocab_size") else "vocab_size=300"
@@ -343,6 +359,17 @@ def test_finetune_outputs(finetuned, capsys):
     assert any(line.startswith("f1=") for line in kv.splitlines())
     log = read(finetuned / "train.log").splitlines()
     assert sum(1 for l in log if "\tdev_f1\t" in l) == 2  # steps 3 and 6
+
+
+def test_finetune_rerun_into_same_out_logs_each_step_once(pipeline, finetuned, tmp_path):
+    out = tmp_path / "again"
+    for _ in range(2):
+        assert run_cli("finetune", "--out", out,
+                       "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                       "--vocab", pipeline / "vocab",
+                       "--train", pipeline / "train.conll", "--dev", pipeline / "dev.conll",
+                       "--test", pipeline / "dev.conll", *FT_OVERRIDES) == 0
+    assert read(out / "train.log") == read(finetuned / "train.log")
 
 
 def test_finetune_without_periodic_eval_scores_dev_at_last_step(pipeline, tmp_path):

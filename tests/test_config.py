@@ -1,18 +1,26 @@
 """Run configuration: defaults, file/override precedence, round-trips."""
 
+import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nanoalbert.config import (
-    SCHEMA,
     ConfigError,
     RunConfig,
     effective_text,
+    format_pairs,
     model_config_from,
     parse_config,
+    parse_pairs,
 )
+
+SRC = Path(__file__).parent.parent / "src"
+KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def test_defaults_match_published_base_setup():
@@ -102,13 +110,13 @@ def test_effective_text_round_trips(tmp_path):
     dump = tmp_path / "effective.cfg"
     dump.write_text(effective_text(cfg))
     again = parse_config(dump)
-    assert dict(again.items()) == dict(cfg.items())
+    assert again == cfg
 
 
 def test_effective_text_covers_every_key():
     text = effective_text(parse_config())
     keys = {line.split("=", 1)[0] for line in text.strip().split("\n")}
-    assert keys == set(SCHEMA)
+    assert keys == set(KEYS)
 
 
 def test_model_config_mapping():
@@ -123,14 +131,44 @@ def test_model_config_mapping():
     assert mc.intermediate_size == 128  # 0 in the run config means 4 * hidden
 
 
-def test_run_config_items_sorted():
-    items = RunConfig({"b": 1, "a": 2}).items()
-    assert items == [("a", 2), ("b", 1)]
+def test_effective_text_lists_keys_in_sorted_order():
+    keys = [line.split("=", 1)[0] for line in effective_text(parse_config()).splitlines()]
+    assert keys == sorted(KEYS)
+    assert keys != KEYS  # the declaration order is not already sorted
 
 
 def test_every_schema_key_has_a_reader():
     package = Path(__file__).parent.parent / "src" / "nanoalbert"
     source = "\n".join(path.read_text(encoding="utf-8") for path in package.glob("*.py"))
-    unread = [key for key in SCHEMA
+    unread = [key for key in KEYS
               if not re.search(rf"\b(?:cfg|config)\.{key}\b", source)]
     assert unread == []
+
+
+def test_pairs_codec_round_trips_typed_values():
+    types = {"n": int, "x": float, "flag": bool, "label": str}
+    pairs = [("n", 3), ("x", 0.1), ("flag", True), ("label", "B-C#=x")]
+    text = format_pairs(pairs)
+    assert text == "n=3\nx=0.1\nflag=true\nlabel=B-C#=x\n"
+    lines = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), 1)]
+    assert parse_pairs(lines, types) == dict(pairs)
+    assert parse_pairs([("a", "n=1"), ("b", "n=2")], types) == {"n": 2}  # later wins
+    with pytest.raises(ConfigError, match=r"line 9: invalid value 'x' for n \(expected int\)"):
+        parse_pairs([("line 9", "n=x")], types)
+
+
+def test_cli_and_config_leave_numpy_unloaded():
+    # --threads sets the BLAS thread variables, which only count before
+    # numpy loads
+    code = (
+        "import sys\n"
+        "import nanoalbert.cli\n"
+        "from nanoalbert.config import effective_text, format_pairs, parse_config\n"
+        "effective_text(parse_config(overrides=['seed=1', 'lowercase=true']))\n"
+        "format_pairs([('a', 1), ('b', 0.5)])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert done.returncode == 0, done.stderr
