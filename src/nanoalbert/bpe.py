@@ -12,7 +12,10 @@ printable characters for serialization so the files stay valid UTF-8.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, compress
 
 PAD_ID = 0
 UNK_ID = 1
@@ -112,15 +115,35 @@ def _merge_pair(symbols: list[bytes], left: bytes, right: bytes) -> list[bytes]:
     return out
 
 
-def train_vocab(corpus: str, target_size: int) -> Vocab:
-    """Learn merges from whitespace-split words until target_size pieces exist.
+def _add_pairs(counts: dict, symbols: list[bytes], freq: int) -> None:
+    """Add freq to the count of each adjacent pair; a count of 0 is deleted."""
+    for pair in zip(symbols, symbols[1:]):
+        count = counts.get(pair, 0) + freq
+        if count:
+            counts[pair] = count
+        else:
+            del counts[pair]
 
-    Stops early once no adjacent pair occurs twice. target_size counts
-    distinct pieces including specials and the 256-byte base alphabet, so the
-    smallest legal value is 261 (zero merges).
+
+def train_vocab(corpus: str, vocab_size: int) -> Vocab:
+    """Learn merges from whitespace-split words until vocab_size pieces exist.
+
+    Each round merges the most frequent adjacent pair, ties broken by the
+    lexicographically smallest pair, and training stops early once no pair
+    occurs twice. vocab_size counts distinct pieces including specials and
+    the 256-byte base alphabet, so the smallest legal value is 261 (zero
+    merges).
+
+    Pair counts are taken once. A merge rewrites only the words that hold its
+    bytes and moves their counts from the old split to the new one (Sennrich
+    et al., arXiv 1508.07909), so each round sees exactly the counts a full
+    recount would give, and the merges are the same. A merge lowers or keeps
+    every count except those of pairs holding the merged piece, so the top
+    count and the pairs tied at it are carried between rounds; all counts
+    are scanned again only when the tied pairs run out.
     """
-    if target_size < MIN_VOCAB_SIZE:
-        raise ValueError(f"target_size must be >= {MIN_VOCAB_SIZE}")
+    if vocab_size < MIN_VOCAB_SIZE:
+        raise ValueError(f"vocab_size must be >= {MIN_VOCAB_SIZE}")
     word_freqs: dict[bytes, int] = {}
     for word in corpus.split():
         w = word.encode("utf-8")
@@ -128,34 +151,55 @@ def train_vocab(corpus: str, target_size: int) -> Vocab:
     if not word_freqs:
         raise ValueError("empty corpus")
 
-    words = [
-        ([w[i : i + 1] for i in range(len(w))], freq)
-        for w, freq in sorted(word_freqs.items())
-    ]
+    distinct = sorted(word_freqs)
+    freqs = [word_freqs[w] for w in distinct]
+    words = [[w[i : i + 1] for i in range(len(w))] for w in distinct]
+    # Words hold no space byte, so a match in the joined text lies in one word.
+    text = b" ".join(distinct)
+    starts = list(accumulate((len(w) + 1 for w in distinct[:-1]), initial=0))
+    counts: dict[tuple[bytes, bytes], int] = {}
+    for symbols, freq in zip(words, freqs):
+        _add_pairs(counts, symbols, freq)
     pieces = [bytes([b]) for b in range(256)]
     known = set(pieces)
     merges: list[tuple[bytes, bytes]] = []
+    top, tied = 0, []  # a heap of pairs; every pair whose count is top is in it
 
-    while len(known) + NUM_SPECIALS < target_size:
-        counts: dict[tuple[bytes, bytes], int] = {}
-        for symbols, freq in words:
-            for pair in zip(symbols, symbols[1:]):
-                counts[pair] = counts.get(pair, 0) + freq
-        if not counts:
-            break
-        top = max(counts.values())
-        if top < 2:
-            break
-        best = min(pair for pair, c in counts.items() if c == top)
+    while len(known) + NUM_SPECIALS < vocab_size:
+        while tied and counts.get(tied[0]) != top:
+            heappop(tied)
+        if not tied:
+            top = max(counts.values(), default=0)
+            if top < 2:
+                break
+            tied = list(compress(counts, map(top.__eq__, counts.values())))
+            heapify(tied)
+        best = heappop(tied)
         merges.append(best)
         merged = best[0] + best[1]
         if merged not in known:
             known.add(merged)
             pieces.append(merged)
-        words = [
-            (_merge_pair(symbols, *best) if merged in b"".join(symbols) else symbols, freq)
-            for symbols, freq in words
-        ]
+        grown = set()
+        pos = text.find(merged)
+        while pos >= 0:
+            i = bisect_right(starts, pos) - 1
+            symbols = words[i]
+            new = _merge_pair(symbols, *best)
+            if len(new) < len(symbols):  # else the match straddled symbols
+                _add_pairs(counts, symbols, -freqs[i])
+                _add_pairs(counts, new, freqs[i])
+                words[i] = new
+                grown.update(p for p in zip(new, new[1:]) if merged in p)
+            pos = text.find(merged, starts[i] + len(distinct[i]))
+        # Only pairs holding the merged piece gain. None passes top unless
+        # that piece was already known, so a new top resets the tied heap.
+        for pair in grown:
+            count = counts[pair]
+            if count > top:
+                top, tied = count, []
+            if count == top:
+                heappush(tied, pair)
     return Vocab(pieces, merges)
 
 
@@ -174,7 +218,15 @@ def save_vocab(vocab: Vocab, vocab_path, merges_path) -> None:
             f.write(f"{piece_to_text(left)}\t{piece_to_text(right)}\n")
 
 
+def _piece_at(path, lineno: int, text: str) -> bytes:
+    try:
+        return text_to_piece(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno + 1}: {exc}") from None
+
+
 def load_vocab(vocab_path, merges_path) -> Vocab:
+    """Read a saved vocabulary; each error names its file and line."""
     pieces = []
     with open(vocab_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f):
@@ -192,7 +244,8 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
                 if text != SPECIAL_NAMES[lineno]:
                     raise ValueError(f"{vocab_path}:{lineno + 1}: bad special token")
             else:
-                pieces.append(text_to_piece(text))
+                pieces.append(_piece_at(vocab_path, lineno, text))
+    known = set(pieces)
     merges = []
     with open(merges_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f):
@@ -202,7 +255,12 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{merges_path}:{lineno + 1}: malformed merge line")
-            merges.append((text_to_piece(parts[0]), text_to_piece(parts[1])))
+            left, right = (_piece_at(merges_path, lineno, text) for text in parts)
+            for piece in (left, right, left + right):
+                if piece not in known:
+                    raise ValueError(f"{merges_path}:{lineno + 1}: piece "
+                                     f"{piece_to_text(piece)!r} is not in the vocabulary")
+            merges.append((left, right))
     return Vocab(pieces, merges)
 
 

@@ -5,7 +5,12 @@ ids are NUM_SPECIALS + piece index, so the first learned merge always gets
 id 261 (5 specials + 256 byte pieces).
 """
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanoalbert.bpe import (
     CLS_ID,
@@ -17,6 +22,7 @@ from nanoalbert.bpe import (
     UNK_ID,
     InputSequence,
     Vocab,
+    _merge_pair,
     build_input_pair,
     load_vocab,
     save_vocab,
@@ -83,6 +89,95 @@ def test_merges_compose_transitively():
     # (a,b) wins round one (tie with (b,c), lexicographic), then (ab,c)
     assert vocab.merges == [(b"a", b"b"), (b"ab", b"c")]
     assert vocab.encode("abc") == [vocab.piece_id(b"abc")]
+
+
+# ---------------------------------------------------------------------------
+# exactness against a full recount per merge
+# ---------------------------------------------------------------------------
+
+def reference_train_vocab(corpus: str, target_size: int) -> Vocab:
+    """The trainer before incremental counts: recount every pair each merge."""
+    word_freqs: dict[bytes, int] = {}
+    for word in corpus.split():
+        w = word.encode("utf-8")
+        word_freqs[w] = word_freqs.get(w, 0) + 1
+    words = [
+        ([w[i : i + 1] for i in range(len(w))], freq)
+        for w, freq in sorted(word_freqs.items())
+    ]
+    pieces = [bytes([b]) for b in range(256)]
+    known = set(pieces)
+    merges: list[tuple[bytes, bytes]] = []
+
+    while len(known) + NUM_SPECIALS < target_size:
+        counts: dict[tuple[bytes, bytes], int] = {}
+        for symbols, freq in words:
+            for pair in zip(symbols, symbols[1:]):
+                counts[pair] = counts.get(pair, 0) + freq
+        if not counts:
+            break
+        top = max(counts.values())
+        if top < 2:
+            break
+        best = min(pair for pair, c in counts.items() if c == top)
+        merges.append(best)
+        merged = best[0] + best[1]
+        if merged not in known:
+            known.add(merged)
+            pieces.append(merged)
+        words = [
+            (_merge_pair(symbols, *best) if merged in b"".join(symbols) else symbols, freq)
+            for symbols, freq in words
+        ]
+    return Vocab(pieces, merges)
+
+
+def assert_same_as_reference(corpus: str, target_size: int) -> Vocab:
+    got = train_vocab(corpus, target_size)
+    want = reference_train_vocab(corpus, target_size)
+    assert got.merges == want.merges
+    assert got._id_pieces == want._id_pieces
+    return got
+
+
+@pytest.mark.parametrize("corpus, target_size", [
+    ("abab abab", 262),
+    ("aa bb aa bb", 262),
+    ("abc def ghi", 300),
+    ("thermal theme the thesis there therefore " * 3, 270),
+    ("abc abc abc", 263),
+    ("the theme thermal there " * 4, 270),
+    ("plain ascii training text", 265),
+    ("receptor receptors reception " * 3, 268),
+    ("anything at all here", MIN_VOCAB_SIZE),
+])
+def test_training_matches_full_recount_on_worked_corpora(corpus, target_size):
+    assert_same_as_reference(corpus, target_size)
+
+
+# Repeat-prone symbols give ties and overlapping runs such as "aaaa"; the
+# multi-byte letters give merges inside a character.
+_SYMBOLS = ["a", "aa", "ab", "b", "c", "é", "α"]
+_WORDS = st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(words=st.lists(_WORDS, min_size=1, max_size=30),
+       target_size=st.integers(MIN_VOCAB_SIZE, 340))
+def test_training_matches_full_recount_on_random_corpora(words, target_size):
+    assert_same_as_reference(" ".join(words), target_size)
+
+
+def test_training_matches_full_recount_on_zipfian_corpus():
+    rng = RngStream(2024)
+    syllables = ["ka", "ro", "mi", "the", "ase", "in", "ol", "yl", "é", "α"]
+    lexicon = ["".join(syllables[rng.randint(len(syllables))]
+                       for _ in range(1 + rng.randint(4))) for _ in range(400)]
+    bounds = list(accumulate(1 / rank for rank in range(1, len(lexicon) + 1)))
+    corpus = " ".join(lexicon[bisect_right(bounds, rng.uniform() * bounds[-1])]
+                      for _ in range(3000))
+    vocab = assert_same_as_reference(corpus, 600)
+    assert len(vocab.merges) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +253,31 @@ def test_load_rejects_malformed_merges(tmp_path):
     save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")
     (tmp_path / "merges.txt").write_text("a\tb\tc\n")
     with pytest.raises(ValueError, match="merges.txt:1"):
+        load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+
+
+def test_load_rejects_merge_of_unknown_pieces(tmp_path):
+    vocab = train_vocab("abab abab", 262)
+    save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    good = (tmp_path / "merges.txt").read_text()
+    (tmp_path / "merges.txt").write_text(good + "x\ty\n")
+    with pytest.raises(ValueError, match=r"merges.txt:2: piece 'xy' is not in the vocabulary"):
+        load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    (tmp_path / "merges.txt").write_text(good + "abc\td\n")
+    with pytest.raises(ValueError, match=r"merges.txt:2: piece 'abc' is not"):
+        load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+
+
+def test_load_names_line_of_undecodable_piece(tmp_path):
+    vocab = train_vocab("x", MIN_VOCAB_SIZE)
+    save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    lines = (tmp_path / "vocab.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "vocab.txt").write_text("".join(lines) + "\x01\t261\n")
+    with pytest.raises(ValueError, match=r"vocab.txt:262: invalid piece character '\\x01'"):
+        load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    (tmp_path / "vocab.txt").write_text("".join(lines))
+    (tmp_path / "merges.txt").write_text("a\t\x01\n")
+    with pytest.raises(ValueError, match=r"merges.txt:1: invalid piece character"):
         load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
 
 

@@ -158,6 +158,12 @@ def test_build_vocab_outputs(pipeline, capsys):
     assert first == "[PAD]\t0"
 
 
+def test_build_vocab_rejects_too_small_vocab_size(pipeline, tmp_path, capsys):
+    assert run_cli("build-vocab", "--out", tmp_path / "v", "--corpus",
+                   pipeline / "prep" / "corpus.txt", "vocab_size=100") == 1
+    assert capsys.readouterr().err == "error: vocab_size must be >= 261\n"
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 # ---------------------------------------------------------------------------
@@ -321,6 +327,19 @@ def test_pretrain_rejects_vocab_size_mismatch(pipeline, tmp_path, capsys):
     assert run_cli("pretrain", "--out", tmp_path / "m", "--corpus", corpus,
                    "--vocab", pipeline / "vocab", *overrides) == 1
     assert "261 pieces" in capsys.readouterr().err
+
+
+def test_pretrain_refuses_merge_of_unknown_pieces(pipeline, tmp_path, capsys):
+    vocab = shutil.copytree(pipeline / "vocab", tmp_path / "vocab")
+    with open(vocab / "merges.txt", "a", encoding="utf-8") as f:
+        f.write("x\ty\n")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("xy " + read(pipeline / "prep" / "corpus.txt"), encoding="utf-8")
+    assert run_cli("pretrain", "--out", tmp_path / "m", "--corpus", corpus,
+                   "--vocab", vocab, *TINY_OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "merges.txt:1: piece 'xy' is not in the vocabulary" in err
 
 
 # ---------------------------------------------------------------------------
