@@ -13,7 +13,6 @@ printable characters for serialization so the files stay valid UTF-8.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress
 
@@ -268,24 +267,12 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
 # model-input assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InputSequence:
-    """Padded token ids with segment ids and an attention mask, all length T."""
-
-    token_ids: list[int]
-    type_ids: list[int]
-    attention_mask: list[int]
-
-    def __len__(self) -> int:
-        return len(self.token_ids)
-
-
-def build_input_pair(vocab: Vocab, seg_a, seg_b, max_len: int) -> InputSequence:
-    """Lay out [CLS] A [SEP] (B [SEP]) and pad to max_len.
+def build_input_pair(seg_a, seg_b, max_len: int) -> tuple[list[int], list[int]]:
+    """Token and segment ids of [CLS] A [SEP] (B [SEP]), unpadded.
 
     Over-length inputs lose tokens from the tail of whichever segment is
-    currently longer (ties truncate B) until the pair fits; a non-empty
-    segment is never truncated away entirely.
+    currently longer (ties truncate B) until the pair fits in max_len; a
+    non-empty segment is never truncated away entirely.
     """
     a = list(seg_a)
     b = list(seg_b) if seg_b else []
@@ -304,10 +291,4 @@ def build_input_pair(vocab: Vocab, seg_a, seg_b, max_len: int) -> InputSequence:
     if b:
         ids += [*b, SEP_ID]
         types += [1] * (len(b) + 1)
-    mask = [1] * len(ids)
-
-    pad = max_len - len(ids)
-    ids += [PAD_ID] * pad
-    types += [0] * pad
-    mask += [0] * pad
-    return InputSequence(ids, types, mask)
+    return ids, types

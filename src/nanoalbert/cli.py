@@ -180,25 +180,10 @@ def _pretrain_examples(args, cfg, out: Path, vocab):
     return examples
 
 
-def _cut_log(path: Path, step: int) -> None:
-    """Cut a step log back to its last complete line logged at or before
-    `step`, so a run continuing from `step` logs each later step once."""
-    if not path.exists():
-        return
-    keep = 0
-    with open(path, "r+b") as f:
-        for line in f:
-            head = line.split(b"\t", 1)[0]
-            if not line.endswith(b"\n") or not head.isdigit() or int(head) > step:
-                break
-            keep += len(line)
-        f.truncate(keep)
-
-
 def _cmd_pretrain(args, cfg, out: Path) -> None:
     from .checkpoint import load_checkpoint
     from .optim import Schedule, rescaled_peak
-    from .pretrain import latest_checkpoint, train
+    from .pretrain import latest_checkpoint, open_log, train
 
     model_config = model_config_from(cfg)
     if cfg.max_seq_length > model_config.max_positions:
@@ -220,6 +205,11 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
     resume_from = latest_checkpoint(out)
     if resume_from is not None:
         snapshot = load_checkpoint(resume_from)
+        have, want = dataclasses.asdict(snapshot.config), dataclasses.asdict(model_config)
+        key = next((key for key in want if have[key] != want[key]), None)
+        if key is not None:
+            raise CliError(f"{resume_from} was trained with {key}={have[key]}, but the "
+                           f"config says {key}={want[key]}; cannot resume")
         if snapshot.step >= cfg.training_steps:
             print(f"already trained to step {snapshot.step}; nothing to do")
             return
@@ -227,10 +217,7 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
             raise CliError(f"{resume_from} has no optimizer state; cannot resume")
         start = (snapshot.params, snapshot.optim, snapshot.step)
         print(f"resuming from step {snapshot.step}")
-    _cut_log(out / "train.log", start[2] if start else 0)
-
-    # line-buffered, so a killed run loses no complete line
-    with open(out / "train.log", "a", encoding="utf-8", buffering=1) as log_file:
+    with open_log(out / "train.log", start[2] if start else 0) as log_file:
         result = train(
             examples, model_config,
             seed=cfg.seed,
@@ -251,6 +238,7 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
 def _cmd_finetune(args, cfg, out: Path) -> None:
     from .checkpoint import load_checkpoint
     from .ner import finetune, metrics_keyvalues, metrics_report, read_conll
+    from .pretrain import open_log
 
     snapshot = load_checkpoint(args.checkpoint)
     if cfg.finetune_max_seq_length > snapshot.config.max_positions:
@@ -263,7 +251,7 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
         test_examples, _ = read_conll(args.test)
 
     # fine-tuning has no resume: a rerun starts over, and so does its log
-    with open(out / "train.log", "w", encoding="utf-8", buffering=1) as log_file:
+    with open_log(out / "train.log", 0) as log_file:
         result = finetune(
             snapshot, vocab, train_examples, dev_examples, test_examples,
             seed=cfg.seed,
@@ -329,12 +317,10 @@ def _cmd_predict(args, cfg, out: Path) -> None:
         snapshot.params, snapshot.config, label_set, packed,
         cfg.finetune_eval_batch_size,
     )
-    blocks = []
-    for example, labels in zip(examples, predictions):
-        labels = labels + ["O"] * (len(example.words) - len(labels))
-        blocks.append("\n".join(
-            f"{word}\t{label}" for word, label in zip(example.words, labels)
-        ))
+    blocks = [
+        "\n".join(f"{word}\t{label}" for word, label in zip(example.words, labels))
+        for example, labels in zip(examples, predictions)
+    ]
     (out / "predictions.conll").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
     print(f"sentences={len(examples)}")
 

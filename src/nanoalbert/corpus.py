@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpe import MASK_ID, NUM_SPECIALS, InputSequence, Vocab, build_input_pair
+from .bpe import MASK_ID, NUM_SPECIALS, Vocab, build_input_pair
 from .ops import IGNORE_INDEX
 from .rng import RngStream
 
@@ -140,7 +140,7 @@ def make_sop_pairs(docs, rng: RngStream, dup_factor: int):
 
 
 def apply_mlm_mask(
-    seq: InputSequence,
+    token_ids,
     vocab: Vocab,
     rng: RngStream,
     mask_rate: float = MASK_RATE,
@@ -148,27 +148,24 @@ def apply_mlm_mask(
 ):
     """Pick masked-LM targets and return (positions, labels, new token ids).
 
-    Candidates are the non-special, non-pad positions. The draw count is
-    min(max_predictions, max(1, floor(mask_rate * candidates))). Each chosen
-    position becomes [MASK] with probability 0.8, a random non-special id
-    with 0.1, or stays unchanged with 0.1; labels record the original ids.
+    Candidates are the non-special positions of the unpadded token ids. The
+    draw count is min(max_predictions, max(1, floor(mask_rate * candidates))).
+    Each chosen position becomes [MASK] with probability 0.8, a random
+    non-special id with 0.1, or stays unchanged with 0.1; labels record the
+    original ids.
     """
     if not 0.0 < mask_rate < 1.0:
         raise ValueError("mask_rate must be in (0, 1)")
-    candidates = [
-        i
-        for i, (tok, m) in enumerate(zip(seq.token_ids, seq.attention_mask))
-        if m == 1 and tok >= NUM_SPECIALS
-    ]
+    candidates = [i for i, tok in enumerate(token_ids) if tok >= NUM_SPECIALS]
     if not candidates:
         raise ValueError("no maskable positions")
     num = min(max_predictions, max(1, int(mask_rate * len(candidates))))
     positions = sorted(candidates[i] for i in rng.sample(len(candidates), num))
 
-    new_ids = list(seq.token_ids)
+    new_ids = list(token_ids)
     labels = []
     for pos in positions:
-        labels.append(seq.token_ids[pos])
+        labels.append(token_ids[pos])
         u = rng.uniform()
         if u < MASK_PROB:
             new_ids[pos] = MASK_ID
@@ -186,27 +183,29 @@ def build_pretrain_examples(
     mask_rate: float = MASK_RATE,
     max_predictions: int = 20,
     dup_factor: int = 1,
-    encode_fn=None,
 ) -> np.recarray:
     """Full pipeline: SOP pairing, packing, and MLM masking, one record
-    (example_dtype) per sentence pair."""
-    encode = encode_fn if encode_fn is not None else vocab.encode
+    (example_dtype) per sentence pair; each row fills its leading positions
+    and the zeros after them are padding."""
     id_cache: dict[str, list[int]] = {}
 
     def ids_of(sentence: str) -> list[int]:
         if sentence not in id_cache:
-            id_cache[sentence] = encode(sentence)
+            id_cache[sentence] = vocab.encode(sentence)
         return id_cache[sentence]
 
     pairs = make_sop_pairs(docs, rng, dup_factor)
     examples = np.zeros(len(pairs), example_dtype(max_len, max_predictions))
     examples["mlm_labels"] = IGNORE_INDEX
     for ex, (seg_a, seg_b, sop_label) in zip(examples, pairs):
-        seq = build_input_pair(vocab, ids_of(seg_a), ids_of(seg_b), max_len)
+        token_ids, type_ids = build_input_pair(ids_of(seg_a), ids_of(seg_b), max_len)
         positions, labels, new_ids = apply_mlm_mask(
-            seq, vocab, rng, mask_rate, max_predictions
+            token_ids, vocab, rng, mask_rate, max_predictions
         )
-        ex["input"] = (new_ids, seq.type_ids, seq.attention_mask)
+        row, n = ex["input"], len(token_ids)
+        row["token_ids"][:n] = new_ids
+        row["type_ids"][:n] = type_ids
+        row["attention_mask"][:n] = 1
         ex["mlm_positions"][:len(positions)] = positions
         ex["mlm_labels"][:len(labels)] = labels
         ex["sop_label"] = sop_label

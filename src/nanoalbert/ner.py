@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .bpe import CLS_ID, PAD_ID, SEP_ID, InputSequence, Vocab
+from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, save_checkpoint
+from .config import format_pairs
 from .model import (
     ModelConfig,
     ner_loss_and_grads,
@@ -153,23 +154,32 @@ def read_conll(path, *, predicted=False) -> tuple[list[NerExample], LabelSet | N
 # subword alignment
 # ---------------------------------------------------------------------------
 
+def example_dtype(max_len: int) -> np.dtype:
+    """Record layout of one tagged sentence: the model input row of length
+    max_len, per-position label ids (IGNORE_INDEX off word-initial pieces),
+    and the sentence's word count, truncated words included."""
+    row = ("<i4", (max_len,))
+    return np.dtype([
+        ("token_ids", *row), ("type_ids", *row), ("attention_mask", *row),
+        ("label_ids", *row), ("words", "<i4"),
+    ])
+
+
 def align_subwords(
     example: NerExample,
     vocab: Vocab,
     label_set: LabelSet,
     max_len: int,
     lowercase: bool = False,
-    encode_fn=None,
-) -> tuple[InputSequence, list[int]]:
+) -> tuple[list[int], list[int]]:
     """Encode words to pieces and label only each word's first piece.
 
-    Returns the padded model input plus per-position label ids where
-    continuation pieces, [CLS], [SEP] and [PAD] carry the ignored id.
+    Returns the unpadded token ids of [CLS] pieces [SEP] and their label
+    ids, where continuation pieces, [CLS] and [SEP] carry the ignored id.
     Over-length sentences keep whole leading words only.
     """
     if not example.words:
         raise ValueError("example has no words")
-    encode = encode_fn if encode_fn is not None else vocab.encode
     budget = max_len - 2  # [CLS] ... [SEP]
     if budget < 1:
         raise ValueError("max_len leaves no room for content")
@@ -179,7 +189,7 @@ def align_subwords(
     used = 0
     for index, (word, label) in enumerate(zip(example.words, example.labels)):
         text = word.lower() if lowercase else word
-        pieces = encode(text)
+        pieces = vocab.encode(text)
         if not pieces:
             raise ValueError(f"word {word!r} produced no tokens")
         if used + len(pieces) > budget:
@@ -194,40 +204,23 @@ def align_subwords(
         used += len(pieces)
     token_ids.append(SEP_ID)
     label_ids.append(ops.IGNORE_INDEX)
-
-    length = len(token_ids)
-    pad = max_len - length
-    seq = InputSequence(
-        token_ids=token_ids + [PAD_ID] * pad,
-        type_ids=[0] * max_len,
-        attention_mask=[1] * length + [0] * pad,
-    )
-    return seq, label_ids + [ops.IGNORE_INDEX] * pad
+    return token_ids, label_ids
 
 
-def pack_ner_examples(examples, vocab, label_set, max_len,
-                      lowercase=False, encode_fn=None):
-    """Align a whole split into model-ready arrays.
-
-    kept_words[i] counts the words of sentence i that survived truncation;
-    downstream prediction pads the dropped tail with "O"."""
-    token_rows, type_rows, mask_rows, label_rows, kept = [], [], [], [], []
-    for example in examples:
-        seq, label_ids = align_subwords(
-            example, vocab, label_set, max_len, lowercase, encode_fn
-        )
-        token_rows.append(seq.token_ids)
-        type_rows.append(seq.type_ids)
-        mask_rows.append(seq.attention_mask)
-        label_rows.append(label_ids)
-        kept.append(sum(1 for lid in label_ids if lid != ops.IGNORE_INDEX))
-    return {
-        "token_ids": np.array(token_rows, dtype=np.int32),
-        "type_ids": np.array(type_rows, dtype=np.int32),
-        "attention_mask": np.array(mask_rows, dtype=np.int32),
-        "label_ids": np.array(label_rows, dtype=np.int64),
-        "kept_words": kept,
-    }
+def pack_ner_examples(examples, vocab, label_set, max_len, lowercase=False) -> np.ndarray:
+    """Align a whole split into one record (example_dtype) per sentence;
+    each row fills its leading positions and the zeros after them are
+    padding."""
+    packed = np.zeros(len(examples), example_dtype(max_len))
+    packed["label_ids"] = ops.IGNORE_INDEX
+    for row, example in zip(packed, examples):
+        token_ids, label_ids = align_subwords(example, vocab, label_set, max_len, lowercase)
+        n = len(token_ids)
+        row["token_ids"][:n] = token_ids
+        row["attention_mask"][:n] = 1
+        row["label_ids"][:n] = label_ids
+        row["words"] = len(example.words)
+    return packed
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +335,13 @@ def metrics_report(metrics: EntityMetrics) -> str:
 
 def metrics_keyvalues(metrics: EntityMetrics) -> str:
     """Machine-readable key=value lines with 4-decimal values."""
-    lines = [
-        f"precision={metrics.overall.precision:.4f}",
-        f"recall={metrics.overall.recall:.4f}",
-        f"f1={metrics.overall.f1:.4f}",
-        "averaging=micro",
-    ]
+    overall = metrics.overall
+    pairs = [("precision", f"{overall.precision:.4f}"), ("recall", f"{overall.recall:.4f}"),
+             ("f1", f"{overall.f1:.4f}"), ("averaging", "micro")]
     for entity_type, triple in metrics.per_type.items():
         for field in ("precision", "recall", "f1"):
-            lines.append(f"type.{entity_type}.{field}={getattr(triple, field):.4f}")
-    return "\n".join(lines) + "\n"
+            pairs.append((f"type.{entity_type}.{field}", f"{getattr(triple, field):.4f}"))
+    return format_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +349,18 @@ def metrics_keyvalues(metrics: EntityMetrics) -> str:
 # ---------------------------------------------------------------------------
 
 def predict_labels(params, config, label_set, packed, batch_size=16) -> list[list[str]]:
-    """Argmax tags at word-initial positions, one list per sentence."""
+    """Argmax tags at word-initial positions, one tag per word of each
+    sentence; words truncated away during alignment are tagged "O"."""
     out = []
-    n = packed["token_ids"].shape[0]
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, len(packed), batch_size):
+        batch = packed[lo:lo + batch_size]
         logits = token_logits(
-            params, config,
-            packed["token_ids"][lo:hi],
-            packed["type_ids"][lo:hi],
-            packed["attention_mask"][lo:hi],
+            params, config, batch["token_ids"], batch["type_ids"], batch["attention_mask"]
         )
-        for row in range(hi - lo):
-            positions = np.nonzero(packed["label_ids"][lo + row] != ops.IGNORE_INDEX)[0]
-            best = logits[row, positions].argmax(axis=1)
-            out.append([label_set.label_of(int(b)) for b in best])
+        for row, scores in zip(batch, logits):
+            best = scores[row["label_ids"] != ops.IGNORE_INDEX].argmax(axis=1)
+            tags = [label_set.label_of(int(b)) for b in best]
+            out.append(tags + ["O"] * (int(row["words"]) - len(tags)))
     return out
 
 
@@ -382,12 +369,7 @@ def evaluate_split(params, config, label_set, packed, examples,
     """Predictions vs gold; words truncated away during alignment count as
     unpredicted ("O")."""
     preds = predict_labels(params, config, label_set, packed, batch_size)
-    padded = [
-        pred + ["O"] * (len(example.words) - len(pred))
-        for pred, example in zip(preds, examples)
-    ]
-    gold = [list(example.labels) for example in examples]
-    return evaluate_entities(gold, padded)
+    return evaluate_entities([example.labels for example in examples], preds)
 
 
 @dataclass
@@ -418,7 +400,6 @@ def finetune(
     weight_decay: float = DEFAULT_WEIGHT_DECAY,
     max_len: int = 128,
     lowercase: bool = False,
-    encode_fn=None,
     log=None,
     out_dir=None,
 ) -> FinetuneResult:
@@ -454,12 +435,8 @@ def finetune(
     )
     params["ner_bias"] = np.zeros(len(label_set), dtype=dtype)
 
-    train_packed = pack_ner_examples(
-        train_examples, vocab, label_set, max_len, lowercase, encode_fn
-    )
-    dev_packed = pack_ner_examples(
-        dev_examples, vocab, label_set, max_len, lowercase, encode_fn
-    )
+    train_packed = pack_ner_examples(train_examples, vocab, label_set, max_len, lowercase)
+    dev_packed = pack_ner_examples(dev_examples, vocab, label_set, max_len, lowercase)
 
     state = OptimizerState.for_params(params)
     history: list[tuple[int, float]] = []
@@ -468,13 +445,10 @@ def finetune(
     best_params = {name: arr.copy() for name, arr in params.items()}
 
     def loss_fn(idx, dropout_rng):
-        idx = np.array(idx)
+        batch = train_packed[idx]
         return ner_loss_and_grads(
             params, config,
-            train_packed["token_ids"][idx],
-            train_packed["type_ids"][idx],
-            train_packed["attention_mask"][idx],
-            train_packed["label_ids"][idx],
+            batch["token_ids"], batch["type_ids"], batch["attention_mask"], batch["label_ids"],
             training=dropout_rng is not None,
             dropout_rng=dropout_rng,
         )
@@ -501,9 +475,7 @@ def finetune(
 
     test_metrics = None
     if test_examples:
-        test_packed = pack_ner_examples(
-            test_examples, vocab, label_set, max_len, lowercase, encode_fn
-        )
+        test_packed = pack_ner_examples(test_examples, vocab, label_set, max_len, lowercase)
         test_metrics = evaluate_split(
             best_params, config, label_set, test_packed, test_examples, eval_batch_size
         )

@@ -67,6 +67,24 @@ def latest_checkpoint(directory) -> Path | None:
     return best
 
 
+def open_log(path, step: int):
+    """Open a step log for appending, line-buffered so a killed run loses no
+    complete line, after cutting it back to its last complete line logged at
+    or before `step`: a run continuing from `step` then logs each later step
+    once."""
+    path = Path(path)
+    if path.exists():
+        keep = 0
+        with open(path, "r+b") as f:
+            for line in f:
+                head = line.split(b"\t", 1)[0]
+                if not line.endswith(b"\n") or not head.isdigit() or int(head) > step:
+                    break
+                keep += len(line)
+            f.truncate(keep)
+    return open(path, "a", encoding="utf-8", buffering=1)
+
+
 def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Schedule,
         seed: int, num_examples: int, batch_size: int, num_steps: int, first: int = 0,
         weight_decay: float = DEFAULT_WEIGHT_DECAY, dropout: bool = False,

@@ -3,8 +3,8 @@
 Byte-pair vocabularies cannot go below 261 pieces (256 bytes plus the
 specials), which is too wide a softmax for second-scale training runs.
 These helpers instead build a fixed 200-piece word vocabulary (five
-specials, twenty marker words, 175 filler words) and a whitespace lookup
-encoder that the corpus/NER builders accept in place of real BPE.
+specials, twenty marker words, 175 filler words) whose encode is a
+whitespace lookup, which the corpus/NER builders use in place of real BPE.
 
 The ordered-pair corpus is constructed so sentence order is decidable
 from content alone: the first sentence of every document interleaves an
@@ -38,18 +38,19 @@ PIECES = MARKERS + FILLER
 WORD_ID = {word: bpe.NUM_SPECIALS + i for i, word in enumerate(PIECES)}
 
 
-def word_vocab() -> bpe.Vocab:
+class WordVocab(bpe.Vocab):
     """200-piece vocabulary whose content pieces are whole words."""
-    return bpe.Vocab([word.encode() for word in PIECES], [])
 
+    def __init__(self):
+        super().__init__([word.encode() for word in PIECES], [])
 
-def encode_words(text: str) -> list[int]:
-    """Whitespace lookup encoder; every word must be a vocabulary piece."""
-    return [WORD_ID[word] for word in text.split()]
+    def encode(self, text: str) -> list[int]:
+        """Whitespace lookup; every word must be a vocabulary piece."""
+        return [WORD_ID[word] for word in text.split()]
 
 
 def tiny_config(**overrides) -> ModelConfig:
-    """Two-layer desk-scale model matching word_vocab()."""
+    """Two-layer desk-scale model matching WordVocab()."""
     settings = dict(
         vocab_size=200,
         embedding_size=16,
@@ -90,11 +91,10 @@ def ordered_examples(
     docs = ordered_docs(count, rng.child("docs"))
     return build_pretrain_examples(
         docs,
-        word_vocab(),
+        WordVocab(),
         rng.child("examples"),
         max_len=max_len,
         dup_factor=dup_factor,
-        encode_fn=encode_words,
     )
 
 

@@ -23,7 +23,7 @@ import test_ner
 from test_ops import quadratic_readout, randn
 
 from nanoalbert import ops
-from nanoalbert.bpe import CLS_ID, SEP_ID, MASK_ID, NUM_SPECIALS, InputSequence
+from nanoalbert.bpe import CLS_ID, SEP_ID, MASK_ID, NUM_SPECIALS
 from nanoalbert.checkpoint import Checkpoint
 from nanoalbert.cli import main as cli_main
 from nanoalbert.corpus import SOP_IN_ORDER, apply_mlm_mask, make_sop_pairs
@@ -213,9 +213,9 @@ def test_gate_finetuning_beats_majority_baseline(tiny_pretrained):
     assert baseline.overall.f1 == 0.0  # majority class predicts no entities
 
     result = finetune(
-        snapshot, synthdata.word_vocab(), train_ex, dev_ex, test_ex,
+        snapshot, synthdata.WordVocab(), train_ex, dev_ex, test_ex,
         seed=7, num_steps=500, batch_size=16, peak_lr=1e-3, warmup_steps=50,
-        eval_every=100, max_len=16, encode_fn=synthdata.encode_words,
+        eval_every=100, max_len=16,
     )
     elapsed = time.monotonic() - started
     assert result.best_dev_f1 >= 0.9, f"best dev F1 {result.best_dev_f1:.4f}"
@@ -292,9 +292,9 @@ def test_gate_runs_are_bitwise_reproducible(tiny_pretrained, tmp_path):
         d.mkdir()
         lines = []
         finetune(
-            snapshot, synthdata.word_vocab(), train_ex, dev_ex,
+            snapshot, synthdata.WordVocab(), train_ex, dev_ex,
             seed=5, num_steps=50, batch_size=8, peak_lr=1e-3, warmup_steps=10,
-            eval_every=25, max_len=16, encode_fn=synthdata.encode_words,
+            eval_every=25, max_len=16,
             log=lines.append, out_dir=d,
         )
         log_path = d / "train.log"
@@ -313,7 +313,7 @@ def test_gate_runs_are_bitwise_reproducible(tiny_pretrained, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_gate_sampling_rates():
-    vocab = synthdata.word_vocab()
+    vocab = synthdata.WordVocab()
     r = RngStream(77)
 
     docs = synthdata.ordered_docs(2500, r.child("docs"))
@@ -330,8 +330,7 @@ def test_gate_sampling_rates():
         content = [NUM_SPECIALS + ids_rng.randint(vocab.size - NUM_SPECIALS)
                    for _ in range(40)]
         token_ids = [CLS_ID] + content + [SEP_ID]
-        seq = InputSequence(token_ids, [0] * len(token_ids), [1] * len(token_ids))
-        positions, labels, new_ids = apply_mlm_mask(seq, vocab, mask_rng.child(f"s{i}"))
+        positions, labels, new_ids = apply_mlm_mask(token_ids, vocab, mask_rng.child(f"s{i}"))
         assert len(positions) <= 20
         for pos, original in zip(positions, labels):
             new = new_ids[pos]
@@ -351,8 +350,7 @@ def test_gate_sampling_rates():
     long_content = [NUM_SPECIALS + ids_rng.randint(vocab.size - NUM_SPECIALS)
                     for _ in range(200)]
     long_ids = [CLS_ID] + long_content + [SEP_ID]
-    long_seq = InputSequence(long_ids, [0] * len(long_ids), [1] * len(long_ids))
-    positions, _, _ = apply_mlm_mask(long_seq, vocab, mask_rng.child("long"))
+    positions, _, _ = apply_mlm_mask(long_ids, vocab, mask_rng.child("long"))
     assert len(positions) == 20  # cap binds: floor(0.15 * 200) = 30 -> 20
     print(f"in-order fraction {order_frac:.4f}; mask/keep/random "
           f"{rates[0]:.4f}/{rates[1]:.4f}/{rates[2]:.4f}; cap at 20 holds")

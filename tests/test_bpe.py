@@ -20,7 +20,6 @@ from nanoalbert.bpe import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
-    InputSequence,
     Vocab,
     _merge_pair,
     build_input_pair,
@@ -285,54 +284,39 @@ def test_load_names_line_of_undecodable_piece(tmp_path):
 # input-pair assembly
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def base_vocab():
-    return train_vocab("base", MIN_VOCAB_SIZE)
+def test_single_segment_layout():
+    assert build_input_pair([7, 8], [], max_len=6) == ([CLS_ID, 7, 8, SEP_ID], [0, 0, 0, 0])
 
 
-def test_single_segment_layout(base_vocab):
-    seq = build_input_pair(base_vocab, [7, 8], [], max_len=6)
-    assert seq.token_ids == [CLS_ID, 7, 8, SEP_ID, PAD_ID, PAD_ID]
-    assert seq.type_ids == [0, 0, 0, 0, 0, 0]
-    assert seq.attention_mask == [1, 1, 1, 1, 0, 0]
-    assert len(seq) == 6
+def test_pair_layout_and_type_ids():
+    token_ids, type_ids = build_input_pair([7], [8, 9], max_len=6)
+    assert token_ids == [CLS_ID, 7, SEP_ID, 8, 9, SEP_ID]
+    assert type_ids == [0, 0, 0, 1, 1, 1]
 
 
-def test_pair_layout_and_type_ids(base_vocab):
-    seq = build_input_pair(base_vocab, [7], [8, 9], max_len=6)
-    assert seq.token_ids == [CLS_ID, 7, SEP_ID, 8, 9, SEP_ID]
-    assert seq.type_ids == [0, 0, 0, 1, 1, 1]
-    assert seq.attention_mask == [1] * 6
+def test_exact_fit_needs_no_padding():
+    token_ids, _ = build_input_pair([5], [6], max_len=5)
+    assert token_ids == [CLS_ID, 5, SEP_ID, 6, SEP_ID]
 
 
-def test_exact_fit_needs_no_padding(base_vocab):
-    seq = build_input_pair(base_vocab, [5], [6], max_len=5)
-    assert seq.token_ids == [CLS_ID, 5, SEP_ID, 6, SEP_ID]
-
-
-def test_truncation_trims_longer_segment_ties_to_b(base_vocab):
+def test_truncation_trims_longer_segment_ties_to_b():
     # 400 + 300 tokens into 512 slots: budget 509, longest-first popping
     # lands on 255 A tokens and 254 B tokens
-    seq = build_input_pair(base_vocab, [10] * 400, [11] * 300, max_len=512)
-    assert len(seq) == 512
-    assert seq.token_ids.count(10) == 255
-    assert seq.token_ids.count(11) == 254
-    assert seq.token_ids.count(SEP_ID) == 2
-    assert seq.attention_mask.count(1) == 512
+    token_ids, type_ids = build_input_pair([10] * 400, [11] * 300, max_len=512)
+    assert len(token_ids) == len(type_ids) == 512
+    assert token_ids.count(10) == 255
+    assert token_ids.count(11) == 254
+    assert token_ids.count(SEP_ID) == 2
 
 
-def test_truncation_never_empties_a_segment(base_vocab):
-    seq = build_input_pair(base_vocab, [5] * 10, [6], max_len=5)
-    assert seq.token_ids == [CLS_ID, 5, SEP_ID, 6, SEP_ID]
+def test_truncation_never_empties_a_segment():
+    token_ids, _ = build_input_pair([5] * 10, [6], max_len=5)
+    assert token_ids == [CLS_ID, 5, SEP_ID, 6, SEP_ID]
 
 
-def test_max_len_too_small_rejected(base_vocab):
+def test_max_len_too_small_rejected():
     with pytest.raises(ValueError, match="too small"):
-        build_input_pair(base_vocab, [5], [6], max_len=4)
+        build_input_pair([5], [6], max_len=4)
     with pytest.raises(ValueError, match="too small"):
-        build_input_pair(base_vocab, [5], [], max_len=2)
+        build_input_pair([5], [], max_len=2)
 
-
-def test_input_sequence_is_plain_data():
-    seq = InputSequence([1, 2], [0, 0], [1, 1])
-    assert len(seq) == 2

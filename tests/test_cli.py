@@ -265,6 +265,23 @@ def test_pretrain_resume_cuts_log_back_to_checkpoint_step(pipeline, tmp_path, ca
     assert read(run / "train.log") == read(pipeline / "pt" / "train.log")
 
 
+def test_pretrain_refuses_to_resume_a_checkpoint_of_another_architecture(pipeline, tmp_path, capsys):
+    # the shared block's shapes do not depend on num_layers, so only the
+    # checkpoint header can tell a 1-layer run from a 5-layer one
+    corpus = pipeline / "prep" / "corpus.txt"
+    run = tmp_path / "run"
+    shutil.copytree(pipeline / "pt", run)
+    (run / "checkpoint-000004.ckpt").unlink()
+    log = read(run / "train.log")
+    assert run_cli("pretrain", "--out", run, "--corpus", corpus, "--vocab", pipeline / "vocab",
+                   *TINY_OVERRIDES, "num_layers=5", "dropout_rate=0.3") == 1
+    assert capsys.readouterr().err == (
+        f"error: {run / 'checkpoint-000002.ckpt'} was trained with num_layers=1, "
+        "but the config says num_layers=5; cannot resume\n")
+    assert not (run / "checkpoint-000004.ckpt").exists()
+    assert read(run / "train.log") == log
+
+
 def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, monkeypatch, capsys):
     from nanoalbert import corpus as corpus_module
 

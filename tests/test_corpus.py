@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import synthdata
-from nanoalbert.bpe import MASK_ID, NUM_SPECIALS, InputSequence, build_input_pair, train_vocab
+from nanoalbert.bpe import MASK_ID, NUM_SPECIALS, PAD_ID, build_input_pair, train_vocab
 from nanoalbert.corpus import (
     EXAMPLES_MAGIC,
     SOP_IN_ORDER,
@@ -151,13 +151,12 @@ def test_sop_dup_factor_validated():
 # ---------------------------------------------------------------------------
 
 def plain_sequence(n_content):
-    ids = [2, *range(NUM_SPECIALS, NUM_SPECIALS + n_content), 3]
-    return InputSequence(ids, [0] * len(ids), [1] * len(ids))
+    return [2, *range(NUM_SPECIALS, NUM_SPECIALS + n_content), 3]
 
 
 @pytest.fixture(scope="module")
 def mask_vocab():
-    return synthdata.word_vocab()
+    return synthdata.WordVocab()
 
 
 def test_mask_count_follows_rate(mask_vocab):
@@ -175,18 +174,14 @@ def test_mask_count_capped_at_max_predictions(mask_vocab):
 
 
 def test_mask_targets_only_content_positions(mask_vocab):
-    seq = InputSequence(
-        [2, 30, 31, 3, 32, 33, 3, 0, 0],
-        [0, 0, 0, 0, 1, 1, 1, 0, 0],
-        [1, 1, 1, 1, 1, 1, 1, 0, 0],
-    )
+    token_ids = [2, 30, 31, 3, 32, 33, 3, 0, 0]
     for seed in range(30):
-        positions, labels, new_ids = apply_mlm_mask(seq, mask_vocab, RngStream(seed))
+        positions, labels, new_ids = apply_mlm_mask(token_ids, mask_vocab, RngStream(seed))
         assert positions == sorted(positions)
         for pos, label in zip(positions, labels):
             assert pos in (1, 2, 4, 5)  # never [CLS]/[SEP]/[PAD]
-            assert label == seq.token_ids[pos]
-        changed = [i for i, (a, b) in enumerate(zip(seq.token_ids, new_ids)) if a != b]
+            assert label == token_ids[pos]
+        changed = [i for i, (a, b) in enumerate(zip(token_ids, new_ids)) if a != b]
         assert set(changed) <= set(positions)
 
 
@@ -210,9 +205,8 @@ def test_mask_keep_branch_leaves_token_predicted(mask_vocab):
 
 
 def test_mask_input_validation(mask_vocab):
-    all_special = InputSequence([2, 3], [0, 0], [1, 1])
     with pytest.raises(ValueError, match="maskable"):
-        apply_mlm_mask(all_special, mask_vocab, RngStream(0))
+        apply_mlm_mask([2, 3], mask_vocab, RngStream(0))
     with pytest.raises(ValueError, match="mask_rate"):
         apply_mlm_mask(plain_sequence(5), mask_vocab, RngStream(0), mask_rate=0.0)
     with pytest.raises(ValueError, match="mask_rate"):
@@ -251,20 +245,19 @@ def test_build_pretrain_examples_with_byte_vocab():
 def test_build_pretrain_examples_match_masking_per_pair():
     # the records hold exactly what pairing then masking produce, pair by pair
     docs = synthdata.ordered_docs(6, RngStream(4))
-    vocab = synthdata.word_vocab()
+    vocab = synthdata.WordVocab()
     examples = build_pretrain_examples(docs, vocab, RngStream(8), max_len=16,
-                                       max_predictions=3, encode_fn=synthdata.encode_words)
+                                       max_predictions=3)
     rng = RngStream(8)
     pairs = make_sop_pairs(docs, rng, 1)
     assert len(examples) == len(pairs)
     for ex, (seg_a, seg_b, sop_label) in zip(examples, pairs):
-        seq = build_input_pair(vocab, synthdata.encode_words(seg_a),
-                               synthdata.encode_words(seg_b), 16)
-        positions, labels, new_ids = apply_mlm_mask(seq, vocab, rng, max_predictions=3)
-        pad = 3 - len(positions)
-        assert ex.input.token_ids.tolist() == new_ids
-        assert ex.input.type_ids.tolist() == seq.type_ids
-        assert ex.input.attention_mask.tolist() == seq.attention_mask
+        token_ids, type_ids = build_input_pair(vocab.encode(seg_a), vocab.encode(seg_b), 16)
+        positions, labels, new_ids = apply_mlm_mask(token_ids, vocab, rng, max_predictions=3)
+        n, pad = len(token_ids), 3 - len(positions)
+        assert ex.input.token_ids.tolist() == new_ids + [PAD_ID] * (16 - n)
+        assert ex.input.type_ids.tolist() == type_ids + [0] * (16 - n)
+        assert ex.input.attention_mask.tolist() == [1] * n + [0] * (16 - n)
         assert ex.mlm_positions.tolist() == positions + [0] * pad
         assert ex.mlm_labels.tolist() == labels + [IGNORE_INDEX] * pad
         assert ex.sop_label == sop_label

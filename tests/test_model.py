@@ -330,9 +330,8 @@ def test_pack_pretrain_batch_matches_per_example_reference(tmp_path):
     r = RngStream(12)
     docs = [[" ".join(words[r.randint(len(words))] for _ in range(2 + r.randint(10)))
              for _ in range(2)] for _ in range(24)]
-    examples = build_pretrain_examples(docs, synthdata.word_vocab(), RngStream(3),
-                                       max_len=24, mask_rate=0.3, max_predictions=6,
-                                       encode_fn=synthdata.encode_words)
+    examples = build_pretrain_examples(docs, synthdata.WordVocab(), RngStream(3),
+                                       max_len=24, mask_rate=0.3, max_predictions=6)
     counts = (examples.mlm_labels != ops.IGNORE_INDEX).sum(axis=1)
     assert len(set(counts.tolist())) >= 3
     write_examples(tmp_path / "examples.bin", examples)

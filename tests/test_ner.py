@@ -25,6 +25,7 @@ from nanoalbert.ner import (
     decode_spans,
     evaluate_entities,
     evaluate_split,
+    example_dtype,
     finetune,
     metrics_keyvalues,
     metrics_report,
@@ -121,38 +122,36 @@ def test_read_conll_errors_carry_line_numbers(tmp_path):
 PIECE_MAP = {"multi": [10, 11, 12], "two": [13, 14], "one": [15]}
 
 
-def piece_encode(text):
-    return list(PIECE_MAP[text])
+class PieceVocab(synthdata.WordVocab):
+    """Word vocabulary whose words split into the pieces of PIECE_MAP."""
+
+    def encode(self, text):
+        return list(PIECE_MAP[text])
 
 
 def test_align_labels_first_piece_only():
     example = NerExample(words=["multi", "one"], labels=["B", "O"])
     ls = LabelSet(["B", "I"])
-    vocab = synthdata.word_vocab()
-    seq, label_ids = align_subwords(example, vocab, ls, max_len=8, encode_fn=piece_encode)
-    assert seq.token_ids == [CLS_ID, 10, 11, 12, 15, SEP_ID, PAD_ID, PAD_ID]
-    assert seq.attention_mask == [1, 1, 1, 1, 1, 1, 0, 0]
+    token_ids, label_ids = align_subwords(example, PieceVocab(), ls, max_len=8)
+    assert token_ids == [CLS_ID, 10, 11, 12, 15, SEP_ID]
     ign = IGNORE_INDEX
-    assert label_ids == [ign, ls.id_of("B"), ign, ign, ls.id_of("O"), ign, ign, ign]
+    assert label_ids == [ign, ls.id_of("B"), ign, ign, ls.id_of("O"), ign]
 
 
 def test_align_truncates_whole_words():
     example = NerExample(words=["two"] * 5, labels=["O"] * 5)
     ls = LabelSet([])
     # budget 6 fits three 2-piece words; the fourth would straddle the edge
-    seq, label_ids = align_subwords(
-        example, synthdata.word_vocab(), ls, max_len=8, encode_fn=piece_encode
-    )
-    assert seq.token_ids == [CLS_ID, 13, 14, 13, 14, 13, 14, SEP_ID]
+    token_ids, label_ids = align_subwords(example, PieceVocab(), ls, max_len=8)
+    assert token_ids == [CLS_ID, 13, 14, 13, 14, 13, 14, SEP_ID]
     assert sum(1 for lid in label_ids if lid != IGNORE_INDEX) == 3
 
 
 def test_align_rejects_unworkable_inputs():
     ls = LabelSet([])
-    vocab = synthdata.word_vocab()
+    vocab = PieceVocab()
     with pytest.raises(ValueError, match="first word"):
-        align_subwords(NerExample(["multi"], ["O"]), vocab, ls, max_len=4,
-                       encode_fn=piece_encode)
+        align_subwords(NerExample(["multi"], ["O"]), vocab, ls, max_len=4)
     with pytest.raises(ValueError, match="no words"):
         align_subwords(NerExample([], []), vocab, ls, max_len=8)
 
@@ -160,13 +159,13 @@ def test_align_rejects_unworkable_inputs():
 def test_align_lowercase_applies_before_encoding():
     seen = []
 
-    def recorder(text):
-        seen.append(text)
-        return [20]
+    class RecordingVocab(synthdata.WordVocab):
+        def encode(self, text):
+            seen.append(text)
+            return [20]
 
     example = NerExample(words=["Aspirin"], labels=["O"])
-    align_subwords(example, synthdata.word_vocab(), LabelSet([]), max_len=6,
-                   lowercase=True, encode_fn=recorder)
+    align_subwords(example, RecordingVocab(), LabelSet([]), max_len=6, lowercase=True)
     assert seen == ["aspirin"]
 
 
@@ -174,21 +173,46 @@ def test_align_with_learned_bpe_pieces():
     vocab = train_vocab("myocardial infarction myocardial infarction scan", 280)
     example = NerExample(words=["myocardial", "infarction"], labels=["B-Dis", "I-Dis"])
     ls = LabelSet(["B-Dis", "I-Dis"])
-    seq, label_ids = align_subwords(example, vocab, ls, max_len=32)
+    token_ids, label_ids = align_subwords(example, vocab, ls, max_len=32)
     labeled = [lid for lid in label_ids if lid != IGNORE_INDEX]
     assert labeled == [ls.id_of("B-Dis"), ls.id_of("I-Dis")]
-    body = [t for t in seq.token_ids if t not in (CLS_ID, SEP_ID, PAD_ID)]
-    assert vocab.decode(body) == "myocardialinfarction"
+    assert token_ids[0] == CLS_ID and token_ids[-1] == SEP_ID
+    assert vocab.decode(token_ids[1:-1]) == "myocardialinfarction"
 
 
 def test_pack_ner_examples_shapes():
     examples = synthdata.gazetteer_examples(6, RngStream(1))
     ls = LabelSet(["B"])
-    packed = pack_ner_examples(examples, synthdata.word_vocab(), ls, max_len=16,
-                               encode_fn=synthdata.encode_words)
+    packed = pack_ner_examples(examples, synthdata.WordVocab(), ls, max_len=16)
+    assert packed.dtype == example_dtype(16)
     assert packed["token_ids"].shape == (6, 16)
-    assert packed["label_ids"].dtype == np.int64
-    assert packed["kept_words"] == [8] * 6
+    assert packed["label_ids"].dtype == np.int32
+    assert (packed["label_ids"] != IGNORE_INDEX).sum(1).tolist() == [8] * 6
+    assert packed["words"].tolist() == [8] * 6
+
+
+def test_pack_ner_examples_match_alignment_per_row():
+    # each record is align_subwords' row padded by hand: [PAD] ids, segment
+    # 0, mask 0 and ignored labels after it, and every word counted
+    vocab = train_vocab("aspirin lowers fever in acute myocardial infarction " * 3, 275)
+    words = ["Aspirin", "lowers", "fever", "in", "acute", "myocardial", "infarction"]
+    r = RngStream(6)
+    examples = []
+    for _ in range(12):
+        sentence = [words[r.randint(len(words))] for _ in range(1 + r.randint(9))]
+        examples.append(NerExample(sentence, [("O", "B-Dis")[r.randint(2)] for _ in sentence]))
+    ls = LabelSet(["B-Dis"])
+    packed = pack_ner_examples(examples, vocab, ls, max_len=16, lowercase=True)
+    kept = (packed["label_ids"] != IGNORE_INDEX).sum(1)
+    assert (kept < packed["words"]).any() and (kept == packed["words"]).any()
+    for row, example in zip(packed, examples):
+        token_ids, label_ids = align_subwords(example, vocab, ls, 16, lowercase=True)
+        n, pad = len(token_ids), 16 - len(token_ids)
+        assert row["token_ids"].tolist() == token_ids + [PAD_ID] * pad
+        assert row["type_ids"].tolist() == [0] * 16
+        assert row["attention_mask"].tolist() == [1] * n + [0] * pad
+        assert row["label_ids"].tolist() == label_ids + [IGNORE_INDEX] * pad
+        assert row["words"] == len(example.words)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +404,10 @@ def quick_setup():
 def run_quick(ck, train_ex, dev_ex, **kwargs):
     defaults = dict(
         seed=9, num_steps=20, batch_size=8, peak_lr=1e-3, warmup_steps=5,
-        eval_every=10, max_len=16, encode_fn=synthdata.encode_words,
+        eval_every=10, max_len=16,
     )
     defaults.update(kwargs)
-    return finetune(ck, synthdata.word_vocab(), train_ex, dev_ex, **defaults)
+    return finetune(ck, synthdata.WordVocab(), train_ex, dev_ex, **defaults)
 
 
 def test_finetune_result_structure(quick_setup):
@@ -432,21 +456,22 @@ def test_finetune_validates_inputs(quick_setup):
     with pytest.raises(ValueError, match="vocab"):
         finetune(ck, base, train_ex, dev_ex, num_steps=4, warmup_steps=1)
     with pytest.raises(ValueError, match="nonempty"):
-        finetune(ck, synthdata.word_vocab(), [], dev_ex, num_steps=4, warmup_steps=1)
+        finetune(ck, synthdata.WordVocab(), [], dev_ex, num_steps=4, warmup_steps=1)
 
 
 def test_predict_and_evaluate_split_pad_truncated_words(quick_setup):
     ck, train_ex, dev_ex = quick_setup
     result = run_quick(ck, train_ex, dev_ex)
-    # max_len 8 keeps 6 of 8 words per sentence; the tail scores as "O"
+    # max_len 8 keeps 6 of 8 words per sentence; the tail is tagged "O"
     ls = result.label_set
-    packed = pack_ner_examples(dev_ex, synthdata.word_vocab(), ls, max_len=8,
-                               encode_fn=synthdata.encode_words)
-    assert packed["kept_words"] == [6] * len(dev_ex)
+    packed = pack_ner_examples(dev_ex, synthdata.WordVocab(), ls, max_len=8)
+    assert (packed["label_ids"] != IGNORE_INDEX).sum(1).tolist() == [6] * len(dev_ex)
     preds = predict_labels(result.params, result.config, ls, packed)
-    assert [len(p) for p in preds] == [6] * len(dev_ex)
+    assert [len(p) for p in preds] == [8] * len(dev_ex)
+    assert all(p[6:] == ["O", "O"] for p in preds)
     assert all(label in ls.labels for pred in preds for label in pred)
     metrics = evaluate_split(result.params, result.config, ls, packed, dev_ex)
+    assert metrics == evaluate_entities([e.labels for e in dev_ex], preds)
     assert 0.0 <= metrics.overall.f1 <= 1.0
 
 
