@@ -110,16 +110,21 @@ def _lock(lock: Path) -> int:
 
 @contextmanager
 def _run_dir(out, config_text: str):
-    """Lock the output directory, drop effective.cfg, manage INCOMPLETE."""
+    """Lock the output directory and manage INCOMPLETE. effective.cfg is
+    written up front only where there is none (a refused rerun keeps the
+    old one) and again on success."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
     fd = _lock(lock)
     marker = out / "INCOMPLETE"
+    effective = out / "effective.cfg"
     try:
         marker.write_text("run started; this marker is removed on success\n")
-        (out / "effective.cfg").write_text(config_text)
+        if not effective.exists():
+            effective.write_text(config_text)
         yield out
+        effective.write_text(config_text)
         marker.unlink()
     finally:
         lock.unlink(missing_ok=True)

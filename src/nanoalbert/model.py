@@ -7,9 +7,9 @@ set. Heads: tied-weight masked-LM decoder back to the vocabulary, a tanh
 pooler feeding the sentence-order classifier, and an optional per-token
 linear tagger.
 
-Parameters live in a flat name -> ndarray dict; forward passes stash
-intermediate caches and the matching backward passes accumulate a gradient
-dict, summing shared-block contributions across the L applications.
+Parameters live in a flat name -> ndarray dict. The forward keeps its
+caches only in a list a training loss passes in, and every backward adds
+into one gradient dict, summing the shared block's L applications.
 """
 
 from __future__ import annotations
@@ -189,22 +189,24 @@ def _embed_forward(params, config, token_ids, type_ids, rate, rng):
     return dropped, (tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len)
 
 
-def _embed_backward(params, config, cache, d_out):
+def _add(grads, name, value):
+    grads[name] = grads.get(name, 0.0) + value
+
+
+def _embed_backward(params, config, cache, d_out, grads):
     tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len = cache
-    grads = {}
     d_out = _dropout_backward(drop_mask, d_out)
-    d_normed, grads["embedding_projection_weight"], grads["embedding_projection_bias"] = (
-        ops.linear_backward(proj_cache, d_out)
-    )
-    d_summed, grads["embedding_norm_gain"], grads["embedding_norm_bias"] = (
-        ops.layer_norm_backward(norm_cache, d_normed)
-    )
-    grads["token_embedding"] = ops.embedding_backward(tok_cache, d_summed)
-    grads["type_embedding"] = ops.embedding_backward(typ_cache, d_summed)
+    d_normed, d_w, d_b = ops.linear_backward(proj_cache, d_out)
+    _add(grads, "embedding_projection_weight", d_w)
+    _add(grads, "embedding_projection_bias", d_b)
+    d_summed, d_gain, d_bias = ops.layer_norm_backward(norm_cache, d_normed)
+    _add(grads, "embedding_norm_gain", d_gain)
+    _add(grads, "embedding_norm_bias", d_bias)
+    _add(grads, "token_embedding", ops.embedding_backward(tok_cache, d_summed))
+    _add(grads, "type_embedding", ops.embedding_backward(typ_cache, d_summed))
     d_pos = np.zeros_like(params["position_embedding"])
     d_pos[:seq_len] = d_summed.sum(axis=0)
-    grads["position_embedding"] = d_pos
-    return grads
+    _add(grads, "position_embedding", d_pos)
 
 
 def _split_heads(x, num_heads):
@@ -263,30 +265,27 @@ def _block_backward(params, config, cache, d_out, grads):
     q, k, v = qkv
     probs = probs_cache[0]
 
-    def bump(name, value):
-        grads[name] = grads.get(name, 0.0) + value
-
     d_x1_plus, d_gain, d_bias = ops.layer_norm_backward(ffn_norm_cache, d_out)
-    bump("block_ffn_norm_gain", d_gain)
-    bump("block_ffn_norm_bias", d_bias)
+    _add(grads, "block_ffn_norm_gain", d_gain)
+    _add(grads, "block_ffn_norm_bias", d_bias)
     d_ffn = _dropout_backward(ffn_drop, d_x1_plus)
     d_act, d_w, d_b = ops.linear_backward(out2_cache, d_ffn)
-    bump("block_ffn_out_weight", d_w)
-    bump("block_ffn_out_bias", d_b)
+    _add(grads, "block_ffn_out_weight", d_w)
+    _add(grads, "block_ffn_out_bias", d_b)
     d_inner = ops.gelu_backward(act_cache, d_act)
     d_x1_ffn, d_w, d_b = ops.linear_backward(in_cache, d_inner)
-    bump("block_ffn_in_weight", d_w)
-    bump("block_ffn_in_bias", d_b)
+    _add(grads, "block_ffn_in_weight", d_w)
+    _add(grads, "block_ffn_in_bias", d_b)
     del d_act, d_inner  # (b, T, I) each: free them before attention's backward
     d_x1 = d_x1_plus + d_x1_ffn
 
     d_x_plus, d_gain, d_bias = ops.layer_norm_backward(attn_norm_cache, d_x1)
-    bump("block_attn_norm_gain", d_gain)
-    bump("block_attn_norm_bias", d_bias)
+    _add(grads, "block_attn_norm_gain", d_gain)
+    _add(grads, "block_attn_norm_bias", d_bias)
     d_attn = _dropout_backward(attn_drop, d_x_plus)
     d_ctx, d_w, d_b = ops.linear_backward(out_cache, d_attn)
-    bump("block_attn_output_weight", d_w)
-    bump("block_attn_output_bias", d_b)
+    _add(grads, "block_attn_output_weight", d_w)
+    _add(grads, "block_attn_output_bias", d_b)
 
     d_ctx = _split_heads(d_ctx, a)
     d_probs = d_ctx @ v.swapaxes(-1, -2)
@@ -305,8 +304,8 @@ def _block_backward(params, config, cache, d_out, grads):
         (d_v, v_cache, "value"),
     ):
         d_in, d_w, d_b = ops.linear_backward(lin_cache, _join_heads(full))
-        bump(f"block_{w_name}_weight", d_w)
-        bump(f"block_{w_name}_bias", d_b)
+        _add(grads, f"block_{w_name}_weight", d_w)
+        _add(grads, f"block_{w_name}_bias", d_b)
         d_x = d_x + d_in
     return d_x
 
@@ -322,8 +321,11 @@ def _check_inputs(config, token_ids, attention_mask):
         raise ValueError("attention_mask shape mismatch")
 
 
-def _encode_cached(params, config, token_ids, type_ids, attention_mask,
-                   training=False, dropout_rng=None):
+def encode_forward(params, config, token_ids, type_ids, attention_mask,
+                   training=False, dropout_rng=None, caches=None):
+    """Hidden states (batch, T, H) for a padded batch. A list passed as
+    `caches` gets the embedding's and then each layer's cache (L + 1) for
+    _encode_backward; without one, no layer's cache outlives the layer."""
     token_ids = np.asarray(token_ids)
     type_ids = np.asarray(type_ids)
     attention_mask = np.asarray(attention_mask)
@@ -335,30 +337,22 @@ def _encode_cached(params, config, token_ids, type_ids, attention_mask,
     dtype = params["token_embedding"].dtype
     neg_mask = ((1 - attention_mask) * NEG_INF).astype(dtype)[:, None, None, :]
 
-    x, embed_cache = _embed_forward(params, config, token_ids, type_ids, rate, dropout_rng)
-    layer_caches = []
+    x, cache = _embed_forward(params, config, token_ids, type_ids, rate, dropout_rng)
     for _ in range(config.num_layers):
+        if caches is not None:
+            caches.append(cache)
+        del cache  # inference holds no cache while the next layer runs
         x, cache = _block_forward(params, config, x, neg_mask, rate, dropout_rng)
-        layer_caches.append(cache)
-    return x, (embed_cache, layer_caches)
+    if caches is not None:
+        caches.append(cache)
+    return x
 
 
-def encode_forward(params, config, token_ids, type_ids, attention_mask,
-                   training=False, dropout_rng=None):
-    """Hidden states (batch, T, H) for a padded batch."""
-    return _encode_cached(
-        params, config, token_ids, type_ids, attention_mask, training, dropout_rng
-    )[0]
-
-
-def _encode_backward(params, config, cache, d_hidden):
-    embed_cache, layer_caches = cache
-    grads: dict[str, np.ndarray] = {}
+def _encode_backward(params, config, caches, d_hidden, grads):
     d_x = d_hidden
-    for layer_cache in reversed(layer_caches):
+    for layer_cache in reversed(caches[1:]):
         d_x = _block_backward(params, config, layer_cache, d_x, grads)
-    grads.update(_embed_backward(params, config, embed_cache, d_x))
-    return grads
+    _embed_backward(params, config, caches[0], d_x, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +405,16 @@ def _mlm_head_forward(params, hidden_flat, rows):
 
 def _mlm_head_backward(params, cache, d_logits, grads, d_hidden_flat):
     dense_cache, act_cache, norm_cache, normed, rows = cache
-    grads["mlm_output_bias"] = grads.get("mlm_output_bias", 0.0) + d_logits.sum(axis=0)
-    tied = grads.get("token_embedding", 0.0) + d_logits.T @ normed
-    grads["token_embedding"] = tied
+    _add(grads, "mlm_output_bias", d_logits.sum(axis=0))
+    _add(grads, "token_embedding", d_logits.T @ normed)  # tied decoder weight
     d_normed = d_logits @ params["token_embedding"]
     d_act, d_gain, d_bias = ops.layer_norm_backward(norm_cache, d_normed)
-    grads["mlm_norm_gain"] = grads.get("mlm_norm_gain", 0.0) + d_gain
-    grads["mlm_norm_bias"] = grads.get("mlm_norm_bias", 0.0) + d_bias
+    _add(grads, "mlm_norm_gain", d_gain)
+    _add(grads, "mlm_norm_bias", d_bias)
     d_dense = ops.gelu_backward(act_cache, d_act)
     d_gathered, d_w, d_b = ops.linear_backward(dense_cache, d_dense)
-    grads["mlm_dense_weight"] = grads.get("mlm_dense_weight", 0.0) + d_w
-    grads["mlm_dense_bias"] = grads.get("mlm_dense_bias", 0.0) + d_b
+    _add(grads, "mlm_dense_weight", d_w)
+    _add(grads, "mlm_dense_bias", d_b)
     np.add.at(d_hidden_flat, rows, d_gathered)
 
 
@@ -446,9 +439,10 @@ def _pretrain_pass(params, config, batch, want_grads, training=False, dropout_rn
         raise ValueError("empty batch")
     if batch["mlm_rows"].size == 0:
         raise ValueError("batch has no masked positions")
-    hidden, cache = _encode_cached(
+    caches = [] if want_grads else None
+    hidden = encode_forward(
         params, config, batch["token_ids"], batch["type_ids"],
-        batch["attention_mask"], training, dropout_rng,
+        batch["attention_mask"], training, dropout_rng, caches,
     )
     b, t, h = hidden.shape
     hidden_flat = hidden.reshape(b * t, h)
@@ -481,8 +475,7 @@ def _pretrain_pass(params, config, batch, want_grads, training=False, dropout_rn
 
     d_hidden = d_hidden_flat.reshape(b, t, h)
     d_hidden[:, 0] += d_cls
-    for name, value in _encode_backward(params, config, cache, d_hidden).items():
-        grads[name] = grads.get(name, 0.0) + value
+    _encode_backward(params, config, caches, d_hidden, grads)
     return losses, grads
 
 
@@ -505,8 +498,9 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
     """Cross-entropy over word-initial positions (others carry ignore_index)."""
     if "ner_weight" not in params:
         raise ValueError("model has no ner head")
-    hidden, cache = _encode_cached(
-        params, config, token_ids, type_ids, attention_mask, training, dropout_rng
+    caches = []
+    hidden = encode_forward(
+        params, config, token_ids, type_ids, attention_mask, training, dropout_rng, caches
     )
     b, t, h = hidden.shape
     flat = hidden.reshape(b * t, h)
@@ -516,6 +510,5 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
     )
     d_flat, d_w, d_b = ops.linear_backward(lin_cache, d_logits)
     grads = {"ner_weight": d_w, "ner_bias": d_b}
-    for name, value in _encode_backward(params, config, cache, d_flat.reshape(b, t, h)).items():
-        grads[name] = grads.get(name, 0.0) + value
+    _encode_backward(params, config, caches, d_flat.reshape(b, t, h), grads)
     return loss, grads

@@ -176,7 +176,8 @@ def align_subwords(
 
     Returns the unpadded token ids of [CLS] pieces [SEP] and their label
     ids, where continuation pieces, [CLS] and [SEP] carry the ignored id.
-    Over-length sentences keep whole leading words only.
+    Over-length sentences keep whole leading words only, so a sentence whose
+    first word alone does not fit keeps none and becomes [CLS] [SEP].
     """
     if not example.words:
         raise ValueError("example has no words")
@@ -187,16 +188,12 @@ def align_subwords(
     token_ids = [CLS_ID]
     label_ids = [ops.IGNORE_INDEX]
     used = 0
-    for index, (word, label) in enumerate(zip(example.words, example.labels)):
+    for word, label in zip(example.words, example.labels):
         text = word.lower() if lowercase else word
         pieces = vocab.encode(text)
         if not pieces:
             raise ValueError(f"word {word!r} produced no tokens")
         if used + len(pieces) > budget:
-            if index == 0:
-                raise ValueError(
-                    f"first word {word!r} alone exceeds max_len {max_len}"
-                )
             break
         token_ids.extend(pieces)
         label_ids.append(label_set.id_of(label))

@@ -273,6 +273,7 @@ def test_pretrain_refuses_to_resume_a_checkpoint_of_another_architecture(pipelin
     shutil.copytree(pipeline / "pt", run)
     (run / "checkpoint-000004.ckpt").unlink()
     log = read(run / "train.log")
+    effective = (run / "effective.cfg").read_bytes()
     assert run_cli("pretrain", "--out", run, "--corpus", corpus, "--vocab", pipeline / "vocab",
                    *TINY_OVERRIDES, "num_layers=5", "dropout_rate=0.3") == 1
     assert capsys.readouterr().err == (
@@ -280,6 +281,7 @@ def test_pretrain_refuses_to_resume_a_checkpoint_of_another_architecture(pipelin
         "but the config says num_layers=5; cannot resume\n")
     assert not (run / "checkpoint-000004.ckpt").exists()
     assert read(run / "train.log") == log
+    assert (run / "effective.cfg").read_bytes() == effective
 
 
 def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, monkeypatch, capsys):
@@ -434,6 +436,22 @@ def test_predict_writes_conll_blocks(pipeline, finetuned, tmp_path, capsys):
     first = [line.split("\t") for line in blocks[0].splitlines()]
     assert [w for w, _ in first] == ["aspirin", "lowers", "fever"]
     assert all(label in ("O", "B-Drug") for _, label in first)
+
+
+def test_predict_tags_a_sentence_whose_first_word_does_not_fit(pipeline, finetuned, tmp_path):
+    source = tmp_path / "input.txt"
+    long_word = "Pneumonoultramicroscopicsilicovolcanoconiosis"  # > 14 byte pieces
+    source.write_text(f"{long_word} lowers fever\ngive aspirin\n")
+    out = tmp_path / "pred"
+    assert run_cli("predict", "--out", out,
+                   "--checkpoint", finetuned / "best.ckpt",
+                   "--vocab", pipeline / "vocab",
+                   "--input", source, "finetune_max_seq_length=16") == 0
+    blocks = read(out / "predictions.conll").strip().split("\n\n")
+    rows = [[line.split("\t") for line in block.splitlines()] for block in blocks]
+    assert [[w for w, _ in block] for block in rows] == [
+        [long_word, "lowers", "fever"], ["give", "aspirin"]]
+    assert rows[0] == [[long_word, "O"], ["lowers", "O"], ["fever", "O"]]
 
 
 def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):

@@ -13,6 +13,8 @@ The production-shape config (V=30000, E=128, H=768, L=12, A=12, I=3072,
 P=512) comes to 11,813,810 by the same accounting.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,16 @@ def test_dropout_paths(tiny_model):
     assert np.array_equal(noisy1, noisy2)  # same stream, same masks
     assert not np.allclose(noisy1, clean, atol=1e-4)
 
+    # keeping the backward caches changes no bit of the forward
+    caches = []
+    kept = encode_forward(params, dropped_cfg, ids, types, mask, training=True,
+                          dropout_rng=RngStream(70), caches=caches)
+    assert np.array_equal(kept, noisy1)
+    assert len(caches) == dropped_cfg.num_layers + 1
+    caches = []
+    assert np.array_equal(encode_forward(params, config, ids, types, mask, caches=caches), clean)
+    assert len(caches) == config.num_layers + 1
+
     # inference ignores the configured rate
     eval_out = encode_forward(params, dropped_cfg, ids, types, mask, training=False)
     assert np.array_equal(eval_out, clean)
@@ -278,6 +290,9 @@ def test_pretrain_losses_near_theoretical_start():
     assert abs(losses.mlm_loss - np.log(config.vocab_size)) < 0.3
     assert abs(losses.sop_loss - np.log(2.0)) < 0.1
     assert losses.total == losses.mlm_loss + losses.sop_loss
+    # the cache-free inference pass gives the training pass's losses exactly
+    trained, _ = pretrain_loss_and_grads(params, config, pack_pretrain_batch(examples))
+    assert trained == losses
 
 
 def test_pretrain_losses_total_is_derived():
@@ -361,6 +376,26 @@ def test_sop_and_token_logit_shapes():
     ids, types, mask = batch_for(config, RngStream(6))
     assert sop_logits(params, config, ids, types, mask).shape == (2, 2)
     assert token_logits(params, config, ids, types, mask).shape == (2, 8, 3)
+
+
+def test_inference_memory_does_not_grow_with_depth():
+    ids, types, mask = batch_for(TINY, RngStream(8), batch=8, seq=64)
+    peaks = []
+    for depth in (2, 8):
+        config = ModelConfig(
+            vocab_size=100, embedding_size=16, hidden_size=32, num_layers=depth,
+            num_heads=2, max_positions=64,
+        )
+        params = init_parameters(config, RngStream(9).child("init"),
+                                 heads=("ner",), num_labels=3)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            token_logits(params, config, ids, types, mask)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_token_logits_require_ner_head(tiny_model):

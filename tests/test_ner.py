@@ -150,8 +150,9 @@ def test_align_truncates_whole_words():
 def test_align_rejects_unworkable_inputs():
     ls = LabelSet([])
     vocab = PieceVocab()
-    with pytest.raises(ValueError, match="first word"):
-        align_subwords(NerExample(["multi"], ["O"]), vocab, ls, max_len=4)
+    # a first word that alone overflows keeps no words: [CLS] [SEP], all ignored
+    assert align_subwords(NerExample(["multi", "one"], ["O", "O"]), vocab, ls, max_len=4) == (
+        [CLS_ID, SEP_ID], [IGNORE_INDEX, IGNORE_INDEX])
     with pytest.raises(ValueError, match="no words"):
         align_subwords(NerExample([], []), vocab, ls, max_len=8)
 
