@@ -6,14 +6,29 @@ slope to the analytic one, then do the same through the entire pretraining
 loss with a dollhouse-sized model. Relative errors land around 1e-8; the
 loop fails loudly above 1e-4 (1e-3 for the composite loss).
 
+Training runs each step as two length-sorted parts, each trimmed to its
+longest row. The last check compares such a step with one padded pass over
+the whole batch, for MLM+SOP pretraining and for NER, in float32: it prints
+the largest loss and gradient differences and fails above 1e-6 (loss) or
+1e-5 of the tensor's scale (gradients).
+
 Run:  python3 demos/check_gradients.py
 """
 
 import numpy as np
 
 from nanoalbert import ops
+from nanoalbert.corpus import example_dtype
 from nanoalbert.gradcheck import max_grad_error
-from nanoalbert.model import ModelConfig, init_parameters, pretrain_loss_and_grads
+from nanoalbert.model import (
+    ModelConfig,
+    init_parameters,
+    ner_loss_and_grads,
+    pretrain_loss_and_grads,
+)
+from nanoalbert.ner import example_dtype as ner_example_dtype
+from nanoalbert.ner import ner_step
+from nanoalbert.pretrain import pretrain_step
 from nanoalbert.rng import RngStream
 
 
@@ -118,3 +133,64 @@ n_floats = sum(p.size for p in params.values())
 print(f"full pretraining loss over {n_floats} parameters: "
       f"max relative error {err:.2e}  {'ok' if err < 1e-3 else 'FAIL'}")
 assert err < 1e-3
+
+
+# two length-sorted, trimmed parts against one padded pass
+config = ModelConfig(vocab_size=40, embedding_size=6, hidden_size=8,
+                     num_layers=2, num_heads=2, intermediate_size=16,
+                     max_positions=24)
+sr = RngStream(6)
+lengths = [6 + sr.randint(12) for _ in range(8)]  # every row shorter than T=24
+
+records = np.zeros(len(lengths), example_dtype(24, 3))
+tagged = np.zeros(len(lengths), ner_example_dtype(24))
+tagged["label_ids"] = ops.IGNORE_INDEX
+for row, rec, tag in zip(lengths, records, tagged):
+    ids = [2] + [5 + sr.randint(35) for _ in range(row - 2)] + [3]
+    for inputs in (rec["input"], tag):
+        inputs["token_ids"][:row] = ids
+        inputs["attention_mask"][:row] = 1
+    rec["input"]["type_ids"][row // 2:row] = 1
+    rec["mlm_positions"] = sorted(sr.sample(row - 2, 3))
+    rec["mlm_positions"] += 1
+    rec["mlm_labels"] = [5 + sr.randint(35) for _ in range(3)]
+    rec["sop_label"] = sr.randint(2)
+    tag["label_ids"][1:row - 1] = [sr.randint(3) for _ in range(row - 2)]
+
+inputs = records["input"]
+t = inputs["token_ids"].shape[1]
+padded_batch = {
+    "token_ids": inputs["token_ids"],
+    "type_ids": inputs["type_ids"],
+    "attention_mask": inputs["attention_mask"],
+    "mlm_rows": (np.arange(len(records))[:, None] * t + records["mlm_positions"]).ravel(),
+    "mlm_labels": records["mlm_labels"].ravel().astype(np.int64),
+    "sop_labels": records["sop_label"].astype(np.int64),
+}
+pretrain_params = init_parameters(config, RngStream(6).child("init"))
+split_losses, split_grads = pretrain_step(pretrain_params, config, records)
+padded_losses, padded_grads = pretrain_loss_and_grads(pretrain_params, config, padded_batch)
+
+ner_params = init_parameters(config, RngStream(7).child("init"), heads=("ner",), num_labels=3)
+ner_padded = ner_loss_and_grads(ner_params, config, tagged["token_ids"], tagged["type_ids"],
+                                tagged["attention_mask"], tagged["label_ids"])
+
+print("two trimmed parts vs one padded pass (float32; tolerance 1e-6 loss, 1e-5 gradient):")
+for name, (loss, grads), (want_loss, want_grads) in (
+    ("mlm+sop", (split_losses.total, split_grads), (padded_losses.total, padded_grads)),
+    ("ner", ner_step(ner_params, config, tagged), ner_padded),
+):
+    loss_diff = abs(loss - want_loss)
+    # the key bias gradient is zero up to round-off (softmax ignores a
+    # per-row shift), so it is measured against the key weight gradient
+    grad_diff = max(
+        float(np.abs(grads[n] - want).max()
+              / np.abs(want_grads["block_key_weight" if n == "block_key_bias" else n]).max())
+        for n, want in want_grads.items()
+    )
+    beyond = float(np.abs(grads["position_embedding"][max(lengths):]).max())
+    ok = loss_diff < 1e-6 and grad_diff < 1e-5 and beyond == 0.0
+    print(f"  {name:<8} loss diff {loss_diff:.2e}  worst gradient diff {grad_diff:.2e} of "
+          f"scale  position gradient past the longest row {beyond:.1e}  "
+          f"{'ok' if ok else 'FAIL'}")
+    assert ok, name

@@ -10,6 +10,11 @@ linear tagger.
 Parameters live in a flat name -> ndarray dict. The forward keeps its
 caches only in a list a training loss passes in, and every backward adds
 into one gradient dict, summing the shared block's L applications.
+
+Batches are run sorted by length and trimmed (length_parts): padding past a
+batch's longest row is never computed. A training step runs as PARTS parts
+whose losses, each divided by the whole step's count, add into one loss and
+one gradient dict.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .rng import RngStream
 NEG_INF = -1e9
 INIT_STD = 0.02
 INIT_CLIP_SIGMA = 2.0
+PARTS = 2  # length-sorted parts per training step
 
 
 @dataclass
@@ -321,11 +327,34 @@ def _check_inputs(config, token_ids, attention_mask):
         raise ValueError("attention_mask shape mismatch")
 
 
+def _real_extent(attention_mask) -> int:
+    """One past the last real position of any row: the longest row's
+    length for the prefix masks the batch builders make."""
+    return int(np.flatnonzero(attention_mask.any(axis=0)).max(initial=0)) + 1
+
+
+def length_parts(attention_mask, parts: int) -> list[tuple[np.ndarray, int]]:
+    """Split a batch into at most `parts` non-empty parts of rows of similar
+    length: the row indices, stable-sorted by real length (the mask's row
+    sum), split as evenly as they go, each with the length its part is
+    trimmed to (one past its last real position). Positions past that
+    length are padding every row of the part masks out, so trimming them
+    changes the part's results by float round-off only."""
+    mask = np.asarray(attention_mask)
+    if len(mask) == 0:
+        return []
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    return [(rows, _real_extent(mask[rows]))
+            for rows in np.array_split(order, min(parts, len(order)))]
+
+
 def encode_forward(params, config, token_ids, type_ids, attention_mask,
                    training=False, dropout_rng=None, caches=None):
-    """Hidden states (batch, T, H) for a padded batch. A list passed as
-    `caches` gets the embedding's and then each layer's cache (L + 1) for
-    _encode_backward; without one, no layer's cache outlives the layer."""
+    """Hidden states (batch, T, H) for a batch padded to T. Callers pass
+    batches sorted by length and trimmed (length_parts), so T is the part's
+    longest row. A list passed as `caches` gets the embedding's and then
+    each layer's cache (L + 1) for _encode_backward; without one, no layer's
+    cache outlives the layer."""
     token_ids = np.asarray(token_ids)
     type_ids = np.asarray(type_ids)
     attention_mask = np.asarray(attention_mask)
@@ -370,20 +399,24 @@ class PretrainLosses:
 
 
 def pack_pretrain_batch(batch):
-    """Batch arrays from pretraining example records (corpus.example_dtype).
+    """Batch arrays from pretraining example records (corpus.example_dtype),
+    trimmed to the batch's longest row (T).
 
     Masked positions become flat row indices into (batch * T, H), in example
     order and, within an example, in slot order; unused slots are dropped.
     """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
     inputs = batch["input"]
-    token_ids = np.ascontiguousarray(inputs["token_ids"])
-    offsets = np.arange(len(batch), dtype=np.int64)[:, None] * token_ids.shape[1]
+    t = _real_extent(inputs["attention_mask"])
+    token_ids = np.ascontiguousarray(inputs["token_ids"][:, :t])
+    offsets = np.arange(len(batch), dtype=np.int64)[:, None] * t
     labels = batch["mlm_labels"]
     used = labels != ops.IGNORE_INDEX
     return {
         "token_ids": token_ids,
-        "type_ids": np.ascontiguousarray(inputs["type_ids"]),
-        "attention_mask": np.ascontiguousarray(inputs["attention_mask"]),
+        "type_ids": np.ascontiguousarray(inputs["type_ids"][:, :t]),
+        "attention_mask": np.ascontiguousarray(inputs["attention_mask"][:, :t]),
         "mlm_rows": (offsets + batch["mlm_positions"])[used],
         "mlm_labels": labels[used].astype(np.int64),
         "sop_labels": batch["sop_label"].astype(np.int64),
@@ -425,21 +458,29 @@ def _pooler_forward(params, hidden):
     return pooled, (lin_cache, tanh_cache)
 
 
-def pretrain_loss(params, config, batch) -> PretrainLosses:
-    """MLM + SOP losses for a packed batch (see pack_pretrain_batch)."""
-    return _pretrain_pass(params, config, batch, want_grads=False)[0]
+def pretrain_loss(params, config, batch, counts=None) -> PretrainLosses:
+    """MLM + SOP losses for a packed batch (see pack_pretrain_batch). With
+    counts=(masked slots, rows) of a larger set the batch is part of, each
+    loss is this part's share of that set's mean."""
+    return _pretrain_pass(params, config, batch, None, counts=counts)
 
 
-def pretrain_loss_and_grads(params, config, batch, training=False, dropout_rng=None):
-    return _pretrain_pass(params, config, batch, True, training, dropout_rng)
+def pretrain_loss_and_grads(params, config, batch, training=False, dropout_rng=None,
+                            counts=None, grads=None):
+    """pretrain_loss and its gradients, added into `grads` (a new dict when
+    None); returns (losses, grads)."""
+    grads = {} if grads is None else grads
+    return _pretrain_pass(params, config, batch, grads, training, dropout_rng, counts), grads
 
 
-def _pretrain_pass(params, config, batch, want_grads, training=False, dropout_rng=None):
+def _pretrain_pass(params, config, batch, grads, training=False, dropout_rng=None,
+                   counts=None):
     if batch["sop_labels"].size == 0:
         raise ValueError("empty batch")
-    if batch["mlm_rows"].size == 0:
+    mlm_count, sop_count = counts or (batch["mlm_rows"].size, batch["sop_labels"].size)
+    if mlm_count == 0:
         raise ValueError("batch has no masked positions")
-    caches = [] if want_grads else None
+    caches = [] if grads is not None else None
     hidden = encode_forward(
         params, config, batch["token_ids"], batch["type_ids"],
         batch["attention_mask"], training, dropout_rng, caches,
@@ -449,34 +490,33 @@ def _pretrain_pass(params, config, batch, want_grads, training=False, dropout_rn
 
     mlm_logits, mlm_cache = _mlm_head_forward(params, hidden_flat, batch["mlm_rows"])
     mlm_loss, d_mlm_logits = ops.softmax_cross_entropy_with_grad(
-        mlm_logits, batch["mlm_labels"]
+        mlm_logits, batch["mlm_labels"], count=mlm_count
     )
     pooled, pooler_cache = _pooler_forward(params, hidden)
     sop_logits_, sop_cache = ops.linear_forward(pooled, params["sop_weight"], params["sop_bias"])
     sop_loss, d_sop_logits = ops.softmax_cross_entropy_with_grad(
-        sop_logits_, batch["sop_labels"]
+        sop_logits_, batch["sop_labels"], count=sop_count
     )
     losses = PretrainLosses(mlm_loss=mlm_loss, sop_loss=sop_loss)
-    if not want_grads:
-        return losses, None
+    if grads is None:
+        return losses
 
-    grads: dict[str, np.ndarray] = {}
     d_hidden_flat = np.zeros_like(hidden_flat)
     _mlm_head_backward(params, mlm_cache, d_mlm_logits, grads, d_hidden_flat)
 
     d_pooled, d_w, d_b = ops.linear_backward(sop_cache, d_sop_logits)
-    grads["sop_weight"] = d_w
-    grads["sop_bias"] = d_b
+    _add(grads, "sop_weight", d_w)
+    _add(grads, "sop_bias", d_b)
     lin_cache, tanh_cache = pooler_cache
     d_lin = ops.tanh_backward(tanh_cache, d_pooled)
     d_cls, d_w, d_b = ops.linear_backward(lin_cache, d_lin)
-    grads["pooler_weight"] = d_w
-    grads["pooler_bias"] = d_b
+    _add(grads, "pooler_weight", d_w)
+    _add(grads, "pooler_bias", d_b)
 
     d_hidden = d_hidden_flat.reshape(b, t, h)
     d_hidden[:, 0] += d_cls
     _encode_backward(params, config, caches, d_hidden, grads)
-    return losses, grads
+    return losses
 
 
 def sop_logits(params, config, token_ids, type_ids, attention_mask):
@@ -494,8 +534,11 @@ def token_logits(params, config, token_ids, type_ids, attention_mask):
 
 
 def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
-                       label_ids, training=False, dropout_rng=None):
-    """Cross-entropy over word-initial positions (others carry ignore_index)."""
+                       label_ids, training=False, dropout_rng=None, count=None, grads=None):
+    """Cross-entropy over word-initial positions (others carry ignore_index):
+    the mean over them, or with `count` their summed loss over the count of
+    a larger batch this one is part of. Gradients are added into `grads` (a
+    new dict when None); returns (loss, grads)."""
     if "ner_weight" not in params:
         raise ValueError("model has no ner head")
     caches = []
@@ -506,9 +549,11 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
     flat = hidden.reshape(b * t, h)
     logits, lin_cache = ops.linear_forward(flat, params["ner_weight"], params["ner_bias"])
     loss, d_logits = ops.softmax_cross_entropy_with_grad(
-        logits, np.asarray(label_ids).reshape(-1)
+        logits, np.asarray(label_ids).reshape(-1), count=count
     )
     d_flat, d_w, d_b = ops.linear_backward(lin_cache, d_logits)
-    grads = {"ner_weight": d_w, "ner_bias": d_b}
+    grads = {} if grads is None else grads
+    _add(grads, "ner_weight", d_w)
+    _add(grads, "ner_bias", d_b)
     _encode_backward(params, config, caches, d_flat.reshape(b, t, h), grads)
     return loss, grads

@@ -19,7 +19,9 @@ from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import format_pairs
 from .model import (
+    PARTS,
     ModelConfig,
+    length_parts,
     ner_loss_and_grads,
     token_logits,
     truncated_normal,
@@ -345,20 +347,45 @@ def metrics_keyvalues(metrics: EntityMetrics) -> str:
 # prediction and fine-tuning
 # ---------------------------------------------------------------------------
 
+def _trimmed(batch, t):
+    """The model inputs and label ids of records cut to their first t positions."""
+    return tuple(batch[name][:, :t] for name in ("token_ids", "type_ids", "attention_mask",
+                                                 "label_ids"))
+
+
 def predict_labels(params, config, label_set, packed, batch_size=16) -> list[list[str]]:
     """Argmax tags at word-initial positions, one tag per word of each
-    sentence; words truncated away during alignment are tagged "O"."""
-    out = []
-    for lo in range(0, len(packed), batch_size):
-        batch = packed[lo:lo + batch_size]
-        logits = token_logits(
-            params, config, batch["token_ids"], batch["type_ids"], batch["attention_mask"]
-        )
-        for row, scores in zip(batch, logits):
-            best = scores[row["label_ids"] != ops.IGNORE_INDEX].argmax(axis=1)
+    sentence, in input order; words truncated away during alignment are
+    tagged "O". Sentences run in length-sorted, trimmed groups of at most
+    batch_size."""
+    out: list[list[str]] = [[] for _ in range(len(packed))]
+    groups = -(-len(packed) // batch_size)
+    for rows, t in length_parts(packed["attention_mask"], groups):
+        batch = packed[rows]
+        token_ids, type_ids, mask, label_ids = _trimmed(batch, t)
+        logits = token_logits(params, config, token_ids, type_ids, mask)
+        for i, words, labels, scores in zip(rows, batch["words"], label_ids, logits):
+            best = scores[labels != ops.IGNORE_INDEX].argmax(axis=1)
             tags = [label_set.label_of(int(b)) for b in best]
-            out.append(tags + ["O"] * (int(row["words"]) - len(tags)))
+            out[i] = tags + ["O"] * (int(words) - len(tags))
     return out
+
+
+def ner_step(params, config, batch, dropout_rng=None):
+    """Loss and gradients of one fine-tuning step over tagged-sentence
+    records: the mean over their labelled words, run as PARTS length-sorted,
+    trimmed parts whose losses and gradients add up to the step's; dropout
+    masks are drawn part by part."""
+    count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
+    loss, grads = 0.0, {}
+    for rows, t in length_parts(batch["attention_mask"], PARTS):
+        part_loss, _ = ner_loss_and_grads(
+            params, config, *_trimmed(batch[rows], t),
+            training=dropout_rng is not None, dropout_rng=dropout_rng,
+            count=count, grads=grads,
+        )
+        loss += part_loss
+    return loss, grads
 
 
 def evaluate_split(params, config, label_set, packed, examples,
@@ -443,12 +470,13 @@ def finetune(
 
     def loss_fn(idx, dropout_rng):
         batch = train_packed[idx]
-        return ner_loss_and_grads(
-            params, config,
-            batch["token_ids"], batch["type_ids"], batch["attention_mask"], batch["label_ids"],
-            training=dropout_rng is not None,
-            dropout_rng=dropout_rng,
-        )
+        if (batch["label_ids"] == ops.IGNORE_INDEX).all():
+            numbers = ", ".join(str(i + 1) for i in sorted(set(idx)))
+            raise ValueError(
+                f"training sentences {numbers} keep no word within "
+                f"finetune_max_seq_length={max_len}, so the batch has no label to learn"
+            )
+        return ner_step(params, config, batch, dropout_rng=dropout_rng)
 
     def evaluate_dev(done):
         nonlocal best_f1, best_step, best_params

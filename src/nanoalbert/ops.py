@@ -158,17 +158,24 @@ def softmax_backward(cache, d_out):
 IGNORE_INDEX = -100
 
 
-def softmax_cross_entropy_with_grad(logits, target_ids, ignore_index=IGNORE_INDEX):
-    """Returns (loss, d_loss/d_logits): the mean negative log-probability over
-    rows whose target != ignore_index, and its gradient. Stabilized by
+def softmax_cross_entropy_with_grad(logits, target_ids, ignore_index=IGNORE_INDEX, count=None):
+    """Returns (loss, d_loss/d_logits): the summed negative log-probability
+    over rows whose target != ignore_index divided by `count`, and its
+    gradient. `count` defaults to the number of those rows, giving their
+    mean; a larger one makes this batch one part of a mean over more rows,
+    and a part with no kept row then contributes zero. Stabilized by
     max-subtraction."""
     targets = np.asarray(target_ids)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ValueError("logits must be (rows, classes) with one target per row")
     keep = targets != ignore_index
     n_keep = int(keep.sum())
-    if n_keep == 0:
+    if count is None:
+        count = n_keep
+    if count == 0:
         raise ValueError("all rows ignored: mean loss undefined")
+    if count < n_keep:
+        raise ValueError(f"count {count} is below the {n_keep} rows kept")
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -176,10 +183,10 @@ def softmax_cross_entropy_with_grad(logits, target_ids, ignore_index=IGNORE_INDE
 
     rows = np.nonzero(keep)[0]
     picked = log_probs[rows, targets[rows]]
-    loss = float(-picked.sum() / n_keep)
+    loss = float(-picked.sum() / count)
 
     d_logits = np.exp(log_probs)
     d_logits[rows, targets[rows]] -= 1.0
     d_logits[~keep] = 0.0
-    d_logits /= n_keep
+    d_logits /= count
     return loss, d_logits.astype(logits.dtype, copy=False)

@@ -12,11 +12,14 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import ops
 from .checkpoint import save_checkpoint
 from .model import (
+    PARTS,
     ModelConfig,
     PretrainLosses,
     init_parameters,
+    length_parts,
     pack_pretrain_batch,
     pretrain_loss,
     pretrain_loss_and_grads,
@@ -97,14 +100,18 @@ def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Sche
     params and state in place. After each step, log_lines(loss, lr) gives
     the "metric<TAB>value" lines logged under the step number, and
     hook(done) runs every `every` steps and at the last step (every=0:
-    last step only). Returns the last step's loss, None if no step ran.
+    last step only). Returns the last step's loss, None if no step ran. A
+    ValueError from loss_fn is raised again with the step number in front.
     """
     loss = None
     for step in range(first, num_steps):
         idx = batch_indices(seed, step, num_examples, batch_size)
         lr = lr_at(schedule, step + 1)
         dropout_rng = RngStream(seed).child("dropout").child(f"step{step}") if dropout else None
-        loss, grads = loss_fn(idx, dropout_rng)
+        try:
+            loss, grads = loss_fn(idx, dropout_rng)
+        except ValueError as exc:
+            raise ValueError(f"step {step + 1}: {exc}") from exc
         step_fn(state, params, grads, lr, weight_decay)
         done = step + 1
         if log is not None:
@@ -151,10 +158,7 @@ def train(
         params, state, first = start
 
     def loss_fn(idx, dropout_rng):
-        batch = pack_pretrain_batch(examples[idx])
-        return pretrain_loss_and_grads(params, config, batch,
-                                       training=dropout_rng is not None,
-                                       dropout_rng=dropout_rng)
+        return pretrain_step(params, config, examples[idx], dropout_rng=dropout_rng)
 
     def log_lines(losses, lr):
         return (f"lr\t{lr:.8f}", f"mlm_loss\t{losses.mlm_loss:.6f}",
@@ -172,35 +176,51 @@ def train(
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 
-def _chunks(items, size):
-    for lo in range(0, len(items), size):
-        yield items[lo:lo + size]
+def _summed_over_parts(examples, parts, part_loss) -> PretrainLosses:
+    """The mean losses over example records, summed from `parts` packed,
+    length-sorted and trimmed parts: part_loss(batch, counts) gets each part
+    and the whole set's counts (masked slots, rows) to divide by."""
+    counts = (int((examples["mlm_labels"] != ops.IGNORE_INDEX).sum()), len(examples))
+    mlm = sop = 0.0
+    for rows, _ in length_parts(examples["input"]["attention_mask"], parts):
+        losses = part_loss(pack_pretrain_batch(examples[rows]), counts)
+        mlm += losses.mlm_loss
+        sop += losses.sop_loss
+    return PretrainLosses(mlm_loss=mlm, sop_loss=sop)
+
+
+def pretrain_step(params, config, examples, dropout_rng=None):
+    """Losses and gradients of one training step over example records, run
+    as PARTS length-sorted, trimmed parts whose losses and gradients add up
+    to the step's; dropout masks are drawn part by part."""
+    grads: dict = {}
+
+    def part_loss(batch, counts):
+        return pretrain_loss_and_grads(params, config, batch, training=dropout_rng is not None,
+                                       dropout_rng=dropout_rng, counts=counts, grads=grads)[0]
+
+    return _summed_over_parts(examples, PARTS, part_loss), grads
+
+
+def _groups(examples, batch_size: int) -> int:
+    """Parts of at most batch_size rows that cover the examples."""
+    if len(examples) == 0:
+        raise ValueError("no examples to evaluate")
+    return -(-len(examples) // batch_size)
 
 
 def evaluate_pretrain(params, config, examples, batch_size: int = 32) -> PretrainLosses:
     """Per-prediction MLM loss and per-example SOP loss over a fixed set."""
-    if len(examples) == 0:
-        raise ValueError("no examples to evaluate")
-    mlm_sum = sop_sum = 0.0
-    mlm_n = sop_n = 0
-    for chunk in _chunks(examples, batch_size):
-        batch = pack_pretrain_batch(chunk)
-        losses = pretrain_loss(params, config, batch)
-        rows = batch["mlm_rows"].size
-        mlm_sum += losses.mlm_loss * rows
-        mlm_n += rows
-        sop_sum += losses.sop_loss * len(chunk)
-        sop_n += len(chunk)
-    return PretrainLosses(mlm_loss=mlm_sum / mlm_n, sop_loss=sop_sum / sop_n)
+    return _summed_over_parts(examples, _groups(examples, batch_size),
+                              lambda batch, counts: pretrain_loss(params, config, batch, counts))
 
 
 def sop_accuracy(params, config, examples, batch_size: int = 32) -> float:
     """Fraction of examples whose order/swapped call matches the label."""
-    if len(examples) == 0:
-        raise ValueError("no examples to evaluate")
+    groups = _groups(examples, batch_size)
     correct = 0
-    for chunk in _chunks(examples, batch_size):
-        batch = pack_pretrain_batch(chunk)
+    for rows, _ in length_parts(examples["input"]["attention_mask"], groups):
+        batch = pack_pretrain_batch(examples[rows])
         logits = sop_logits(params, config, batch["token_ids"], batch["type_ids"],
                             batch["attention_mask"])
         correct += int((logits.argmax(axis=1) == batch["sop_labels"]).sum())

@@ -422,6 +422,24 @@ def test_finetune_without_periodic_eval_scores_dev_at_last_step(pipeline, tmp_pa
     assert len(dev) == 1 and dev[0].startswith("6\t")  # finetune_steps=6
 
 
+def test_finetune_batch_without_a_labelled_word_fails_with_located_error(
+        pipeline, tmp_path, capsys):
+    long_word = "Pneumonoultramicroscopicsilicovolcanoconiosis"  # > 14 byte pieces
+    train = tmp_path / "long.conll"
+    train.write_text(f"{long_word} B-Drug\nlowers O\n\n{long_word} B-Drug\nfades O\n")
+    overrides = [o for o in FT_OVERRIDES
+                 if not o.startswith(("finetune_batch_size=", "finetune_max_seq_length="))]
+    assert run_cli("finetune", "--out", tmp_path / "ft",
+                   "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                   "--vocab", pipeline / "vocab",
+                   "--train", train, "--dev", pipeline / "dev.conll",
+                   *overrides, "finetune_batch_size=2", "finetune_max_seq_length=16") == 1
+    err = capsys.readouterr().err.strip()
+    assert err.count("\n") == 0
+    assert err == ("error: step 1: training sentences 1, 2 keep no word within "
+                   "finetune_max_seq_length=16, so the batch has no label to learn")
+
+
 def test_predict_writes_conll_blocks(pipeline, finetuned, tmp_path, capsys):
     source = tmp_path / "input.txt"
     source.write_text("aspirin lowers fever\n\ngive aspirin\n")

@@ -24,6 +24,7 @@ from nanoalbert.corpus import build_pretrain_examples, read_examples, write_exam
 from nanoalbert.gradcheck import max_grad_error
 from nanoalbert.model import (
     NEG_INF,
+    PARTS,
     ModelConfig,
     _block_backward,
     _block_forward,
@@ -32,6 +33,7 @@ from nanoalbert.model import (
     count_parameters,
     encode_forward,
     init_parameters,
+    length_parts,
     ner_loss_and_grads,
     pack_pretrain_batch,
     parameter_shapes,
@@ -41,6 +43,8 @@ from nanoalbert.model import (
     token_logits,
     truncated_normal,
 )
+from nanoalbert.ner import LabelSet, NerExample, ner_step, pack_ner_examples
+from nanoalbert.pretrain import pretrain_step
 from nanoalbert.rng import RngStream
 
 TINY = ModelConfig(
@@ -316,14 +320,16 @@ def test_pack_pretrain_batch_layout():
     assert batch["sop_labels"].tolist() == examples.sop_label.tolist()
 
 
-def _reference_pack(examples):
-    """The per-example packing loop, one list row per example."""
+def _reference_pack(examples, trim=True):
+    """The per-example packing loop, one list row per example, cut to the
+    longest row's real length (trim=True) or kept at full length."""
     token_ids, type_ids, mask, rows, labels, sop = [], [], [], [], [], []
+    longest = max(sum(ex.input.attention_mask.tolist()) for ex in examples)
     for b, ex in enumerate(examples):
-        t = len(ex.input.token_ids)
-        token_ids.append(ex.input.token_ids.tolist())
-        type_ids.append(ex.input.type_ids.tolist())
-        mask.append(ex.input.attention_mask.tolist())
+        t = longest if trim else len(ex.input.token_ids)
+        token_ids.append(ex.input.token_ids.tolist()[:t])
+        type_ids.append(ex.input.type_ids.tolist()[:t])
+        mask.append(ex.input.attention_mask.tolist()[:t])
         for pos, label in zip(ex.mlm_positions.tolist(), ex.mlm_labels.tolist()):
             if label != ops.IGNORE_INDEX:
                 rows.append(b * t + pos)
@@ -403,6 +409,102 @@ def test_token_logits_require_ner_head(tiny_model):
     ids, types, mask = batch_for(config, RngStream(7))
     with pytest.raises(ValueError, match="no ner head"):
         token_logits(params, config, ids, types, mask)
+
+
+# ---------------------------------------------------------------------------
+# length-sorted, trimmed parts
+# ---------------------------------------------------------------------------
+
+def test_length_parts_sort_split_and_trim():
+    mask = np.zeros((5, 10), dtype=np.int32)
+    for row, length in enumerate((7, 3, 9, 3, 5)):
+        mask[row, :length] = 1
+    parts = length_parts(mask, 2)
+    assert [rows.tolist() for rows, _ in parts] == [[1, 3, 4], [0, 2]]  # stable by length
+    assert [t for _, t in parts] == [5, 9]
+    assert [rows.tolist() for rows, _ in length_parts(mask, 9)] == [[1], [3], [4], [0], [2]]
+    assert [(rows.tolist(), t) for rows, t in length_parts(mask[:1], 2)] == [([0], 7)]
+    assert length_parts(mask[:0], 2) == []
+    with pytest.raises(ValueError, match="empty batch"):
+        pack_pretrain_batch(synthdata.ordered_examples(2, RngStream(1))[:0])
+
+
+def mixed_length_pretrain_examples(seed, count=12):
+    """Pair examples of 2..8-word sentences at max_len 32: every row is
+    shorter than T, and lengths differ across the batch."""
+    words = synthdata.FILLER
+    r = RngStream(seed)
+    docs = [[" ".join(words[r.randint(len(words))] for _ in range(2 + r.randint(7)))
+             for _ in range(2)] for _ in range(count)]
+    return build_pretrain_examples(docs, synthdata.WordVocab(), r.child("mask"),
+                                   max_len=32, mask_rate=0.3, max_predictions=6)[:count]
+
+
+def mixed_length_ner_batch(seed, label_set, count=10):
+    r = RngStream(seed)
+    examples = []
+    for _ in range(count):
+        n = 2 + r.randint(9)
+        words = [synthdata.FILLER[r.randint(40)] if r.uniform() < 0.7
+                 else synthdata.MARKERS[r.randint(4)] for _ in range(n)]
+        examples.append(NerExample(words, ["B" if w in synthdata.MARKERS else "O"
+                                           for w in words]))
+    return pack_ner_examples(examples, synthdata.WordVocab(), label_set, max_len=16)
+
+
+def assert_split_step_matches_padded(split, padded, mask):
+    """Loss within 1e-6, each gradient within 1e-5 of its tensor's scale, and
+    no gradient at all for positions past the batch's longest row."""
+    (loss, grads), (want_loss, want_grads) = split, padded
+    assert abs(loss - want_loss) < 1e-6, (loss, want_loss)
+    assert list(grads) == list(want_grads)
+    for name, want in want_grads.items():
+        # the key bias gradient is zero up to round-off (softmax ignores a
+        # per-row shift), so measure it against the key weight gradient
+        scale = want_grads["block_key_weight"] if name == "block_key_bias" else want
+        assert np.abs(grads[name] - want).max() <= 1e-5 * np.abs(scale).max(), name
+    longest = int(mask.sum(axis=1).max())
+    assert longest < mask.shape[1]
+    assert not grads["position_embedding"][longest:].any()
+    assert grads["position_embedding"][longest - 1].any()
+
+
+def test_split_trimmed_pretrain_step_equals_padded_step():
+    config = synthdata.tiny_config(max_positions=32)
+    params = init_parameters(config, RngStream(61).child("init"))
+    examples = mixed_length_pretrain_examples(62)
+    padded = _reference_pack(examples, trim=False)
+    assert len(set(padded["attention_mask"].sum(axis=1).tolist())) >= 4
+    losses, grads = pretrain_step(params, config, examples)
+    want, want_grads = pretrain_loss_and_grads(params, config, padded)
+    assert abs(losses.mlm_loss - want.mlm_loss) < 1e-6
+    assert abs(losses.sop_loss - want.sop_loss) < 1e-6
+    assert_split_step_matches_padded((losses.total, grads), (want.total, want_grads),
+                                     padded["attention_mask"])
+
+
+def test_split_trimmed_ner_step_equals_padded_step():
+    config = synthdata.tiny_config()
+    params = init_parameters(config, RngStream(63).child("init"), heads=("ner",), num_labels=2)
+    batch = mixed_length_ner_batch(64, LabelSet(["B"]))
+    assert len(set(batch["attention_mask"].sum(axis=1).tolist())) >= 4
+    padded = ner_loss_and_grads(params, config, batch["token_ids"], batch["type_ids"],
+                                batch["attention_mask"], batch["label_ids"])
+    assert_split_step_matches_padded(ner_step(params, config, batch), padded,
+                                     batch["attention_mask"])
+
+
+def test_pretrain_part_without_masked_slot_trains():
+    config = synthdata.tiny_config(max_positions=32)
+    params = init_parameters(config, RngStream(65).child("init"))
+    examples = mixed_length_pretrain_examples(66)
+    shortest = length_parts(examples["input"]["attention_mask"], PARTS)[0][0]
+    examples["mlm_labels"][shortest] = ops.IGNORE_INDEX  # the first part has no masked slot
+    losses, grads = pretrain_step(params, config, examples)
+    want, want_grads = pretrain_loss_and_grads(params, config, _reference_pack(examples, False))
+    assert np.isfinite(losses.mlm_loss) and losses.mlm_loss > 0
+    assert_split_step_matches_padded((losses.total, grads), (want.total, want_grads),
+                                     examples["input"]["attention_mask"])
 
 
 # ---------------------------------------------------------------------------

@@ -476,6 +476,36 @@ def test_predict_and_evaluate_split_pad_truncated_words(quick_setup):
     assert 0.0 <= metrics.overall.f1 <= 1.0
 
 
+def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup):
+    ck, train_ex, dev_ex = quick_setup
+    result = run_quick(ck, train_ex, dev_ex)
+    r = RngStream(43)
+    # mixed lengths in no sorted order, some cut at max_len
+    sentences = [synthdata.gazetteer_examples(1, r.child(str(i)), length=1 + r.randint(16))[0]
+                 for i in range(11)]
+    packed = pack_ner_examples(sentences, synthdata.WordVocab(), result.label_set, max_len=16)
+    lengths = packed["attention_mask"].sum(axis=1).tolist()
+    assert len(set(lengths)) >= 5 and lengths != sorted(lengths)
+    one = predict_labels(result.params, result.config, result.label_set, packed, batch_size=1)
+    three = predict_labels(result.params, result.config, result.label_set, packed, batch_size=3)
+    assert three == one
+    assert [len(tags) for tags in three] == [len(s.words) for s in sentences]
+    assert predict_labels(result.params, result.config, result.label_set, packed[:0]) == []
+
+
+def test_finetune_at_batch_size_one(quick_setup):
+    # the step's one row makes one part, not PARTS
+    ck, train_ex, dev_ex = quick_setup
+    logs = [[], []]
+    for log in logs:
+        result = run_quick(ck, train_ex, dev_ex, batch_size=1, num_steps=4, warmup_steps=2,
+                           eval_every=0, log=log.append)
+    assert logs[0] == logs[1]
+    losses = [float(line.split("\t")[2]) for line in logs[0] if "\tner_loss\t" in line]
+    assert len(losses) == 4 and all(np.isfinite(losses)) and min(losses) > 0
+    assert result.history and result.history[-1][0] == 4
+
+
 # ---------------------------------------------------------------------------
 # dataset statistics
 # ---------------------------------------------------------------------------

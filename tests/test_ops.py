@@ -185,6 +185,26 @@ def test_cross_entropy_all_ignored_rejected():
         softmax_cross_entropy_with_grad(np.zeros((2, 3)), [IGNORE_INDEX, IGNORE_INDEX])
 
 
+def test_cross_entropy_parts_with_count_sum_to_whole_batch():
+    r = np.random.default_rng(5)
+    logits = r.normal(size=(9, 4))
+    targets = np.array([1, IGNORE_INDEX, 3, 0, IGNORE_INDEX, 2, 2, IGNORE_INDEX, 1])
+    loss, d = softmax_cross_entropy_with_grad(logits, targets)
+    # parts as a length sort would cut them; the first keeps no row at all
+    parts = [np.array([1, 4]), np.array([0, 7, 2]), np.array([8, 3, 5, 6])]
+    losses, d_parts = np.zeros(3), np.zeros_like(d)
+    for i, rows in enumerate(parts):
+        losses[i], d_parts[rows] = softmax_cross_entropy_with_grad(
+            logits[rows], targets[rows], count=6)
+    assert losses[0] == 0.0 and not d_parts[parts[0]].any()
+    assert abs(losses.sum() - loss) < 1e-12
+    assert np.abs(d_parts - d).max() < 1e-15
+    with pytest.raises(ValueError, match="all rows ignored"):
+        softmax_cross_entropy_with_grad(logits[:2], [IGNORE_INDEX, IGNORE_INDEX], count=0)
+    with pytest.raises(ValueError, match="count 1 is below the 2 rows kept"):
+        softmax_cross_entropy_with_grad(logits[:2], [0, 1], count=1)
+
+
 def test_cross_entropy_shape_validation():
     with pytest.raises(ValueError):
         softmax_cross_entropy_with_grad(np.zeros((2, 3)), [0])
