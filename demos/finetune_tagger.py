@@ -12,6 +12,7 @@ import time
 
 from nanoalbert.bpe import train_vocab
 from nanoalbert.checkpoint import Checkpoint
+from nanoalbert.config import RunConfig
 from nanoalbert.model import ModelConfig, init_parameters
 from nanoalbert.ner import (
     NerExample,
@@ -56,11 +57,9 @@ snapshot = Checkpoint(config=config,
                       params=init_parameters(config, RngStream(1).child("init")))
 
 started = time.perf_counter()
-result = finetune(
-    snapshot, vocab, train_ex, dev_ex, test_ex,
-    seed=1, num_steps=300, batch_size=16, peak_lr=1e-3, warmup_steps=30,
-    eval_every=75, max_len=48,
-)
+cfg = RunConfig(seed=1, finetune_steps=300, finetune_batch_size=16, finetune_learning_rate=1e-3,
+                finetune_warmup_steps=30, save_checkpoint=75, finetune_max_seq_length=48)
+result = finetune(snapshot, vocab, train_ex, dev_ex, test_ex, cfg)
 elapsed = time.perf_counter() - started
 
 for step, f1 in result.history:

@@ -8,7 +8,9 @@ numbers printed here are the numbers you will get.
 Run:  python3 demos/pretrain_tiny.py
 """
 
+import tempfile
 import time
+from pathlib import Path
 
 from nanoalbert.bpe import train_vocab
 from nanoalbert.corpus import build_pretrain_examples
@@ -59,21 +61,22 @@ config = ModelConfig(
 )
 
 started = time.perf_counter()
+with tempfile.TemporaryDirectory() as run_dir:
+    # the run directory gets train.log ("step<TAB>metric<TAB>value" lines)
+    # and the final checkpoint
+    result = train(
+        examples, config, seed=0, num_steps=STEPS, batch_size=BATCH,
+        schedule=Schedule(peak_lr=0.02, warmup_steps=30, total_steps=STEPS),
+        out_dir=run_dir,
+    )
+    log = (Path(run_dir) / "train.log").read_text(encoding="utf-8")
+elapsed = time.perf_counter() - started
+
 milestones = []
-
-
-def log(line):
+for line in log.splitlines():
     step, key, value = line.split("\t")
     if key == "total_loss" and int(step) % 100 == 0:
         milestones.append(f"  step {step:>3}  total {value}")
-
-
-result = train(
-    examples, config, seed=0, num_steps=STEPS, batch_size=BATCH,
-    schedule=Schedule(peak_lr=0.02, warmup_steps=30, total_steps=STEPS),
-    log=log,
-)
-elapsed = time.perf_counter() - started
 
 final = evaluate_pretrain(result.params, config, examples, batch_size=32)
 acc = sop_accuracy(result.params, config, examples, batch_size=32)

@@ -5,7 +5,7 @@ float32):
 
     magic "ABCK0001"
     header byte length, then that many bytes of UTF-8 "key=value" lines
-      (every ModelConfig field, plus step/kind/optim_t and optional labels)
+      (every ModelConfig field, plus step/optim_t and optional labels)
     tensor count, then per tensor sorted by name:
       name length, name bytes, rank, dims..., values
 
@@ -46,7 +46,6 @@ class Checkpoint:
     config: ModelConfig
     params: dict[str, np.ndarray]
     step: int = 0
-    kind: str = "pretrain"
     labels: list[str] | None = None
     optim: OptimizerState | None = None
 
@@ -84,9 +83,8 @@ def _validate(config, params, labels):
             )
 
 
-def _header_text(config, step, kind, labels, optim_t) -> str:
-    pairs = [*dataclasses.asdict(config).items(),
-             ("step", step), ("kind", kind), ("optim_t", optim_t)]
+def _header_text(config, step, labels, optim_t) -> str:
+    pairs = [*dataclasses.asdict(config).items(), ("step", step), ("optim_t", optim_t)]
     if labels is not None:
         for label in labels:
             if "," in label or "\n" in label:
@@ -104,8 +102,7 @@ def _tensor_bytes(name: str, values: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def save_checkpoint(path, config, params, step=0, kind="pretrain",
-                    labels=None, optim=None) -> None:
+def save_checkpoint(path, config, params, step=0, labels=None, optim=None) -> None:
     """Write atomically (temp file + rename); tensors stored as float32."""
     _validate(config, params, labels)
     tensors = dict(params)
@@ -117,7 +114,7 @@ def save_checkpoint(path, config, params, step=0, kind="pretrain",
         for name, arr in optim.v.items():
             tensors[f"optim/v/{name}"] = arr
 
-    header = _header_text(config, step, kind, labels, optim_t).encode("utf-8")
+    header = _header_text(config, step, labels, optim_t).encode("utf-8")
     blob = [MAGIC, _U32.pack(len(header)), header, _U32.pack(len(tensors))]
     for name in sorted(tensors):
         blob.append(_tensor_bytes(name, tensors[name]))
@@ -147,8 +144,9 @@ class _Reader:
         return _U32.unpack(self.take(4))[0]
 
 
-# checkpoints written while ModelConfig still had a share_parameters flag
-# carry it; the model only ever ran with shared parameters, so it says nothing
+# older checkpoints carry retired keys: share_parameters (the model only ever
+# ran with shared parameters) and kind (the heads are read off the tensors),
+# so neither says anything
 _HEADER_TYPES = {**typing.get_type_hints(ModelConfig), "step": int, "optim_t": int,
                  "kind": str, "labels": str, "share_parameters": str}
 
@@ -169,8 +167,7 @@ def _parse_header(text: str):
     except ValueError as exc:
         raise ConfigMismatchError(f"invalid config in header: {exc}")
     labels = pairs["labels"].split(",") if "labels" in pairs else None
-    return (config, pairs.get("step", 0), pairs.get("kind", "pretrain"),
-            pairs.get("optim_t", 0), labels)
+    return config, pairs.get("step", 0), pairs.get("optim_t", 0), labels
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -180,7 +177,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptCheckpointError("bad magic: not a checkpoint file")
     header = reader.take(reader.u32())
     try:
-        config, step, kind, optim_t, labels = _parse_header(header.decode("utf-8"))
+        config, step, optim_t, labels = _parse_header(header.decode("utf-8"))
     except UnicodeDecodeError:
         raise CorruptCheckpointError("header is not valid UTF-8")
 
@@ -217,5 +214,4 @@ def load_checkpoint(path) -> Checkpoint:
             if m[name].shape != params[name].shape or v[name].shape != params[name].shape:
                 raise ConfigMismatchError(f"optimizer state shape mismatch for {name}")
         optim = OptimizerState(m=m, v=v, t=optim_t)
-    return Checkpoint(config=config, params=params, step=step, kind=kind,
-                      labels=labels, optim=optim)
+    return Checkpoint(config=config, params=params, step=step, labels=labels, optim=optim)

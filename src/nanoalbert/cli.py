@@ -186,9 +186,8 @@ def _pretrain_examples(args, cfg, out: Path, vocab):
 
 
 def _cmd_pretrain(args, cfg, out: Path) -> None:
-    from .checkpoint import load_checkpoint
     from .optim import Schedule, rescaled_peak
-    from .pretrain import latest_checkpoint, open_log, train
+    from .pretrain import train
 
     model_config = model_config_from(cfg)
     if cfg.max_seq_length > model_config.max_positions:
@@ -204,46 +203,27 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
     peak = cfg.learning_rate
     if cfg.rescale_learning_rate:
         peak = rescaled_peak(peak)
-    schedule = Schedule(peak, cfg.warmup_steps, cfg.training_steps)
-
-    start = None
-    resume_from = latest_checkpoint(out)
-    if resume_from is not None:
-        snapshot = load_checkpoint(resume_from)
-        have, want = dataclasses.asdict(snapshot.config), dataclasses.asdict(model_config)
-        key = next((key for key in want if have[key] != want[key]), None)
-        if key is not None:
-            raise CliError(f"{resume_from} was trained with {key}={have[key]}, but the "
-                           f"config says {key}={want[key]}; cannot resume")
-        if snapshot.step >= cfg.training_steps:
-            print(f"already trained to step {snapshot.step}; nothing to do")
-            return
-        if snapshot.optim is None:
-            raise CliError(f"{resume_from} has no optimizer state; cannot resume")
-        start = (snapshot.params, snapshot.optim, snapshot.step)
-        print(f"resuming from step {snapshot.step}")
-    with open_log(out / "train.log", start[2] if start else 0) as log_file:
-        result = train(
-            examples, model_config,
-            seed=cfg.seed,
-            num_steps=cfg.training_steps,
-            batch_size=cfg.train_batch_size,
-            schedule=schedule,
-            optimizer=cfg.optimizer,
-            weight_decay=cfg.weight_decay,
-            start=start,
-            log=lambda line: print(line, file=log_file),
-            checkpoint_every=cfg.save_checkpoint,
-            checkpoint_dir=out,
-        )
+    result = train(
+        examples, model_config,
+        seed=cfg.seed,
+        num_steps=cfg.training_steps,
+        batch_size=cfg.train_batch_size,
+        schedule=Schedule(peak, cfg.warmup_steps, cfg.training_steps),
+        optimizer=cfg.optimizer,
+        weight_decay=cfg.weight_decay,
+        out_dir=out,
+        checkpoint_every=cfg.save_checkpoint,
+    )
     last = result.last
+    if last is None:
+        print(f"already trained to step {result.step}; nothing to do")
+        return
     print(f"steps={result.step} mlm_loss={last.mlm_loss:.6f} sop_loss={last.sop_loss:.6f}")
 
 
 def _cmd_finetune(args, cfg, out: Path) -> None:
     from .checkpoint import load_checkpoint
     from .ner import finetune, metrics_keyvalues, metrics_report, read_conll
-    from .pretrain import open_log
 
     snapshot = load_checkpoint(args.checkpoint)
     if cfg.finetune_max_seq_length > snapshot.config.max_positions:
@@ -251,27 +231,10 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
     vocab = _load_vocab_dir(args.vocab)
     train_examples, _ = read_conll(args.train)
     dev_examples, _ = read_conll(args.dev)
-    test_examples = None
-    if args.test:
-        test_examples, _ = read_conll(args.test)
+    test_examples = read_conll(args.test)[0] if args.test else None
 
-    # fine-tuning has no resume: a rerun starts over, and so does its log
-    with open_log(out / "train.log", 0) as log_file:
-        result = finetune(
-            snapshot, vocab, train_examples, dev_examples, test_examples,
-            seed=cfg.seed,
-            num_steps=cfg.finetune_steps,
-            batch_size=cfg.finetune_batch_size,
-            eval_batch_size=cfg.finetune_eval_batch_size,
-            peak_lr=cfg.finetune_learning_rate,
-            warmup_steps=cfg.finetune_warmup_steps,
-            eval_every=cfg.save_checkpoint,
-            weight_decay=cfg.weight_decay,
-            max_len=cfg.finetune_max_seq_length,
-            lowercase=cfg.lowercase,
-            log=lambda line: print(line, file=log_file),
-            out_dir=out,
-        )
+    result = finetune(snapshot, vocab, train_examples, dev_examples, test_examples, cfg,
+                      out_dir=out)
     print(f"best_step={result.best_step} dev_f1={result.best_dev_f1:.4f}")
     if result.test_metrics is not None:
         (out / "metrics.txt").write_text(metrics_report(result.test_metrics))
@@ -304,6 +267,9 @@ def _cmd_predict(args, cfg, out: Path) -> None:
         raise CliError("checkpoint has no tagging head; fine-tune first")
     label_set = LabelSet(snapshot.labels)
     vocab = _load_vocab_dir(args.vocab)
+    if vocab.size != snapshot.config.vocab_size:
+        raise CliError(f"{Path(args.vocab) / 'vocab.txt'} has {vocab.size} pieces but "
+                       f"{args.checkpoint} has vocab_size={snapshot.config.vocab_size}")
 
     examples = []
     with open(args.input, encoding="utf-8") as fh:

@@ -349,20 +349,19 @@ def length_parts(attention_mask, parts: int) -> list[tuple[np.ndarray, int]]:
 
 
 def encode_forward(params, config, token_ids, type_ids, attention_mask,
-                   training=False, dropout_rng=None, caches=None):
+                   dropout_rng=None, caches=None):
     """Hidden states (batch, T, H) for a batch padded to T. Callers pass
     batches sorted by length and trimmed (length_parts), so T is the part's
     longest row. A list passed as `caches` gets the embedding's and then
     each layer's cache (L + 1) for _encode_backward; without one, no layer's
-    cache outlives the layer."""
+    cache outlives the layer. Dropout at config.dropout_rate is on exactly
+    when a dropout_rng is passed."""
     token_ids = np.asarray(token_ids)
     type_ids = np.asarray(type_ids)
     attention_mask = np.asarray(attention_mask)
     _check_inputs(config, token_ids, attention_mask)
 
-    rate = config.dropout_rate if training else 0.0
-    if rate > 0.0 and dropout_rng is None:
-        raise ValueError("dropout requires a dropout_rng")
+    rate = config.dropout_rate if dropout_rng is not None else 0.0
     dtype = params["token_embedding"].dtype
     neg_mask = ((1 - attention_mask) * NEG_INF).astype(dtype)[:, None, None, :]
 
@@ -465,16 +464,14 @@ def pretrain_loss(params, config, batch, counts=None) -> PretrainLosses:
     return _pretrain_pass(params, config, batch, None, counts=counts)
 
 
-def pretrain_loss_and_grads(params, config, batch, training=False, dropout_rng=None,
-                            counts=None, grads=None):
+def pretrain_loss_and_grads(params, config, batch, dropout_rng=None, counts=None, grads=None):
     """pretrain_loss and its gradients, added into `grads` (a new dict when
     None); returns (losses, grads)."""
     grads = {} if grads is None else grads
-    return _pretrain_pass(params, config, batch, grads, training, dropout_rng, counts), grads
+    return _pretrain_pass(params, config, batch, grads, dropout_rng, counts), grads
 
 
-def _pretrain_pass(params, config, batch, grads, training=False, dropout_rng=None,
-                   counts=None):
+def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
     if batch["sop_labels"].size == 0:
         raise ValueError("empty batch")
     mlm_count, sop_count = counts or (batch["mlm_rows"].size, batch["sop_labels"].size)
@@ -483,7 +480,7 @@ def _pretrain_pass(params, config, batch, grads, training=False, dropout_rng=Non
     caches = [] if grads is not None else None
     hidden = encode_forward(
         params, config, batch["token_ids"], batch["type_ids"],
-        batch["attention_mask"], training, dropout_rng, caches,
+        batch["attention_mask"], dropout_rng, caches,
     )
     b, t, h = hidden.shape
     hidden_flat = hidden.reshape(b * t, h)
@@ -534,7 +531,7 @@ def token_logits(params, config, token_ids, type_ids, attention_mask):
 
 
 def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
-                       label_ids, training=False, dropout_rng=None, count=None, grads=None):
+                       label_ids, dropout_rng=None, count=None, grads=None):
     """Cross-entropy over word-initial positions (others carry ignore_index):
     the mean over them, or with `count` their summed loss over the count of
     a larger batch this one is part of. Gradients are added into `grads` (a
@@ -543,7 +540,7 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
         raise ValueError("model has no ner head")
     caches = []
     hidden = encode_forward(
-        params, config, token_ids, type_ids, attention_mask, training, dropout_rng, caches
+        params, config, token_ids, type_ids, attention_mask, dropout_rng, caches
     )
     b, t, h = hidden.shape
     flat = hidden.reshape(b * t, h)

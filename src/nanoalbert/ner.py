@@ -9,6 +9,7 @@ precision/recall/F1 micro-averaged over decoded spans.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import ops
 from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import format_pairs
+from .config import RunConfig, format_pairs
 from .model import (
     PARTS,
     ModelConfig,
@@ -26,9 +27,9 @@ from .model import (
     token_logits,
     truncated_normal,
 )
-from .optim import DEFAULT_WEIGHT_DECAY, OptimizerState, Schedule, adamw_step
+from .optim import OptimizerState, Schedule, adamw_step
 from .pretrain import batch_indices  # unused here; perfbench traces it at ner.batch_indices
-from .pretrain import fit
+from .pretrain import fit, open_log
 from .rng import RngStream
 
 
@@ -71,14 +72,16 @@ class LabelSet:
     """Contiguous label ids with "O" fixed at id 0, the rest sorted."""
 
     def __init__(self, labels):
-        observed = set(labels) | {"O"}
+        # first-seen order, so an orphan "I-" error names the first orphan
+        observed = dict.fromkeys(labels)
+        observed.setdefault("O")
         for label in observed:
             head, entity_type = _parse_label(label)
             if head == "I":
                 required = f"B-{entity_type}" if entity_type else "B"
                 if required not in observed:
                     raise ValueError(f"label {label!r} has no matching B label")
-        self.labels = ("O",) + tuple(sorted(observed - {"O"}))
+        self.labels = ("O",) + tuple(sorted(observed.keys() - {"O"}))
         self._ids = {label: i for i, label in enumerate(self.labels)}
 
     def id_of(self, label: str) -> int:
@@ -380,8 +383,7 @@ def ner_step(params, config, batch, dropout_rng=None):
     loss, grads = 0.0, {}
     for rows, t in length_parts(batch["attention_mask"], PARTS):
         part_loss, _ = ner_loss_and_grads(
-            params, config, *_trimmed(batch[rows], t),
-            training=dropout_rng is not None, dropout_rng=dropout_rng,
+            params, config, *_trimmed(batch[rows], t), dropout_rng=dropout_rng,
             count=count, grads=grads,
         )
         loss += part_loss
@@ -412,24 +414,15 @@ def finetune(
     vocab: Vocab,
     train_examples,
     dev_examples,
-    test_examples=None,
-    *,
-    seed: int = 0,
-    num_steps: int = 5336,
-    batch_size: int = 32,
-    eval_batch_size: int = 16,
-    peak_lr: float = 1e-5,
-    warmup_steps: int = 320,
-    eval_every: int = 200,
-    weight_decay: float = DEFAULT_WEIGHT_DECAY,
-    max_len: int = 128,
-    lowercase: bool = False,
-    log=None,
+    test_examples,
+    cfg: RunConfig,
     out_dir=None,
 ) -> FinetuneResult:
-    """AdamW fine-tuning with dev F1 every eval_every steps and at the last
-    step (eval_every=0: last step only); the best-dev parameter snapshot is
-    kept, scored on test, and optionally written to out_dir/best.ckpt. The
+    """AdamW fine-tuning with cfg's finetune_* values, seed, weight_decay and
+    lowercase; dev F1 every save_checkpoint steps and at the last step (0:
+    last step only). The best-dev parameter snapshot is kept and scored on
+    test_examples (None: no test split). With an out_dir, train.log gets
+    each step's lines, started afresh, and best.ckpt the snapshot. The
     pretrained checkpoint is never modified."""
     if vocab.size != pretrained.config.vocab_size:
         raise ValueError(
@@ -452,13 +445,14 @@ def finetune(
         for name, arr in pretrained.params.items()
         if not name.startswith(("mlm_", "sop_", "pooler_"))
     }
-    head_rng = RngStream(seed).child("ner-init")
+    head_rng = RngStream(cfg.seed).child("ner-init")
     dtype = params["token_embedding"].dtype
     params["ner_weight"] = truncated_normal(
         head_rng, (config.hidden_size, len(label_set)), 0.02, dtype=dtype
     )
     params["ner_bias"] = np.zeros(len(label_set), dtype=dtype)
 
+    max_len, lowercase = cfg.finetune_max_seq_length, cfg.lowercase
     train_packed = pack_ner_examples(train_examples, vocab, label_set, max_len, lowercase)
     dev_packed = pack_ner_examples(dev_examples, vocab, label_set, max_len, lowercase)
 
@@ -481,34 +475,40 @@ def finetune(
     def evaluate_dev(done):
         nonlocal best_f1, best_step, best_params
         f1 = evaluate_split(
-            params, config, label_set, dev_packed, dev_examples, eval_batch_size
+            params, config, label_set, dev_packed, dev_examples, cfg.finetune_eval_batch_size
         ).overall.f1
         history.append((done, f1))
         if log is not None:
-            log(f"{done}\tdev_f1\t{f1:.4f}")
+            print(f"{done}\tdev_f1\t{f1:.4f}", file=log)
         if f1 > best_f1:
             best_f1 = f1
             best_step = done
             best_params = {name: arr.copy() for name, arr in params.items()}
 
-    fit(loss_fn, params, state, step_fn=adamw_step,
-        schedule=Schedule(peak_lr, warmup_steps, num_steps), seed=seed,
-        num_examples=len(train_examples), batch_size=batch_size, num_steps=num_steps,
-        weight_decay=weight_decay, dropout=config.dropout_rate > 0,
-        log=log, log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
-        hook=evaluate_dev, every=eval_every)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    # fine-tuning has no resume: a rerun starts over, and so does its log
+    with nullcontext() if out_dir is None else open_log(out_dir / "train.log", 0) as log:
+        fit(loss_fn, params, state, step_fn=adamw_step,
+            schedule=Schedule(cfg.finetune_learning_rate, cfg.finetune_warmup_steps,
+                              cfg.finetune_steps),
+            seed=cfg.seed, num_examples=len(train_examples),
+            batch_size=cfg.finetune_batch_size, num_steps=cfg.finetune_steps,
+            weight_decay=cfg.weight_decay, dropout=config.dropout_rate > 0,
+            log=log, log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
+            hook=evaluate_dev, every=cfg.save_checkpoint)
 
     test_metrics = None
     if test_examples:
         test_packed = pack_ner_examples(test_examples, vocab, label_set, max_len, lowercase)
         test_metrics = evaluate_split(
-            best_params, config, label_set, test_packed, test_examples, eval_batch_size
+            best_params, config, label_set, test_packed, test_examples,
+            cfg.finetune_eval_batch_size,
         )
     if out_dir is not None:
-        save_checkpoint(
-            Path(out_dir) / "best.ckpt", config, best_params,
-            step=best_step, kind="ner", labels=list(label_set.labels),
-        )
+        save_checkpoint(out_dir / "best.ckpt", config, best_params,
+                        step=best_step, labels=list(label_set.labels))
     return FinetuneResult(
         params=best_params,
         config=config,

@@ -8,11 +8,13 @@ run would have seen. Loss logs are line-oriented "step<TAB>metric<TAB>value".
 
 from __future__ import annotations
 
+import dataclasses
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import ops
+from . import checkpoint, ops
 from .checkpoint import save_checkpoint
 from .model import (
     PARTS,
@@ -98,10 +100,11 @@ def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Sche
     "dropout/step{s}" (when dropout is on) at lr_at(schedule, s + 1):
     loss_fn(indices, dropout_rng) returns (loss, grads) and step_fn updates
     params and state in place. After each step, log_lines(loss, lr) gives
-    the "metric<TAB>value" lines logged under the step number, and
-    hook(done) runs every `every` steps and at the last step (every=0:
-    last step only). Returns the last step's loss, None if no step ran. A
-    ValueError from loss_fn is raised again with the step number in front.
+    the "metric<TAB>value" lines written to the text file `log` under the
+    step number, and hook(done) runs every `every` steps and at the last
+    step (every=0: last step only). Returns the last step's loss, None if
+    no step ran. A ValueError from loss_fn is raised again with the step
+    number in front.
     """
     loss = None
     for step in range(first, num_steps):
@@ -116,10 +119,29 @@ def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Sche
         done = step + 1
         if log is not None:
             for line in log_lines(loss, lr):
-                log(f"{done}\t{line}")
+                print(f"{done}\t{line}", file=log)
         if hook is not None and (done == num_steps or (every and done % every == 0)):
             hook(done)
     return loss
+
+
+def _resume_point(out_dir: Path, config: ModelConfig, num_steps: int):
+    """The newest checkpoint in out_dir, or None; refused if it was trained
+    with another architecture or, with steps left to run, holds no optimizer
+    state."""
+    path = latest_checkpoint(out_dir)
+    if path is None:
+        return None
+    # looked up on the module, where perfbench traces it
+    snapshot = checkpoint.load_checkpoint(path)
+    have, want = dataclasses.asdict(snapshot.config), dataclasses.asdict(config)
+    key = next((key for key in want if have[key] != want[key]), None)
+    if key is not None:
+        raise ValueError(f"{path} was trained with {key}={have[key]}, but the "
+                         f"config says {key}={want[key]}; cannot resume")
+    if snapshot.step < num_steps and snapshot.optim is None:
+        raise ValueError(f"{path} has no optimizer state; cannot resume")
+    return snapshot
 
 
 def train(
@@ -132,13 +154,27 @@ def train(
     schedule: Schedule,
     optimizer: str = "lamb",
     weight_decay: float = DEFAULT_WEIGHT_DECAY,
-    start: tuple | None = None,
-    log=None,
+    out_dir=None,
     checkpoint_every: int = 0,
-    checkpoint_dir=None,
 ) -> TrainResult:
-    """Run (or resume, via start=(params, optim, step)) the pretraining loop;
-    with a checkpoint_dir, save every checkpoint_every steps and at the end."""
+    """Run the pretraining loop. With an out_dir the run owns that directory:
+    it resumes from the newest checkpoint-NNNNNN.ckpt there (refusing one of
+    another architecture or without optimizer state before train.log is
+    touched), logs each step to train.log cut back to the resume step, and
+    saves a checkpoint every checkpoint_every steps and at the last. A
+    checkpoint that already reached num_steps is returned with last=None."""
+    params = state = None
+    first = 0
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        snapshot = _resume_point(out_dir, config, num_steps)
+        if snapshot is not None:
+            if snapshot.step >= num_steps:
+                return TrainResult(params=snapshot.params, optim=snapshot.optim,
+                                   step=snapshot.step, last=None)
+            params, state, first = snapshot.params, snapshot.optim, snapshot.step
+            print(f"resuming from step {first}")
     if len(examples) == 0:
         raise ValueError("no pretraining examples")
     if num_steps > schedule.total_steps:
@@ -149,13 +185,9 @@ def train(
         step_fn = adamw_step
     else:
         raise ValueError(f"unknown optimizer {optimizer!r}")
-
-    if start is None:
+    if params is None:
         params = init_parameters(config, RngStream(seed).child("init"))
         state = OptimizerState.for_params(params)
-        first = 0
-    else:
-        params, state, first = start
 
     def loss_fn(idx, dropout_rng):
         return pretrain_step(params, config, examples[idx], dropout_rng=dropout_rng)
@@ -165,14 +197,14 @@ def train(
                 f"sop_loss\t{losses.sop_loss:.6f}", f"total_loss\t{losses.total:.6f}")
 
     def save(done):
-        save_checkpoint(checkpoint_path(checkpoint_dir, done), config, params,
-                        step=done, kind="pretrain", optim=state)
+        save_checkpoint(checkpoint_path(out_dir, done), config, params, step=done, optim=state)
 
-    last = fit(loss_fn, params, state, step_fn=step_fn, schedule=schedule, seed=seed,
-               num_examples=len(examples), batch_size=batch_size, num_steps=num_steps,
-               first=first, weight_decay=weight_decay, dropout=config.dropout_rate > 0,
-               log=log, log_lines=log_lines,
-               hook=save if checkpoint_dir is not None else None, every=checkpoint_every)
+    with nullcontext() if out_dir is None else open_log(out_dir / "train.log", first) as log:
+        last = fit(loss_fn, params, state, step_fn=step_fn, schedule=schedule, seed=seed,
+                   num_examples=len(examples), batch_size=batch_size, num_steps=num_steps,
+                   first=first, weight_decay=weight_decay, dropout=config.dropout_rate > 0,
+                   log=log, log_lines=log_lines,
+                   hook=None if out_dir is None else save, every=checkpoint_every)
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 
@@ -196,8 +228,8 @@ def pretrain_step(params, config, examples, dropout_rng=None):
     grads: dict = {}
 
     def part_loss(batch, counts):
-        return pretrain_loss_and_grads(params, config, batch, training=dropout_rng is not None,
-                                       dropout_rng=dropout_rng, counts=counts, grads=grads)[0]
+        return pretrain_loss_and_grads(params, config, batch, dropout_rng=dropout_rng,
+                                       counts=counts, grads=grads)[0]
 
     return _summed_over_parts(examples, PARTS, part_loss), grads
 

@@ -30,7 +30,6 @@ def tiny_pretrained():
     init_params = init_parameters(config, RngStream(7).child("init"))
     init_losses = pretrain_loss(init_params, config, pack_pretrain_batch(examples[:64]))
 
-    log_lines = []
     result = train(
         examples,
         config,
@@ -38,7 +37,6 @@ def tiny_pretrained():
         num_steps=300,
         batch_size=32,
         schedule=Schedule(peak_lr=0.03, warmup_steps=50, total_steps=800),
-        log=log_lines.append,
     )
     final_losses = evaluate_pretrain(result.params, config, examples, batch_size=64)
     heldout_sop = sop_accuracy(result.params, config, heldout, batch_size=64)
@@ -52,6 +50,5 @@ def tiny_pretrained():
         result=result,
         final_losses=final_losses,
         heldout_sop=heldout_sop,
-        log_lines=log_lines,
         elapsed=elapsed,
     )

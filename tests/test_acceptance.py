@@ -26,6 +26,7 @@ from nanoalbert import ops
 from nanoalbert.bpe import CLS_ID, SEP_ID, MASK_ID, NUM_SPECIALS
 from nanoalbert.checkpoint import Checkpoint
 from nanoalbert.cli import main as cli_main
+from nanoalbert.config import RunConfig
 from nanoalbert.corpus import SOP_IN_ORDER, apply_mlm_mask, make_sop_pairs
 from nanoalbert.gradcheck import max_grad_error
 from nanoalbert.model import ModelConfig, count_parameters, pretrain_loss_and_grads
@@ -214,8 +215,9 @@ def test_gate_finetuning_beats_majority_baseline(tiny_pretrained):
 
     result = finetune(
         snapshot, synthdata.WordVocab(), train_ex, dev_ex, test_ex,
-        seed=7, num_steps=500, batch_size=16, peak_lr=1e-3, warmup_steps=50,
-        eval_every=100, max_len=16,
+        RunConfig(seed=7, finetune_steps=500, finetune_batch_size=16,
+                  finetune_learning_rate=1e-3, finetune_warmup_steps=50, save_checkpoint=100,
+                  finetune_max_seq_length=16),
     )
     elapsed = time.monotonic() - started
     assert result.best_dev_f1 >= 0.9, f"best dev F1 {result.best_dev_f1:.4f}"
@@ -271,15 +273,10 @@ def test_gate_runs_are_bitwise_reproducible(tiny_pretrained, tmp_path):
     pretrain_blobs = []
     for tag in ("a", "b"):
         d = tmp_path / f"pt_{tag}"
-        d.mkdir()
-        lines = []
         train(fx.examples, fx.config, seed=11, num_steps=50, batch_size=16,
-              schedule=schedule, log=lines.append,
-              checkpoint_every=50, checkpoint_dir=d)
-        log_path = d / "train.log"
-        log_path.write_text("\n".join(lines) + "\n")
+              schedule=schedule, out_dir=d, checkpoint_every=50)
         pretrain_blobs.append(
-            ((d / "checkpoint-000050.ckpt").read_bytes(), log_path.read_bytes())
+            ((d / "checkpoint-000050.ckpt").read_bytes(), (d / "train.log").read_bytes())
         )
     assert pretrain_blobs[0] == pretrain_blobs[1]
 
@@ -289,19 +286,14 @@ def test_gate_runs_are_bitwise_reproducible(tiny_pretrained, tmp_path):
     finetune_blobs = []
     for tag in ("a", "b"):
         d = tmp_path / f"ft_{tag}"
-        d.mkdir()
-        lines = []
         finetune(
-            snapshot, synthdata.WordVocab(), train_ex, dev_ex,
-            seed=5, num_steps=50, batch_size=8, peak_lr=1e-3, warmup_steps=10,
-            eval_every=25, max_len=16,
-            log=lines.append, out_dir=d,
+            snapshot, synthdata.WordVocab(), train_ex, dev_ex, None,
+            RunConfig(seed=5, finetune_steps=50, finetune_batch_size=8,
+                      finetune_learning_rate=1e-3, finetune_warmup_steps=10, save_checkpoint=25,
+                      finetune_max_seq_length=16),
+            out_dir=d,
         )
-        log_path = d / "train.log"
-        log_path.write_text("\n".join(lines) + "\n")
-        finetune_blobs.append(
-            ((d / "best.ckpt").read_bytes(), log_path.read_bytes())
-        )
+        finetune_blobs.append(((d / "best.ckpt").read_bytes(), (d / "train.log").read_bytes()))
     assert finetune_blobs[0] == finetune_blobs[1]
     ckpt_bytes = len(pretrain_blobs[0][0])
     print(f"pretrain and finetune reruns byte-identical "

@@ -38,7 +38,6 @@ def test_round_trip_is_bitwise(saved):
     ck = load_checkpoint(path)
     assert ck.config == config
     assert ck.step == 120
-    assert ck.kind == "pretrain"
     assert ck.labels is None
     assert ck.optim is None
     assert sorted(ck.params) == sorted(params)
@@ -91,9 +90,8 @@ def test_ner_checkpoint_keeps_labels(tmp_path):
     # '#' starts a comment only in config files, and a header line splits
     # at its first '=', so both are plain label text
     for labels in (["O", "B-Chem", "I-Chem"], ["O", "B-C#=x", "I-C#=x"]):
-        save_checkpoint(path, config, params, step=5, kind="ner", labels=labels)
+        save_checkpoint(path, config, params, step=5, labels=labels)
         ck = load_checkpoint(path)
-        assert ck.kind == "ner"
         assert ck.labels == labels
         assert ck.params["ner_weight"].shape == (32, 3)
 
@@ -103,8 +101,7 @@ def test_labels_with_reserved_characters_rejected(tmp_path):
     params = init_parameters(config, RngStream(4).child("init"),
                              heads=("ner",), num_labels=2)
     with pytest.raises(ValueError):
-        save_checkpoint(tmp_path / "x.ckpt", config, params, kind="ner",
-                        labels=["O", "B,strange"])
+        save_checkpoint(tmp_path / "x.ckpt", config, params, labels=["O", "B,strange"])
 
 
 def test_save_rejects_wrong_shapes_and_missing_tensors(tmp_path):
@@ -186,14 +183,16 @@ def test_malformed_header_value_names_the_key(saved, tmp_path):
 
 
 def test_header_with_retired_share_parameters_key_loads(saved, tmp_path):
-    # checkpoints written while ModelConfig had a share_parameters flag
+    # checkpoints written while ModelConfig had a share_parameters flag, and
+    # while headers carried a kind line
     _, params, path = saved
     raw = path.read_bytes()
     start = len(MAGIC) + 4
     (length,) = struct.unpack("<I", raw[len(MAGIC):start])
     header = raw[start:start + length]
     old = header.replace(b"\ndropout_rate=", b"\nshare_parameters=true\ndropout_rate=")
-    assert old != header
+    old = old.replace(b"\noptim_t=", b"\nkind=pretrain\noptim_t=")
+    assert old.count(b"\n") == header.count(b"\n") + 2
     legacy = tmp_path / "legacy.ckpt"
     legacy.write_bytes(raw[:len(MAGIC)] + struct.pack("<I", len(old)) + old
                        + raw[start + length:])
@@ -207,4 +206,3 @@ def test_checkpoint_dataclass_defaults():
     config = synthdata.tiny_config()
     ck = Checkpoint(config=config, params={})
     assert ck.step == 0
-    assert ck.kind == "pretrain"

@@ -472,6 +472,21 @@ def test_predict_tags_a_sentence_whose_first_word_does_not_fit(pipeline, finetun
     assert rows[0] == [[long_word, "O"], ["lowers", "O"], ["fever", "O"]]
 
 
+def test_predict_refuses_a_vocabulary_of_another_size(pipeline, finetuned, tmp_path, capsys):
+    vocab = tmp_path / "vocab273"
+    assert run_cli("build-vocab", "--out", vocab, "--corpus",
+                   pipeline / "prep" / "corpus.txt", "vocab_size=273") == 0
+    assert "vocab_size=273" in capsys.readouterr().out
+    source = tmp_path / "input.txt"
+    source.write_text("aspirin lowers fever\n")
+    assert run_cli("predict", "--out", tmp_path / "pred", "--checkpoint", finetuned / "best.ckpt",
+                   "--vocab", vocab, "--input", source, "finetune_max_seq_length=32") == 1
+    assert capsys.readouterr().err == (
+        f"error: {vocab / 'vocab.txt'} has 273 pieces but {finetuned / 'best.ckpt'} "
+        "has vocab_size=261\n")
+    assert not (tmp_path / "pred" / "predictions.conll").exists()
+
+
 def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):
     source = tmp_path / "input.txt"
     source.write_text("some words\n")

@@ -1,0 +1,20 @@
+"""The library demos run to the end against the current API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["pretrain_tiny.py", "finetune_tagger.py"])
+def test_demo_exits_cleanly(demo):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

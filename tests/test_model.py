@@ -257,19 +257,14 @@ def test_dropout_paths(tiny_model):
     ids, types, mask = batch_for(config, RngStream(5))
     clean = encode_forward(params, config, ids, types, mask)
 
-    with pytest.raises(ValueError, match="dropout_rng"):
-        encode_forward(params, dropped_cfg, ids, types, mask, training=True)
-
-    noisy1 = encode_forward(params, dropped_cfg, ids, types, mask,
-                            training=True, dropout_rng=RngStream(70))
-    noisy2 = encode_forward(params, dropped_cfg, ids, types, mask,
-                            training=True, dropout_rng=RngStream(70))
+    noisy1 = encode_forward(params, dropped_cfg, ids, types, mask, dropout_rng=RngStream(70))
+    noisy2 = encode_forward(params, dropped_cfg, ids, types, mask, dropout_rng=RngStream(70))
     assert np.array_equal(noisy1, noisy2)  # same stream, same masks
     assert not np.allclose(noisy1, clean, atol=1e-4)
 
     # keeping the backward caches changes no bit of the forward
     caches = []
-    kept = encode_forward(params, dropped_cfg, ids, types, mask, training=True,
+    kept = encode_forward(params, dropped_cfg, ids, types, mask,
                           dropout_rng=RngStream(70), caches=caches)
     assert np.array_equal(kept, noisy1)
     assert len(caches) == dropped_cfg.num_layers + 1
@@ -277,8 +272,8 @@ def test_dropout_paths(tiny_model):
     assert np.array_equal(encode_forward(params, config, ids, types, mask, caches=caches), clean)
     assert len(caches) == config.num_layers + 1
 
-    # inference ignores the configured rate
-    eval_out = encode_forward(params, dropped_cfg, ids, types, mask, training=False)
+    # without a dropout stream the configured rate is ignored
+    eval_out = encode_forward(params, dropped_cfg, ids, types, mask)
     assert np.array_equal(eval_out, clean)
 
 

@@ -7,12 +7,19 @@ gold [B, O, B] vs pred [B, B, O]: one span matches out of two on each side,
 so precision = recall = F1 = 0.5.
 """
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import synthdata
 from nanoalbert.bpe import CLS_ID, PAD_ID, SEP_ID, train_vocab
 from nanoalbert.checkpoint import Checkpoint, load_checkpoint
+from nanoalbert.config import RunConfig
 from nanoalbert.model import init_parameters
 from nanoalbert.ner import (
     ConllError,
@@ -113,6 +120,25 @@ def test_read_conll_errors_carry_line_numbers(tmp_path):
     path.write_text("one O\ntwo I-Dis\n")
     with pytest.raises(ConllError, match=r"bad\.conll:2: .*no matching B"):
         read_conll(path)
+
+
+def test_read_conll_names_the_first_orphan_whatever_the_hash_seed(tmp_path):
+    # labels were once scanned as a set, so the named orphan followed
+    # PYTHONHASHSEED
+    path = tmp_path / "orphans.conll"
+    path.write_text("a I-X\nb I-Y\n")
+    script = ("import sys\nfrom nanoalbert.ner import read_conll\n"
+              "try:\n    read_conll(sys.argv[1])\nexcept ValueError as exc:\n    print(exc)\n")
+    src = str(Path(__file__).parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    errors = {
+        subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+                       check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": pythonpath,
+                            "PYTHONHASHSEED": str(seed)}).stdout
+        for seed in range(8)
+    }
+    assert errors == {f"{path}:1: label 'I-X' has no matching B label\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +422,19 @@ def test_metrics_report_and_keyvalues():
 def quick_setup():
     config = synthdata.tiny_config()
     params = init_parameters(config, RngStream(40).child("init"))
-    ck = Checkpoint(config=config, params=params, step=0, kind="pretrain")
+    ck = Checkpoint(config=config, params=params, step=0)
     train_ex = synthdata.gazetteer_examples(60, RngStream(41))
     dev_ex = synthdata.gazetteer_examples(20, RngStream(42))
     return ck, train_ex, dev_ex
 
 
-def run_quick(ck, train_ex, dev_ex, **kwargs):
-    defaults = dict(
-        seed=9, num_steps=20, batch_size=8, peak_lr=1e-3, warmup_steps=5,
-        eval_every=10, max_len=16,
-    )
-    defaults.update(kwargs)
-    return finetune(ck, synthdata.WordVocab(), train_ex, dev_ex, **defaults)
+QUICK = RunConfig(seed=9, finetune_steps=20, finetune_batch_size=8, finetune_learning_rate=1e-3,
+                  finetune_warmup_steps=5, save_checkpoint=10, finetune_max_seq_length=16)
+
+
+def run_quick(ck, train_ex, dev_ex, out_dir=None, **changes):
+    return finetune(ck, synthdata.WordVocab(), train_ex, dev_ex, None, replace(QUICK, **changes),
+                    out_dir)
 
 
 def test_finetune_result_structure(quick_setup):
@@ -431,10 +457,10 @@ def test_finetune_never_touches_the_checkpoint(quick_setup):
         assert np.array_equal(ck.params[name], before[name]), name
 
 
-def test_finetune_is_deterministic(quick_setup):
+def test_finetune_is_deterministic(quick_setup, tmp_path):
     ck, train_ex, dev_ex = quick_setup
-    logs = [[], []]
-    results = [run_quick(ck, train_ex, dev_ex, log=logs[i].append) for i in range(2)]
+    results = [run_quick(ck, train_ex, dev_ex, tmp_path / str(i)) for i in range(2)]
+    logs = [(tmp_path / str(i) / "train.log").read_text() for i in range(2)]
     assert logs[0] == logs[1]
     assert results[0].history == results[1].history
     for name in results[0].params:
@@ -445,7 +471,6 @@ def test_finetune_writes_best_checkpoint(quick_setup, tmp_path):
     ck, train_ex, dev_ex = quick_setup
     result = run_quick(ck, train_ex, dev_ex, out_dir=tmp_path)
     saved = load_checkpoint(tmp_path / "best.ckpt")
-    assert saved.kind == "ner"
     assert saved.labels == ["O", "B"]
     assert saved.step == result.best_step
     assert np.array_equal(saved.params["ner_weight"], result.params["ner_weight"])
@@ -454,10 +479,11 @@ def test_finetune_writes_best_checkpoint(quick_setup, tmp_path):
 def test_finetune_validates_inputs(quick_setup):
     ck, train_ex, dev_ex = quick_setup
     base = train_vocab("tiny corpus for the test", 261)  # 261 != 200
+    cfg = RunConfig(finetune_steps=4, finetune_warmup_steps=1)
     with pytest.raises(ValueError, match="vocab"):
-        finetune(ck, base, train_ex, dev_ex, num_steps=4, warmup_steps=1)
+        finetune(ck, base, train_ex, dev_ex, None, cfg)
     with pytest.raises(ValueError, match="nonempty"):
-        finetune(ck, synthdata.WordVocab(), [], dev_ex, num_steps=4, warmup_steps=1)
+        finetune(ck, synthdata.WordVocab(), [], dev_ex, None, cfg)
 
 
 def test_predict_and_evaluate_split_pad_truncated_words(quick_setup):
@@ -493,13 +519,14 @@ def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup):
     assert predict_labels(result.params, result.config, result.label_set, packed[:0]) == []
 
 
-def test_finetune_at_batch_size_one(quick_setup):
+def test_finetune_at_batch_size_one(quick_setup, tmp_path):
     # the step's one row makes one part, not PARTS
     ck, train_ex, dev_ex = quick_setup
-    logs = [[], []]
-    for log in logs:
-        result = run_quick(ck, train_ex, dev_ex, batch_size=1, num_steps=4, warmup_steps=2,
-                           eval_every=0, log=log.append)
+    logs = []
+    for i in range(2):
+        result = run_quick(ck, train_ex, dev_ex, tmp_path / str(i), finetune_batch_size=1,
+                           finetune_steps=4, finetune_warmup_steps=2, save_checkpoint=0)
+        logs.append((tmp_path / str(i) / "train.log").read_text().splitlines())
     assert logs[0] == logs[1]
     losses = [float(line.split("\t")[2]) for line in logs[0] if "\tner_loss\t" in line]
     assert len(losses) == 4 and all(np.isfinite(losses)) and min(losses) > 0

@@ -5,6 +5,8 @@ reloading the checkpoint, and continuing must reproduce the uninterrupted
 run bit for bit, because batch selection depends only on (seed, step).
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ def test_train_saves_each_checkpoint_once(tmp_path, corpus, monkeypatch):
 
     monkeypatch.setattr(pretrain, "save_checkpoint", counting_save)
     train(corpus, synthdata.tiny_config(), seed=8, num_steps=10, batch_size=8,
-          schedule=SCHED, checkpoint_every=5, checkpoint_dir=tmp_path)
+          schedule=SCHED, checkpoint_every=5, out_dir=tmp_path)
     assert saved == ["checkpoint-000005.ckpt", "checkpoint-000010.ckpt"]
 
 
@@ -129,14 +131,14 @@ def test_train_validates_inputs(corpus):
               optimizer="sgd")
 
 
-def test_identical_seeds_reproduce_bitwise(corpus):
+def test_identical_seeds_reproduce_bitwise(corpus, tmp_path):
     config = synthdata.tiny_config()
-    logs = [[], []]
     runs = [
         train(corpus, config, seed=11, num_steps=20, batch_size=8,
-              schedule=SCHED, log=logs[i].append)
+              schedule=SCHED, out_dir=tmp_path / str(i))
         for i in range(2)
     ]
+    logs = [(tmp_path / str(i) / "train.log").read_text() for i in range(2)]
     assert logs[0] == logs[1]
     for name in runs[0].params:
         assert np.array_equal(runs[0].params[name], runs[1].params[name]), name
@@ -152,11 +154,11 @@ def test_different_seeds_diverge(corpus):
     )
 
 
-def test_log_format(corpus):
+def test_log_format(corpus, tmp_path):
     config = synthdata.tiny_config()
-    lines = []
     train(corpus, config, seed=6, num_steps=3, batch_size=8, schedule=SCHED,
-          log=lines.append)
+          out_dir=tmp_path)
+    lines = (tmp_path / "train.log").read_text().splitlines()
     assert len(lines) == 12  # 4 metrics per step
     step, metric, value = lines[0].split("\t")
     assert (step, metric) == ("1", "lr")
@@ -182,12 +184,13 @@ def test_dropout_training_is_still_deterministic():
 def test_periodic_checkpoints_written(tmp_path, corpus):
     config = synthdata.tiny_config()
     train(corpus, config, seed=8, num_steps=10, batch_size=8, schedule=SCHED,
-          checkpoint_every=4, checkpoint_dir=tmp_path)
+          checkpoint_every=4, out_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == [
         "checkpoint-000004.ckpt",
         "checkpoint-000008.ckpt",
         "checkpoint-000010.ckpt",  # final step always saved
+        "train.log",
     ]
     ck = load_checkpoint(tmp_path / "checkpoint-000008.ckpt")
     assert ck.step == 8
@@ -201,18 +204,65 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
 
     first = train(corpus, config, seed=12, num_steps=18, batch_size=8,
                   schedule=SCHED)
-    path = tmp_path / "mid.ckpt"
-    save_checkpoint(path, config, first.params, step=first.step, optim=first.optim)
-    ck = load_checkpoint(path)
+    save_checkpoint(checkpoint_path(tmp_path, 18), config, first.params, step=first.step,
+                    optim=first.optim)
 
     resumed = train(corpus, config, seed=12, num_steps=30, batch_size=8,
-                    schedule=SCHED, start=(ck.params, ck.optim, ck.step))
+                    schedule=SCHED, out_dir=tmp_path)
     for name in straight.params:
         assert np.array_equal(straight.params[name], resumed.params[name]), name
     for name in straight.params:
         assert np.array_equal(straight.optim.m[name], resumed.optim.m[name])
         assert np.array_equal(straight.optim.v[name], resumed.optim.v[name])
     assert resumed.step == 30 and resumed.optim.t == 30
+
+
+def test_train_resumes_its_out_dir_byte_identically(tmp_path, corpus, capsys):
+    config = synthdata.tiny_config()
+    run = dict(seed=15, num_steps=10, batch_size=8, schedule=SCHED, checkpoint_every=4)
+    straight, cut = tmp_path / "straight", tmp_path / "cut"
+    train(corpus, config, out_dir=straight, **run)
+    assert capsys.readouterr().out == ""
+
+    # a killed run: the last two checkpoints are gone and the log ran on
+    # past step 4 into a torn line
+    shutil.copytree(straight, cut)
+    for step in (8, 10):
+        checkpoint_path(cut, step).unlink()
+    with open(cut / "train.log", "a", encoding="utf-8") as log:
+        log.write("11\tlr\t0.0")
+    result = train(corpus, config, out_dir=cut, **run)
+    assert capsys.readouterr().out == "resuming from step 4\n"
+    assert result.step == 10 and result.last is not None
+    for name in ("checkpoint-000008.ckpt", "checkpoint-000010.ckpt", "train.log"):
+        assert (cut / name).read_bytes() == (straight / name).read_bytes(), name
+
+    again = train(corpus, config, out_dir=cut, **run)
+    assert again.last is None and again.step == 10
+    assert (cut / "train.log").read_bytes() == (straight / "train.log").read_bytes()
+
+
+def test_train_refuses_to_resume_before_touching_its_log(tmp_path, corpus):
+    config = synthdata.tiny_config()
+    run = dict(seed=16, num_steps=6, batch_size=8, schedule=SCHED, checkpoint_every=3)
+    train(corpus, config, out_dir=tmp_path, **run)
+    checkpoint_path(tmp_path, 6).unlink()
+    with open(tmp_path / "train.log", "a", encoding="utf-8") as log:
+        log.write("7\tlr\t0.0")  # a torn tail any resume would cut
+    log = (tmp_path / "train.log").read_bytes()
+
+    deeper = synthdata.tiny_config(num_layers=config.num_layers + 1)
+    with pytest.raises(ValueError, match=rf"checkpoint-000003\.ckpt was trained with "
+                                         rf"num_layers={config.num_layers}, but the config says "
+                                         rf"num_layers={config.num_layers + 1}; cannot resume"):
+        train(corpus, deeper, out_dir=tmp_path, **run)
+
+    mid = load_checkpoint(checkpoint_path(tmp_path, 3))
+    save_checkpoint(checkpoint_path(tmp_path, 3), config, mid.params, step=3)
+    with pytest.raises(ValueError, match="has no optimizer state; cannot resume"):
+        train(corpus, config, out_dir=tmp_path, **run)
+    assert (tmp_path / "train.log").read_bytes() == log
+    assert not checkpoint_path(tmp_path, 6).exists()
 
 
 # ---------------------------------------------------------------------------
