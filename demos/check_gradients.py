@@ -6,23 +6,26 @@ slope to the analytic one, then do the same through the entire pretraining
 loss with a dollhouse-sized model. Relative errors land around 1e-8; the
 loop fails loudly above 1e-4 (1e-3 for the composite loss).
 
-Training runs each step as two length-sorted parts, each trimmed to its
-longest row. The last check compares such a step with one padded pass over
-the whole batch, for MLM+SOP pretraining and for NER, in float32: it prints
-the largest loss and gradient differences and fails above 1e-6 (loss) or
-1e-5 of the tensor's scale (gradients).
+Training cuts each step into length-sorted parts of at most
+model.PART_POSITIONS positions (rows x trimmed length), each trimmed to its
+longest row. The last check shrinks that budget so its 8 short rows make
+several parts, and compares such a step with one padded pass over the
+whole batch, for MLM+SOP pretraining and for NER, in float32: it prints the
+part count and the largest loss and gradient differences, and fails above
+1e-6 (loss) or 1e-5 of the tensor's scale (gradients).
 
 Run:  python3 demos/check_gradients.py
 """
 
 import numpy as np
 
-from nanoalbert import ops
+from nanoalbert import model, ops
 from nanoalbert.corpus import example_dtype
 from nanoalbert.gradcheck import max_grad_error
 from nanoalbert.model import (
     ModelConfig,
     init_parameters,
+    length_parts,
     ner_loss_and_grads,
     pretrain_loss_and_grads,
 )
@@ -135,7 +138,7 @@ print(f"full pretraining loss over {n_floats} parameters: "
 assert err < 1e-3
 
 
-# two length-sorted, trimmed parts against one padded pass
+# length-sorted, trimmed parts against one padded pass
 config = ModelConfig(vocab_size=40, embedding_size=6, hidden_size=8,
                      num_layers=2, num_heads=2, intermediate_size=16,
                      max_positions=24)
@@ -167,6 +170,10 @@ padded_batch = {
     "mlm_labels": records["mlm_labels"].ravel().astype(np.int64),
     "sop_labels": records["sop_label"].astype(np.int64),
 }
+# at the default budget these 8 rows of at most 17 positions are one part
+model.PART_POSITIONS = 48
+parts = len(length_parts(tagged["attention_mask"]))
+assert parts >= 2, parts
 pretrain_params = init_parameters(config, RngStream(6).child("init"))
 split_losses, split_grads = pretrain_step(pretrain_params, config, records)
 padded_losses, padded_grads = pretrain_loss_and_grads(pretrain_params, config, padded_batch)
@@ -175,7 +182,8 @@ ner_params = init_parameters(config, RngStream(7).child("init"), heads=("ner",),
 ner_padded = ner_loss_and_grads(ner_params, config, tagged["token_ids"], tagged["type_ids"],
                                 tagged["attention_mask"], tagged["label_ids"])
 
-print("two trimmed parts vs one padded pass (float32; tolerance 1e-6 loss, 1e-5 gradient):")
+print(f"{parts} trimmed parts vs one padded pass "
+      "(float32; tolerance 1e-6 loss, 1e-5 gradient):")
 for name, (loss, grads), (want_loss, want_grads) in (
     ("mlm+sop", (split_losses.total, split_grads), (padded_losses.total, padded_grads)),
     ("ner", ner_step(ner_params, config, tagged), ner_padded),

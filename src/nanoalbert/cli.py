@@ -131,11 +131,17 @@ def _run_dir(out, config_text: str):
         os.close(fd)
 
 
-def _load_vocab_dir(vocab_dir):
+def _load_vocab_dir(vocab_dir, vocab_size: int, expected_by):
+    """The vocabulary in vocab_dir, refused unless it has the vocab_size
+    pieces that `expected_by` (the config, or a checkpoint path) asks for."""
     from .bpe import load_vocab
 
-    vocab_dir = Path(vocab_dir)
-    return load_vocab(vocab_dir / "vocab.txt", vocab_dir / "merges.txt")
+    path = Path(vocab_dir) / "vocab.txt"
+    vocab = load_vocab(path, path.with_name("merges.txt"))
+    if vocab.size != vocab_size:
+        raise CliError(f"{path} has {vocab.size} pieces but {expected_by} "
+                       f"has vocab_size={vocab_size}")
+    return vocab
 
 
 def _cmd_prep_corpus(args, cfg, out: Path) -> None:
@@ -191,13 +197,9 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
 
     model_config = model_config_from(cfg)
     if cfg.max_seq_length > model_config.max_positions:
-        raise CliError("max_seq_length exceeds max_positions")
-    vocab = _load_vocab_dir(args.vocab)
-    if vocab.size != model_config.vocab_size:
-        raise CliError(
-            f"vocabulary has {vocab.size} pieces but config says "
-            f"vocab_size={model_config.vocab_size}"
-        )
+        raise CliError(f"max_seq_length={cfg.max_seq_length} exceeds "
+                       f"max_positions={model_config.max_positions}")
+    vocab = _load_vocab_dir(args.vocab, model_config.vocab_size, "the config")
     examples = _pretrain_examples(args, cfg, out, vocab)
 
     peak = cfg.learning_rate
@@ -227,8 +229,9 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
 
     snapshot = load_checkpoint(args.checkpoint)
     if cfg.finetune_max_seq_length > snapshot.config.max_positions:
-        raise CliError("finetune_max_seq_length exceeds checkpoint max_positions")
-    vocab = _load_vocab_dir(args.vocab)
+        raise CliError(f"finetune_max_seq_length={cfg.finetune_max_seq_length} exceeds "
+                       f"{args.checkpoint} max_positions={snapshot.config.max_positions}")
+    vocab = _load_vocab_dir(args.vocab, snapshot.config.vocab_size, args.checkpoint)
     train_examples, _ = read_conll(args.train)
     dev_examples, _ = read_conll(args.dev)
     test_examples = read_conll(args.test)[0] if args.test else None
@@ -266,10 +269,7 @@ def _cmd_predict(args, cfg, out: Path) -> None:
     if snapshot.labels is None or "ner_weight" not in snapshot.params:
         raise CliError("checkpoint has no tagging head; fine-tune first")
     label_set = LabelSet(snapshot.labels)
-    vocab = _load_vocab_dir(args.vocab)
-    if vocab.size != snapshot.config.vocab_size:
-        raise CliError(f"{Path(args.vocab) / 'vocab.txt'} has {vocab.size} pieces but "
-                       f"{args.checkpoint} has vocab_size={snapshot.config.vocab_size}")
+    vocab = _load_vocab_dir(args.vocab, snapshot.config.vocab_size, args.checkpoint)
 
     examples = []
     with open(args.input, encoding="utf-8") as fh:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 from dataclasses import dataclass
+from typing import Literal
 
 
 class ConfigError(ValueError):
@@ -40,7 +41,7 @@ class RunConfig:
     mask_rate: float = 0.15
     dup_factor: int = 5
     # pretraining optimization
-    optimizer: str = "lamb"
+    optimizer: Literal["lamb", "adamw"] = "lamb"
     learning_rate: float = 0.00176
     rescale_learning_rate: bool = False
     train_batch_size: int = 1024
@@ -66,9 +67,10 @@ _BOOL_WORDS = {"true": True, "false": False}
 def parse_pairs(lines, types: dict) -> dict:
     """Typed values of (location, "key=value") lines; a later line wins.
 
-    `types` maps every allowed key to int, float, bool or str. Keys and
-    values are stripped and blank lines skipped; errors name the location,
-    the key and the expected type.
+    `types` maps every allowed key to int, float, bool, str or a Literal of
+    the strings allowed. Keys and values are stripped and blank lines
+    skipped; errors name the location, the key and the expected type or
+    values.
     """
     values = {}
     for where, line in lines:
@@ -80,10 +82,17 @@ def parse_pairs(lines, types: dict) -> dict:
         if key not in types:
             raise ConfigError(f"{where}: unknown key {key!r}")
         expected = types[key]
+        choices = typing.get_args(expected)
         try:
-            values[key] = _BOOL_WORDS[raw.lower()] if expected is bool else expected(raw)
+            if expected is bool:
+                values[key] = _BOOL_WORDS[raw.lower()]
+            elif choices:
+                values[key] = choices[choices.index(raw)]  # ValueError if not allowed
+            else:
+                values[key] = expected(raw)
         except (KeyError, ValueError):
-            name = "true/false" if expected is bool else expected.__name__
+            name = ("true/false" if expected is bool else "/".join(choices) if choices
+                    else expected.__name__)
             raise ConfigError(f"{where}: invalid value {raw!r} for {key} (expected {name})") from None
     return values
 

@@ -11,10 +11,11 @@ Parameters live in a flat name -> ndarray dict. The forward keeps its
 caches only in a list a training loss passes in, and every backward adds
 into one gradient dict, summing the shared block's L applications.
 
-Batches are run sorted by length and trimmed (length_parts): padding past a
-batch's longest row is never computed. A training step runs as PARTS parts
-whose losses, each divided by the whole step's count, add into one loss and
-one gradient dict.
+One rule cuts every batch (length_parts): length-sorted parts of at most
+PART_POSITIONS positions (and, in inference, an eval batch of rows), each
+trimmed to its longest row, so padding is never computed and activations do
+not grow with the batch. A training step's parts, each divided by the whole
+step's count, add into one loss and one gradient dict.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .rng import RngStream
 NEG_INF = -1e9
 INIT_STD = 0.02
 INIT_CLIP_SIGMA = 2.0
-PARTS = 2  # length-sorted parts per training step
+PART_POSITIONS = 256  # rows x trimmed length per part: bounds its activations
 
 
 @dataclass
@@ -327,25 +328,27 @@ def _check_inputs(config, token_ids, attention_mask):
         raise ValueError("attention_mask shape mismatch")
 
 
-def _real_extent(attention_mask) -> int:
-    """One past the last real position of any row: the longest row's
-    length for the prefix masks the batch builders make."""
-    return int(np.flatnonzero(attention_mask.any(axis=0)).max(initial=0)) + 1
-
-
-def length_parts(attention_mask, parts: int) -> list[tuple[np.ndarray, int]]:
-    """Split a batch into at most `parts` non-empty parts of rows of similar
-    length: the row indices, stable-sorted by real length (the mask's row
-    sum), split as evenly as they go, each with the length its part is
-    trimmed to (one past its last real position). Positions past that
-    length are padding every row of the part masks out, so trimming them
-    changes the part's results by float round-off only."""
-    mask = np.asarray(attention_mask)
+def length_parts(attention_mask, max_rows=None) -> list[tuple[np.ndarray, int]]:
+    """(row indices, trimmed length) of each part of a batch. Rows are
+    stable-sorted by real length (one past the last real position, at least
+    1); a part closes before a row that would take it past PART_POSITIONS
+    positions (rows x its last, longest row's length) or past max_rows rows.
+    A row longer than the budget makes a part alone. Trimming cuts only
+    padding every row of the part masks out: results move by round-off."""
+    mask = np.asarray(attention_mask) != 0
     if len(mask) == 0:
         return []
-    order = np.argsort(mask.sum(axis=1), kind="stable")
-    return [(rows, _real_extent(mask[rows]))
-            for rows in np.array_split(order, min(parts, len(order)))]
+    lengths = np.where(mask.any(axis=1), mask.shape[1] - mask[:, ::-1].argmax(axis=1), 1)
+    order = np.argsort(lengths, kind="stable")
+    parts, start = [], 0
+    for end in range(1, len(order)):
+        rows = end + 1 - start
+        too_many = max_rows is not None and rows > max_rows
+        if too_many or rows * lengths[order[end]] > PART_POSITIONS:
+            parts.append((order[start:end], int(lengths[order[end - 1]])))
+            start = end
+    parts.append((order[start:], int(lengths[order[-1]])))
+    return parts
 
 
 def encode_forward(params, config, token_ids, type_ids, attention_mask,
@@ -397,9 +400,10 @@ class PretrainLosses:
         self.total = self.mlm_loss + self.sop_loss
 
 
-def pack_pretrain_batch(batch):
+def pack_pretrain_batch(batch, length=None):
     """Batch arrays from pretraining example records (corpus.example_dtype),
-    trimmed to the batch's longest row (T).
+    cut to their first `length` positions (T): the part's trimmed length
+    from length_parts, or None for the records' full width.
 
     Masked positions become flat row indices into (batch * T, H), in example
     order and, within an example, in slot order; unused slots are dropped.
@@ -407,7 +411,7 @@ def pack_pretrain_batch(batch):
     if len(batch) == 0:
         raise ValueError("empty batch")
     inputs = batch["input"]
-    t = _real_extent(inputs["attention_mask"])
+    t = inputs["token_ids"].shape[1] if length is None else length
     token_ids = np.ascontiguousarray(inputs["token_ids"][:, :t])
     offsets = np.arange(len(batch), dtype=np.int64)[:, None] * t
     labels = batch["mlm_labels"]

@@ -20,7 +20,6 @@ from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig, format_pairs
 from .model import (
-    PARTS,
     ModelConfig,
     length_parts,
     ner_loss_and_grads,
@@ -159,15 +158,14 @@ def read_conll(path, *, predicted=False) -> tuple[list[NerExample], LabelSet | N
 # subword alignment
 # ---------------------------------------------------------------------------
 
+ROW_FIELDS = ("token_ids", "type_ids", "attention_mask", "label_ids")
+
+
 def example_dtype(max_len: int) -> np.dtype:
     """Record layout of one tagged sentence: the model input row of length
     max_len, per-position label ids (IGNORE_INDEX off word-initial pieces),
     and the sentence's word count, truncated words included."""
-    row = ("<i4", (max_len,))
-    return np.dtype([
-        ("token_ids", *row), ("type_ids", *row), ("attention_mask", *row),
-        ("label_ids", *row), ("words", "<i4"),
-    ])
+    return np.dtype([(name, "<i4", (max_len,)) for name in ROW_FIELDS] + [("words", "<i4")])
 
 
 def align_subwords(
@@ -350,41 +348,33 @@ def metrics_keyvalues(metrics: EntityMetrics) -> str:
 # prediction and fine-tuning
 # ---------------------------------------------------------------------------
 
-def _trimmed(batch, t):
-    """The model inputs and label ids of records cut to their first t positions."""
-    return tuple(batch[name][:, :t] for name in ("token_ids", "type_ids", "attention_mask",
-                                                 "label_ids"))
-
-
 def predict_labels(params, config, label_set, packed, batch_size=16) -> list[list[str]]:
     """Argmax tags at word-initial positions, one tag per word of each
     sentence, in input order; words truncated away during alignment are
-    tagged "O". Sentences run in length-sorted, trimmed groups of at most
-    batch_size."""
+    tagged "O". Sentences run in the length-sorted, trimmed parts of
+    length_parts, at most batch_size to a part."""
     out: list[list[str]] = [[] for _ in range(len(packed))]
-    groups = -(-len(packed) // batch_size)
-    for rows, t in length_parts(packed["attention_mask"], groups):
-        batch = packed[rows]
-        token_ids, type_ids, mask, label_ids = _trimmed(batch, t)
+    for rows, t in length_parts(packed["attention_mask"], batch_size):
+        token_ids, type_ids, mask, label_ids = (packed[name][rows, :t] for name in ROW_FIELDS)
         logits = token_logits(params, config, token_ids, type_ids, mask)
-        for i, words, labels, scores in zip(rows, batch["words"], label_ids, logits):
+        for i, labels, scores in zip(rows, label_ids, logits):
             best = scores[labels != ops.IGNORE_INDEX].argmax(axis=1)
             tags = [label_set.label_of(int(b)) for b in best]
-            out[i] = tags + ["O"] * (int(words) - len(tags))
+            out[i] = tags + ["O"] * (int(packed["words"][i]) - len(tags))
     return out
 
 
 def ner_step(params, config, batch, dropout_rng=None):
     """Loss and gradients of one fine-tuning step over tagged-sentence
-    records: the mean over their labelled words, run as PARTS length-sorted,
-    trimmed parts whose losses and gradients add up to the step's; dropout
-    masks are drawn part by part."""
+    records: the mean over their labelled words, run as the length-sorted,
+    trimmed parts of length_parts, whose losses and gradients add up to the
+    step's; dropout masks are drawn part by part."""
     count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
     loss, grads = 0.0, {}
-    for rows, t in length_parts(batch["attention_mask"], PARTS):
+    for rows, t in length_parts(batch["attention_mask"]):
         part_loss, _ = ner_loss_and_grads(
-            params, config, *_trimmed(batch[rows], t), dropout_rng=dropout_rng,
-            count=count, grads=grads,
+            params, config, *(batch[name][rows, :t] for name in ROW_FIELDS),
+            dropout_rng=dropout_rng, count=count, grads=grads,
         )
         loss += part_loss
     return loss, grads

@@ -17,7 +17,6 @@ from pathlib import Path
 from . import checkpoint, ops
 from .checkpoint import save_checkpoint
 from .model import (
-    PARTS,
     ModelConfig,
     PretrainLosses,
     init_parameters,
@@ -163,6 +162,9 @@ def train(
     touched), logs each step to train.log cut back to the resume step, and
     saves a checkpoint every checkpoint_every steps and at the last. A
     checkpoint that already reached num_steps is returned with last=None."""
+    step_fn = {"lamb": lamb_step, "adamw": adamw_step}.get(optimizer)
+    if step_fn is None:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
     params = state = None
     first = 0
     if out_dir is not None:
@@ -179,12 +181,6 @@ def train(
         raise ValueError("no pretraining examples")
     if num_steps > schedule.total_steps:
         raise ValueError("num_steps exceeds schedule.total_steps")
-    if optimizer == "lamb":
-        step_fn = lamb_step
-    elif optimizer == "adamw":
-        step_fn = adamw_step
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
     if params is None:
         params = init_parameters(config, RngStream(seed).child("init"))
         state = OptimizerState.for_params(params)
@@ -208,14 +204,16 @@ def train(
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 
-def _summed_over_parts(examples, parts, part_loss) -> PretrainLosses:
-    """The mean losses over example records, summed from `parts` packed,
-    length-sorted and trimmed parts: part_loss(batch, counts) gets each part
+def _summed_over_parts(examples, max_rows, part_loss) -> PretrainLosses:
+    """The mean losses over example records, summed over the packed parts
+    length_parts cuts them into: part_loss(batch, counts) gets each part
     and the whole set's counts (masked slots, rows) to divide by."""
+    if len(examples) == 0:
+        raise ValueError("empty batch")
     counts = (int((examples["mlm_labels"] != ops.IGNORE_INDEX).sum()), len(examples))
     mlm = sop = 0.0
-    for rows, _ in length_parts(examples["input"]["attention_mask"], parts):
-        losses = part_loss(pack_pretrain_batch(examples[rows]), counts)
+    for rows, t in length_parts(examples["input"]["attention_mask"], max_rows):
+        losses = part_loss(pack_pretrain_batch(examples[rows], t), counts)
         mlm += losses.mlm_loss
         sop += losses.sop_loss
     return PretrainLosses(mlm_loss=mlm, sop_loss=sop)
@@ -223,36 +221,32 @@ def _summed_over_parts(examples, parts, part_loss) -> PretrainLosses:
 
 def pretrain_step(params, config, examples, dropout_rng=None):
     """Losses and gradients of one training step over example records, run
-    as PARTS length-sorted, trimmed parts whose losses and gradients add up
-    to the step's; dropout masks are drawn part by part."""
+    as the length-sorted, trimmed parts of length_parts, whose losses and
+    gradients add up to the step's; dropout masks are drawn part by part."""
     grads: dict = {}
 
     def part_loss(batch, counts):
         return pretrain_loss_and_grads(params, config, batch, dropout_rng=dropout_rng,
                                        counts=counts, grads=grads)[0]
 
-    return _summed_over_parts(examples, PARTS, part_loss), grads
-
-
-def _groups(examples, batch_size: int) -> int:
-    """Parts of at most batch_size rows that cover the examples."""
-    if len(examples) == 0:
-        raise ValueError("no examples to evaluate")
-    return -(-len(examples) // batch_size)
+    return _summed_over_parts(examples, None, part_loss), grads
 
 
 def evaluate_pretrain(params, config, examples, batch_size: int = 32) -> PretrainLosses:
-    """Per-prediction MLM loss and per-example SOP loss over a fixed set."""
-    return _summed_over_parts(examples, _groups(examples, batch_size),
+    """Per-prediction MLM loss and per-example SOP loss over a fixed set, in
+    parts of at most batch_size rows."""
+    return _summed_over_parts(examples, batch_size,
                               lambda batch, counts: pretrain_loss(params, config, batch, counts))
 
 
 def sop_accuracy(params, config, examples, batch_size: int = 32) -> float:
-    """Fraction of examples whose order/swapped call matches the label."""
-    groups = _groups(examples, batch_size)
+    """Fraction of examples whose order/swapped call matches the label, in
+    parts of at most batch_size rows."""
+    if len(examples) == 0:
+        raise ValueError("empty batch")
     correct = 0
-    for rows, _ in length_parts(examples["input"]["attention_mask"], groups):
-        batch = pack_pretrain_batch(examples[rows])
+    for rows, t in length_parts(examples["input"]["attention_mask"], batch_size):
+        batch = pack_pretrain_batch(examples[rows], t)
         logits = sop_logits(params, config, batch["token_ids"], batch["type_ids"],
                             batch["attention_mask"])
         correct += int((logits.argmax(axis=1) == batch["sop_labels"]).sum())

@@ -345,7 +345,33 @@ def test_pretrain_rejects_vocab_size_mismatch(pipeline, tmp_path, capsys):
                  for o in TINY_OVERRIDES]
     assert run_cli("pretrain", "--out", tmp_path / "m", "--corpus", corpus,
                    "--vocab", pipeline / "vocab", *overrides) == 1
-    assert "261 pieces" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {pipeline / 'vocab' / 'vocab.txt'} has 261 pieces but the config "
+        "has vocab_size=300\n")
+
+
+def test_pretrain_rejects_sequences_past_max_positions(pipeline, tmp_path, capsys):
+    assert run_cli("pretrain", "--out", tmp_path / "m",
+                   "--corpus", pipeline / "prep" / "corpus.txt", "--vocab", pipeline / "vocab",
+                   *TINY_OVERRIDES, "max_seq_length=40") == 1
+    assert capsys.readouterr().err == "error: max_seq_length=40 exceeds max_positions=32\n"
+
+
+def test_pretrain_refuses_an_unknown_optimizer_before_resuming(pipeline, tmp_path, capsys):
+    # one directory a run can resume, one already trained to the last step
+    midway = tmp_path / "midway"
+    midway.mkdir()
+    shutil.copy(pipeline / "pt" / "checkpoint-000002.ckpt", midway)
+    finished = shutil.copytree(pipeline / "pt", tmp_path / "finished")
+    for out in (midway, finished):
+        before = sorted(p.name for p in out.iterdir())
+        assert run_cli("pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+                       "--vocab", pipeline / "vocab", *TINY_OVERRIDES, "optimizer=sgd") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: override: invalid value 'sgd' for optimizer "
+                                "(expected lamb/adamw)\n")
+        assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_pretrain_refuses_merge_of_unknown_pieces(pipeline, tmp_path, capsys):
@@ -438,6 +464,31 @@ def test_finetune_batch_without_a_labelled_word_fails_with_located_error(
     assert err.count("\n") == 0
     assert err == ("error: step 1: training sentences 1, 2 keep no word within "
                    "finetune_max_seq_length=16, so the batch has no label to learn")
+
+
+def test_finetune_refuses_a_vocabulary_of_another_size(pipeline, tmp_path, capsys):
+    vocab = tmp_path / "vocab273"
+    assert run_cli("build-vocab", "--out", vocab, "--corpus",
+                   pipeline / "prep" / "corpus.txt", "vocab_size=273") == 0
+    capsys.readouterr()
+    checkpoint = pipeline / "pt" / "checkpoint-000004.ckpt"
+    assert run_cli("finetune", "--out", tmp_path / "ft", "--checkpoint", checkpoint,
+                   "--vocab", vocab, "--train", pipeline / "train.conll",
+                   "--dev", pipeline / "dev.conll", *FT_OVERRIDES) == 1
+    assert capsys.readouterr().err == (
+        f"error: {vocab / 'vocab.txt'} has 273 pieces but {checkpoint} has vocab_size=261\n")
+    assert not (tmp_path / "ft" / "train.log").exists()
+
+
+def test_finetune_refuses_a_sequence_length_past_the_checkpoint_positions(
+        pipeline, tmp_path, capsys):
+    checkpoint = pipeline / "pt" / "checkpoint-000004.ckpt"
+    assert run_cli("finetune", "--out", tmp_path / "ft", "--checkpoint", checkpoint,
+                   "--vocab", pipeline / "vocab", "--train", pipeline / "train.conll",
+                   "--dev", pipeline / "dev.conll", *FT_OVERRIDES,
+                   "finetune_max_seq_length=64") == 1
+    assert capsys.readouterr().err == (
+        f"error: finetune_max_seq_length=64 exceeds {checkpoint} max_positions=32\n")
 
 
 def test_predict_writes_conll_blocks(pipeline, finetuned, tmp_path, capsys):

@@ -88,6 +88,9 @@ def test_bad_values_name_key_and_expected_type(tmp_path):
         parse_config(path)
     with pytest.raises(ConfigError, match="expected true/false"):
         parse_config(overrides=["lowercase=yes"])
+    with pytest.raises(ConfigError, match=r"^override: invalid value 'sgd' for optimizer "
+                                          r"\(expected lamb/adamw\)$"):
+        parse_config(overrides=["optimizer=sgd"])
     path.write_text("just some words\n")
     with pytest.raises(ConfigError, match="expected key=value"):
         parse_config(path)

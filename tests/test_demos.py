@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["pretrain_tiny.py", "finetune_tagger.py"])
+@pytest.mark.parametrize("demo", ["pretrain_tiny.py", "finetune_tagger.py",
+                                  "check_gradients.py"])
 def test_demo_exits_cleanly(demo):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

@@ -24,7 +24,6 @@ from nanoalbert.corpus import build_pretrain_examples, read_examples, write_exam
 from nanoalbert.gradcheck import max_grad_error
 from nanoalbert.model import (
     NEG_INF,
-    PARTS,
     ModelConfig,
     _block_backward,
     _block_forward,
@@ -353,11 +352,13 @@ def test_pack_pretrain_batch_matches_per_example_reference(tmp_path):
     write_examples(tmp_path / "examples.bin", examples)
     cached = read_examples(tmp_path / "examples.bin")
     for batch in (examples, examples[[5, 0, 17, 3, 3]], cached[7:15]):
-        got, want = pack_pretrain_batch(batch), _reference_pack(batch)
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key].dtype == want[key].dtype, key
-            assert np.array_equal(got[key], want[key]), key
+        longest = int(batch["input"]["attention_mask"].sum(axis=1).max())
+        for got, want in ((pack_pretrain_batch(batch, longest), _reference_pack(batch)),
+                          (pack_pretrain_batch(batch), _reference_pack(batch, trim=False))):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].dtype == want[key].dtype, key
+                assert np.array_equal(got[key], want[key]), key
 
 
 def test_empty_and_unmasked_batches_rejected(tiny_model):
@@ -410,16 +411,26 @@ def test_token_logits_require_ner_head(tiny_model):
 # length-sorted, trimmed parts
 # ---------------------------------------------------------------------------
 
-def test_length_parts_sort_split_and_trim():
-    mask = np.zeros((5, 10), dtype=np.int32)
-    for row, length in enumerate((7, 3, 9, 3, 5)):
+def test_length_parts_sort_split_and_trim(monkeypatch):
+    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 12)
+    mask = np.zeros((6, 16), dtype=np.int32)
+    for row, length in enumerate((7, 3, 13, 3, 5, 2)):
         mask[row, :length] = 1
-    parts = length_parts(mask, 2)
-    assert [rows.tolist() for rows, _ in parts] == [[1, 3, 4], [0, 2]]  # stable by length
-    assert [t for _, t in parts] == [5, 9]
-    assert [rows.tolist() for rows, _ in length_parts(mask, 9)] == [[1], [3], [4], [0], [2]]
-    assert [(rows.tolist(), t) for rows, t in length_parts(mask[:1], 2)] == [([0], 7)]
-    assert length_parts(mask[:0], 2) == []
+
+    def cut(mask, max_rows=None):
+        return [(rows.tolist(), t) for rows, t in length_parts(mask, max_rows)]
+
+    # stable by length; a part closes before it would pass 12 positions, and
+    # the 13-position row, longer than the budget, makes a part of its own
+    assert cut(mask) == [([5, 1, 3], 3), ([4], 5), ([0], 7), ([2], 13)]
+    # the row cap closes parts the budget would have kept open
+    assert cut(mask, max_rows=2) == [([5, 1], 3), ([3, 4], 5), ([0], 7), ([2], 13)]
+    assert cut(mask, max_rows=1) == [([5], 2), ([1], 3), ([3], 3), ([4], 5), ([0], 7), ([2], 13)]
+    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 1000)
+    assert cut(mask) == [([5, 1, 3, 4, 0, 2], 13)]
+    # a length is one past the last real position, and at least 1
+    assert cut(np.array([[1, 0, 1, 0], [0, 0, 0, 0]])) == [([1, 0], 3)]
+    assert length_parts(mask[:0]) == []
     with pytest.raises(ValueError, match="empty batch"):
         pack_pretrain_batch(synthdata.ordered_examples(2, RngStream(1))[:0])
 
@@ -464,12 +475,19 @@ def assert_split_step_matches_padded(split, padded, mask):
     assert grads["position_embedding"][longest - 1].any()
 
 
-def test_split_trimmed_pretrain_step_equals_padded_step():
+@pytest.fixture
+def small_parts(monkeypatch):
+    """A part budget small enough to cut the batches below into 3+ parts."""
+    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 40)
+
+
+def test_split_trimmed_pretrain_step_equals_padded_step(small_parts):
     config = synthdata.tiny_config(max_positions=32)
     params = init_parameters(config, RngStream(61).child("init"))
     examples = mixed_length_pretrain_examples(62)
     padded = _reference_pack(examples, trim=False)
     assert len(set(padded["attention_mask"].sum(axis=1).tolist())) >= 4
+    assert len(length_parts(padded["attention_mask"])) >= 3
     losses, grads = pretrain_step(params, config, examples)
     want, want_grads = pretrain_loss_and_grads(params, config, padded)
     assert abs(losses.mlm_loss - want.mlm_loss) < 1e-6
@@ -478,28 +496,48 @@ def test_split_trimmed_pretrain_step_equals_padded_step():
                                      padded["attention_mask"])
 
 
-def test_split_trimmed_ner_step_equals_padded_step():
+def test_split_trimmed_ner_step_equals_padded_step(small_parts):
     config = synthdata.tiny_config()
     params = init_parameters(config, RngStream(63).child("init"), heads=("ner",), num_labels=2)
     batch = mixed_length_ner_batch(64, LabelSet(["B"]))
     assert len(set(batch["attention_mask"].sum(axis=1).tolist())) >= 4
+    assert len(length_parts(batch["attention_mask"])) >= 3
     padded = ner_loss_and_grads(params, config, batch["token_ids"], batch["type_ids"],
                                 batch["attention_mask"], batch["label_ids"])
     assert_split_step_matches_padded(ner_step(params, config, batch), padded,
                                      batch["attention_mask"])
 
 
-def test_pretrain_part_without_masked_slot_trains():
+def test_pretrain_part_without_masked_slot_trains(small_parts):
     config = synthdata.tiny_config(max_positions=32)
     params = init_parameters(config, RngStream(65).child("init"))
     examples = mixed_length_pretrain_examples(66)
-    shortest = length_parts(examples["input"]["attention_mask"], PARTS)[0][0]
+    parts = length_parts(examples["input"]["attention_mask"])
+    assert len(parts) >= 3
+    shortest = parts[0][0]
     examples["mlm_labels"][shortest] = ops.IGNORE_INDEX  # the first part has no masked slot
     losses, grads = pretrain_step(params, config, examples)
     want, want_grads = pretrain_loss_and_grads(params, config, _reference_pack(examples, False))
     assert np.isfinite(losses.mlm_loss) and losses.mlm_loss > 0
     assert_split_step_matches_padded((losses.total, grads), (want.total, want_grads),
                                      examples["input"]["attention_mask"])
+
+
+def test_pretrain_step_memory_does_not_grow_with_batch_size(monkeypatch):
+    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 64)
+    config = synthdata.tiny_config(max_positions=32)
+    params = init_parameters(config, RngStream(67).child("init"))
+    examples = mixed_length_pretrain_examples(68, count=32)
+    peaks = []
+    for batch in (8, 32):
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pretrain_step(params, config, examples[:batch])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -520,7 +520,7 @@ def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup):
 
 
 def test_finetune_at_batch_size_one(quick_setup, tmp_path):
-    # the step's one row makes one part, not PARTS
+    # the step's one row makes one part
     ck, train_ex, dev_ex = quick_setup
     logs = []
     for i in range(2):
