@@ -2,7 +2,8 @@
 
 ``grad_check`` compares hand-written backward passes against central
 differences. The loss function under test must be deterministic and evaluated
-in float64; the numeric side never touches the analytic code path.
+in float64. Given a loss-only callable, the numeric side never touches the
+analytic code path.
 """
 
 from __future__ import annotations
@@ -12,23 +13,28 @@ import numpy as np
 DEFAULT_STEP = 1e-5
 
 
-def grad_check(fn, inputs, tolerance, step=DEFAULT_STEP, floor=1e-3):
+def grad_check(fn, inputs, tolerance, step=DEFAULT_STEP, floor=1e-3, loss=None):
     """True iff analytic and central-difference gradients agree elementwise.
 
     fn: callable taking a list of float64 arrays, returning
         (scalar loss, list of gradient arrays in input order).
+    loss: callable taking the same list and returning the scalar loss
+        alone, for the numeric side; fn's loss when None.
     Relative error per element is |a - n| / max(|a|, |n|, floor); the floor
     turns the test absolute for near-zero gradients, where central
     differences bottom out around 1e-10.
     """
-    return _max_rel_error(fn, inputs, step, floor) < tolerance
+    return _max_rel_error(fn, inputs, step, floor, loss) < tolerance
 
 
-def _max_rel_error(fn, inputs, step, floor):
+def _max_rel_error(fn, inputs, step, floor, loss):
     inputs = [np.asarray(x) for x in inputs]
     for x in inputs:
         if x.dtype != np.float64:
             raise ValueError("grad_check requires float64 inputs")
+    if loss is None:
+        def loss(xs):
+            return fn(xs)[0]
     _, analytic = fn(inputs)
     worst = 0.0
     for i, x in enumerate(inputs):
@@ -40,9 +46,9 @@ def _max_rel_error(fn, inputs, step, floor):
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            up, _ = fn(inputs)
+            up = loss(inputs)
             flat[j] = orig - step
-            down, _ = fn(inputs)
+            down = loss(inputs)
             flat[j] = orig
             numeric = (up - down) / (2.0 * step)
             denom = max(abs(a_flat[j]), abs(numeric), floor)
@@ -50,6 +56,6 @@ def _max_rel_error(fn, inputs, step, floor):
     return worst
 
 
-def max_grad_error(fn, inputs, step=DEFAULT_STEP, floor=1e-3):
+def max_grad_error(fn, inputs, step=DEFAULT_STEP, floor=1e-3, loss=None):
     """Worst relative error across all elements; handy when a check fails."""
-    return _max_rel_error(fn, inputs, step, floor)
+    return _max_rel_error(fn, inputs, step, floor, loss)

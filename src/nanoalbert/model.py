@@ -3,13 +3,14 @@
 The layout: token/position/type embeddings at size E, layer-normed and
 projected to hidden size H, then one transformer block (post-norm residual
 order, GELU feed-forward) applied L times with a single shared parameter
-set. Heads: tied-weight masked-LM decoder back to the vocabulary, a tanh
-pooler feeding the sentence-order classifier, and an optional per-token
-linear tagger.
+set. GELU is the tanh form of the BERT/ALBERT reference. Heads: tied-weight
+masked-LM decoder back to the vocabulary, a tanh pooler feeding the
+sentence-order classifier, and an optional per-token linear tagger.
 
 Parameters live in a flat name -> ndarray dict. The forward keeps its
 caches only in a list a training loss passes in, and every backward adds
 into one gradient dict, summing the shared block's L applications.
+Inference keeps no cache and computes no GELU slope.
 
 One rule cuts every batch (length_parts): length-sorted parts of at most
 PART_POSITIONS positions (and, in inference, an eval batch of rows), each
@@ -226,7 +227,7 @@ def _join_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, a * dh)
 
 
-def _block_forward(params, config, x, neg_mask, rate, rng):
+def _block_forward(params, config, x, neg_mask, rate, rng, backward=True):
     a = config.num_heads
     # python-float scale so float32 activations stay float32
     scale = (config.hidden_size // a) ** -0.5
@@ -251,7 +252,7 @@ def _block_forward(params, config, x, neg_mask, rate, rng):
     )
 
     inner, in_cache = ops.linear_forward(x1, params["block_ffn_in_weight"], params["block_ffn_in_bias"])
-    act, act_cache = ops.gelu_forward(inner)
+    act, act_cache = ops.gelu_forward(inner) if backward else (ops.gelu(inner), None)
     ffn_out, out2_cache = ops.linear_forward(act, params["block_ffn_out_weight"], params["block_ffn_out_bias"])
     ffn_out, ffn_drop = _dropout_forward(ffn_out, rate, rng)
     x2, ffn_norm_cache = ops.layer_norm_forward(
@@ -373,7 +374,9 @@ def encode_forward(params, config, token_ids, type_ids, attention_mask,
         if caches is not None:
             caches.append(cache)
         del cache  # inference holds no cache while the next layer runs
-        x, cache = _block_forward(params, config, x, neg_mask, rate, dropout_rng)
+        x, cache = _block_forward(
+            params, config, x, neg_mask, rate, dropout_rng, caches is not None
+        )
     if caches is not None:
         caches.append(cache)
     return x
@@ -426,12 +429,12 @@ def pack_pretrain_batch(batch, length=None):
     }
 
 
-def _mlm_head_forward(params, hidden_flat, rows):
+def _mlm_head_forward(params, hidden_flat, rows, backward):
     gathered = hidden_flat[rows]
     dense, dense_cache = ops.linear_forward(
         gathered, params["mlm_dense_weight"], params["mlm_dense_bias"]
     )
-    act, act_cache = ops.gelu_forward(dense)
+    act, act_cache = ops.gelu_forward(dense) if backward else (ops.gelu(dense), None)
     normed, norm_cache = ops.layer_norm_forward(
         act, params["mlm_norm_gain"], params["mlm_norm_bias"]
     )
@@ -489,7 +492,9 @@ def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
     b, t, h = hidden.shape
     hidden_flat = hidden.reshape(b * t, h)
 
-    mlm_logits, mlm_cache = _mlm_head_forward(params, hidden_flat, batch["mlm_rows"])
+    mlm_logits, mlm_cache = _mlm_head_forward(
+        params, hidden_flat, batch["mlm_rows"], grads is not None
+    )
     mlm_loss, d_mlm_logits = ops.softmax_cross_entropy_with_grad(
         mlm_logits, batch["mlm_labels"], count=mlm_count
     )
@@ -531,7 +536,7 @@ def token_logits(params, config, token_ids, type_ids, attention_mask):
     if "ner_weight" not in params:
         raise ValueError("model has no ner head")
     hidden = encode_forward(params, config, token_ids, type_ids, attention_mask)
-    return hidden @ params["ner_weight"] + params["ner_bias"]
+    return ops.linear(hidden, params["ner_weight"], params["ner_bias"])
 
 
 def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,

@@ -75,3 +75,18 @@ def test_multiple_inputs_checked_independently():
         return float((a * a).sum() + (3.0 * b).sum()), [2.0 * a, 3.0 * np.ones_like(b)]
 
     assert grad_check(two, [np.ones(3), np.ones(2)], tolerance=1e-6)
+
+
+def test_numeric_side_runs_the_loss_callable_alone():
+    calls = []
+
+    def gradients_only(inputs):
+        # analytic side only: its loss is a constant the check must not use
+        calls.append(1)
+        return 0.0, [inputs[0].copy()]
+
+    x = np.linspace(-1.0, 1.0, 5)
+    assert grad_check(gradients_only, [x], tolerance=1e-6,
+                      loss=lambda inputs: quadratic(inputs)[0])
+    assert len(calls) == 1
+    assert not grad_check(gradients_only, [x], tolerance=1e-6)

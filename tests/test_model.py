@@ -276,6 +276,21 @@ def test_dropout_paths(tiny_model):
     assert np.array_equal(eval_out, clean)
 
 
+def test_token_logits_give_the_training_forward_bits():
+    """Inference keeps no cache and builds no GELU slope; neither moves a bit
+    of the tag scores (test_pretrain_losses_near_theoretical_start checks the
+    same for the pretraining losses)."""
+    config = synthdata.tiny_config()
+    params = init_parameters(config, RngStream(22).child("init"),
+                             heads=("ner",), num_labels=5)
+    ids, types, mask = batch_for(config, RngStream(23), batch=3, seq=10)
+    mask[1, 6:] = 0
+    hidden = encode_forward(params, config, ids, types, mask, caches=[])
+    trained, _ = ops.linear_forward(hidden, params["ner_weight"], params["ner_bias"])
+    logits = token_logits(params, config, ids, types, mask)
+    assert logits.dtype == trained.dtype and logits.tobytes() == trained.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # heads and losses
 # ---------------------------------------------------------------------------
@@ -581,7 +596,10 @@ def test_full_pretrain_gradients_match_finite_differences():
             losses, grads = pretrain_loss_and_grads(p, GRAD_CONFIG, batch)
             return losses.total, [grads[n] for n in names]
 
-        err = max_grad_error(fn, [params[n] for n in names])
+        def loss_only(inputs):
+            return pretrain_loss(dict(zip(names, inputs)), GRAD_CONFIG, batch).total
+
+        err = max_grad_error(fn, [params[n] for n in names], loss=loss_only)
         assert err < 1e-3, f"seed {seed}: worst relative error {err:.2e}"
 
 
@@ -597,7 +615,11 @@ def test_ner_gradients_match_finite_differences():
         loss, grads = ner_loss_and_grads(p, GRAD_CONFIG, ids, types, mask, labels)
         return loss, [grads[n] for n in names]
 
-    err = max_grad_error(fn, [params[n] for n in names])
+    def loss_only(inputs):  # through the inference forward, which runs no backward
+        logits = token_logits(dict(zip(names, inputs)), GRAD_CONFIG, ids, types, mask)
+        return ops.softmax_cross_entropy_with_grad(logits.reshape(-1, 3), labels.reshape(-1))[0]
+
+    err = max_grad_error(fn, [params[n] for n in names], loss=loss_only)
     assert err < 1e-3, f"worst relative error {err:.2e}"
 
 

@@ -1,9 +1,16 @@
 """Forward values and backward passes for the numeric primitives.
 
-Expected numbers were computed by hand from the definitions:
-gelu(x) = x * Phi(x) with Phi the standard normal CDF, so
-gelu(1) = Phi(1) = 0.8413447460685429 and gelu'(1) = Phi(1) + phi(1)
-= 1.0833154705876863.  Cross-entropy of uniform two-way logits is ln 2.
+Expected numbers were computed by hand from the definitions. GELU is the
+tanh form gelu(x) = x * c(x) with c(x) = 0.5 * (1 + tanh(u)),
+u = sqrt(2/pi) * (x + 0.044715 * x^3). At x = 1, u = 0.7978845608028654 *
+1.044715 = 0.8335619689391656 and tanh(u) = 0.6823839812165535, so
+gelu(1) = 0.8411919906082768. As c(-x) = 1 - c(x), gelu(-1) = gelu(1) - 1 =
+-0.15880800939172324. The slope is gelu'(x) = c(x) + x * c'(x) with
+c'(x) = 0.5 * sqrt(2/pi) * (1 + 3 * 0.044715 * x^2) * (1 - tanh(u)^2):
+gelu'(0) = 0.5, gelu'(1) = 0.8411919906082768 + 0.2417720932375058 =
+1.0829640838457826 and gelu'(-1) = 1 - gelu'(1) = -0.08296408384578252. At
+x = +-10, u = +-43.66 and tanh(u) rounds to +-1 in float64, so gelu(10) = 10
+and gelu(-10) = 0 exactly. Cross-entropy of uniform two-way logits is ln 2.
 """
 
 import math
@@ -24,6 +31,7 @@ from nanoalbert.ops import (
     layer_norm,
     layer_norm_backward,
     layer_norm_forward,
+    linear,
     linear_backward,
     linear_forward,
     softmax,
@@ -54,17 +62,24 @@ def test_gelu_known_values():
     x = np.array([0.0, 1.0, -1.0, 10.0, -10.0])
     y = gelu(x)
     assert y[0] == 0.0
-    assert abs(y[1] - 0.8413447460685429) < 1e-12
-    assert abs(y[2] - (-0.15865525393145707)) < 1e-12
-    assert abs(y[3] - 10.0) < 1e-6
-    assert abs(y[4]) < 1e-14
+    assert abs(y[1] - 0.8411919906082768) < 1e-12
+    assert abs(y[2] - (-0.15880800939172324)) < 1e-12
+    assert y[3] == 10.0
+    assert y[4] == 0.0
 
 
 def test_gelu_derivative_known_values():
-    _, cache = gelu_forward(np.array([0.0, 1.0]))
-    d = gelu_backward(cache, np.ones(2))
+    _, cache = gelu_forward(np.array([0.0, 1.0, -1.0]))
+    d = gelu_backward(cache, np.ones(3))
     assert abs(d[0] - 0.5) < 1e-12
-    assert abs(d[1] - 1.0833154705876863) < 1e-12
+    assert abs(d[1] - 1.0829640838457826) < 1e-12
+    assert abs(d[2] - (-0.08296408384578252)) < 1e-12
+
+
+def test_gelu_is_within_5e4_of_exact_gelu():
+    x = np.linspace(-8.0, 8.0, 160_001)
+    exact = x * 0.5 * (1.0 + special.erf(x * math.sqrt(0.5)))
+    assert np.abs(gelu(x) - exact).max() <= 5e-4
 
 
 def test_gelu_preserves_float32():
@@ -82,11 +97,15 @@ def test_gelu_bitwise_equals_closed_forms(dtype):
     x = (4.0 * randn(r, 64, 33)).astype(dtype)
     d = randn(r, 64, 33).astype(dtype)
     # python-float constants, as in ops, so float32 stays float32
-    cdf = 0.5 * (1.0 + special.erf(x * math.sqrt(0.5)))
-    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    t = np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x)))
+    slope = 0.5 * (1.0 + t) + (
+        (1.0 + 3.0 * 0.044715 * (x * x)) * (0.5 * 0.7978845608028654) * (1.0 - t * t) * x
+    )
     y, cache = gelu_forward(x)
-    assert_bitwise(y, 0.5 * x * (1.0 + special.erf(x * math.sqrt(0.5))))
-    assert_bitwise(gelu_backward(cache, d), d * (cdf + x * pdf))
+    assert_bitwise(y, x * (0.5 * (1.0 + t)))
+    assert_bitwise(gelu_backward(cache, d), d * slope)
+    # the forward-only entry builds no slope and gives the same bits
+    assert_bitwise(gelu(x), y)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -227,6 +246,28 @@ def test_linear_without_bias_has_no_bias_grad():
     y, cache = linear_forward(np.ones((2, 3)), np.ones((3, 4)))
     _, _, d_b = linear_backward(cache, np.ones_like(y))
     assert d_b is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_on_3d_input_equals_its_rows_as_2d_bitwise(dtype):
+    r = RngStream(14)
+    w, b = randn(r, 16, 24).astype(dtype), randn(r, 24).astype(dtype)
+    full = randn(r, 3, 10, 32).astype(dtype)
+    # contiguous, then views with strided rows and with a cut last axis
+    for x in (np.ascontiguousarray(full[..., :16]), full[:, ::2, 16:], full[..., 8:24]):
+        rows = np.ascontiguousarray(x).reshape(-1, 16)
+        y, cache = linear_forward(x, w, b)
+        y_rows, rows_cache = linear_forward(rows, w, b)
+        assert y.shape == (*x.shape[:-1], 24)
+        assert_bitwise(y.reshape(-1, 24), y_rows)
+        assert_bitwise(linear(x, w, b), y)
+        d_out = randn(r, *y.shape).astype(dtype)
+        d_x, d_w, d_b = linear_backward(cache, d_out)
+        d_rows, d_w_rows, d_b_rows = linear_backward(rows_cache, d_out.reshape(-1, 24))
+        assert d_x.shape == x.shape
+        assert_bitwise(d_x.reshape(-1, 16), d_rows)
+        assert_bitwise(d_w, d_w_rows)
+        assert_bitwise(d_b, d_b_rows)
 
 
 def test_embedding_gathers_rows():
