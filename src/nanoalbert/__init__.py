@@ -1,37 +1,9 @@
 """Desk-scale shared-block transformer: masked-LM + sentence-order
 pretraining and BIO-tag entity recognition, on plain numpy.
 
-Submodules are loaded lazily so the command-line front end can configure
-threading environment variables before numpy is imported.
+This package imports nothing, so the command-line front end can set
+threading environment variables before numpy loads; import submodules
+directly (``from nanoalbert import model``).
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "bpe",
-    "checkpoint",
-    "cli",
-    "config",
-    "corpus",
-    "gradcheck",
-    "model",
-    "ner",
-    "ops",
-    "optim",
-    "pretrain",
-    "rng",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

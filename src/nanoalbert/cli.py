@@ -3,8 +3,8 @@
 Subcommands: prep-corpus, build-vocab, pretrain, finetune, evaluate,
 predict, stats. Every command writes only under its --out directory, which
 is guarded by an flock on its .lock file (one run at a time; the lock dies
-with its process) and an INCOMPLETE marker that is removed on success — if
-a run dies, the marker stays behind.
+with its process, and the empty file stays) and an INCOMPLETE marker that is
+removed on success — if a run dies, the marker stays behind.
 
 Heavy imports happen inside the command handlers so that --threads can pin
 BLAS/OpenMP thread counts via environment variables before numpy loads.
@@ -87,24 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _lock(lock: Path) -> int:
     """Open and flock the lock file; a killed run's lock is released with
     its process, so only a live run blocks."""
-    while True:
-        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            os.close(fd)
-            raise CliError(f"output directory {lock.parent} is in use by another run "
-                           f"(it holds {lock})") from None
-        # a finishing run unlinks the file before unlocking it: retry unless
-        # the path still names the inode we locked
-        try:
-            if os.path.samestat(os.fstat(fd), os.stat(lock)):
-                break
-        except FileNotFoundError:
-            pass
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
         os.close(fd)
-    os.ftruncate(fd, 0)
-    os.write(fd, f"{os.getpid()}\n".encode())
+        raise CliError(f"output directory {lock.parent} is in use by another run "
+                       f"(it holds {lock})") from None
     return fd
 
 
@@ -115,8 +104,7 @@ def _run_dir(out, config_text: str):
     old one) and again on success."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    lock = out / ".lock"
-    fd = _lock(lock)
+    fd = _lock(out / ".lock")
     marker = out / "INCOMPLETE"
     effective = out / "effective.cfg"
     try:
@@ -127,7 +115,6 @@ def _run_dir(out, config_text: str):
         effective.write_text(config_text)
         marker.unlink()
     finally:
-        lock.unlink(missing_ok=True)
         os.close(fd)
 
 
@@ -142,6 +129,13 @@ def _load_vocab_dir(vocab_dir, vocab_size: int, expected_by):
         raise CliError(f"{path} has {vocab.size} pieces but {expected_by} "
                        f"has vocab_size={vocab_size}")
     return vocab
+
+
+def _check_seq_length(cfg, snapshot, checkpoint) -> None:
+    """Refuse a finetune_max_seq_length the checkpoint has no positions for."""
+    if cfg.finetune_max_seq_length > snapshot.config.max_positions:
+        raise CliError(f"finetune_max_seq_length={cfg.finetune_max_seq_length} exceeds "
+                       f"{checkpoint} max_positions={snapshot.config.max_positions}")
 
 
 def _cmd_prep_corpus(args, cfg, out: Path) -> None:
@@ -228,9 +222,7 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
     from .ner import finetune, metrics_keyvalues, metrics_report, read_conll
 
     snapshot = load_checkpoint(args.checkpoint)
-    if cfg.finetune_max_seq_length > snapshot.config.max_positions:
-        raise CliError(f"finetune_max_seq_length={cfg.finetune_max_seq_length} exceeds "
-                       f"{args.checkpoint} max_positions={snapshot.config.max_positions}")
+    _check_seq_length(cfg, snapshot, args.checkpoint)
     vocab = _load_vocab_dir(args.vocab, snapshot.config.vocab_size, args.checkpoint)
     train_examples, _ = read_conll(args.train)
     dev_examples, _ = read_conll(args.dev)
@@ -268,6 +260,7 @@ def _cmd_predict(args, cfg, out: Path) -> None:
     snapshot = load_checkpoint(args.checkpoint)
     if snapshot.labels is None or "ner_weight" not in snapshot.params:
         raise CliError("checkpoint has no tagging head; fine-tune first")
+    _check_seq_length(cfg, snapshot, args.checkpoint)
     label_set = LabelSet(snapshot.labels)
     vocab = _load_vocab_dir(args.vocab, snapshot.config.vocab_size, args.checkpoint)
 

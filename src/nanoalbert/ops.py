@@ -5,8 +5,8 @@ Every primitive the encoder needs lives here as a ``*_forward`` /
 cache plus the upstream gradient and returns gradients in input order. There
 is no autodiff graph: callers compose backward passes by hand, in reverse.
 
-Forward-only entries (``linear``, ``gelu``, ``layer_norm``, ``softmax``)
-serve passes no backward follows; ``gelu`` then builds no slope.
+Forward-only ``linear`` and ``gelu`` serve passes no backward follows
+(``gelu`` then builds no slope); such passes drop other kernels' caches.
 
 Precision follows the inputs (float32 for training, float64 for gradient
 checks); no kernel upcasts.
@@ -144,10 +144,6 @@ def layer_norm_forward(x, gain, bias, eps=1e-12):
     return y, (x_hat, inv_std, gain)
 
 
-def layer_norm(x, gain, bias, eps=1e-12):
-    return layer_norm_forward(x, gain, bias, eps)[0]
-
-
 def layer_norm_backward(cache, d_out):
     x_hat, inv_std, gain = cache
     n = x_hat.shape[-1]
@@ -172,10 +168,6 @@ def softmax_forward(x, axis=-1):
     np.exp(p, out=p)
     p /= p.sum(axis=axis, keepdims=True)
     return p, (p, axis)
-
-
-def softmax(x, axis=-1):
-    return softmax_forward(x, axis)[0]
 
 
 def softmax_backward(cache, d_out):

@@ -57,6 +57,12 @@ def read(path):
     return Path(path).read_text(encoding="utf-8")
 
 
+def assert_unlocked(out):
+    """The run left its .lock file and released it: it can be taken at once."""
+    with open(Path(out) / ".lock", "rb") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Shared prep/vocab/pretrain outputs plus CoNLL files."""
@@ -92,7 +98,7 @@ def test_run_dir_bookkeeping(pipeline):
     prep = pipeline / "prep"
     assert (prep / "effective.cfg").exists()
     assert not (prep / "INCOMPLETE").exists()
-    assert not (prep / ".lock").exists()
+    assert_unlocked(prep)
 
 
 def test_prep_corpus_never_mutates_inputs(tmp_path):
@@ -115,7 +121,7 @@ def test_lock_blocks_concurrent_use(tmp_path, capsys):
     # once its holder is gone, the leftover file no longer blocks
     assert (out / ".lock").exists()
     assert run_cli("prep-corpus", "--out", out, "--inputs", RAW[0]) == 0
-    assert not (out / ".lock").exists()
+    assert_unlocked(out)
 
 
 def test_failure_leaves_incomplete_marker(tmp_path, capsys):
@@ -124,7 +130,7 @@ def test_failure_leaves_incomplete_marker(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert (out / "INCOMPLETE").exists()
-    assert not (out / ".lock").exists()  # lock always released
+    assert_unlocked(out)  # lock always released
 
 
 def test_unknown_override_fails_cleanly(tmp_path, capsys):
@@ -247,7 +253,7 @@ def test_pretrain_rerun_after_sigkill_matches_uninterrupted_run(pipeline, tmp_pa
     assert (killed / final).read_bytes() == (tmp_path / "straight" / final).read_bytes()
     assert (killed / "train.log").read_bytes() == \
         (tmp_path / "straight" / "train.log").read_bytes()
-    assert not (killed / ".lock").exists()
+    assert_unlocked(killed)
 
 
 def test_pretrain_resume_cuts_log_back_to_checkpoint_step(pipeline, tmp_path, capsys):
@@ -536,6 +542,19 @@ def test_predict_refuses_a_vocabulary_of_another_size(pipeline, finetuned, tmp_p
         f"error: {vocab / 'vocab.txt'} has 273 pieces but {finetuned / 'best.ckpt'} "
         "has vocab_size=261\n")
     assert not (tmp_path / "pred" / "predictions.conll").exists()
+
+
+def test_predict_refuses_a_sequence_length_past_the_checkpoint_positions(
+        pipeline, finetuned, tmp_path, capsys):
+    checkpoint = finetuned / "best.ckpt"
+    out = tmp_path / "pred"
+    # the input is never read: the refusal comes first
+    assert run_cli("predict", "--out", out, "--checkpoint", checkpoint,
+                   "--vocab", pipeline / "vocab", "--input", tmp_path / "missing.txt",
+                   "finetune_max_seq_length=64") == 1
+    assert capsys.readouterr().err == (
+        f"error: finetune_max_seq_length=64 exceeds {checkpoint} max_positions=32\n")
+    assert not (out / "predictions.conll").exists()
 
 
 def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):

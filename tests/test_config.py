@@ -175,3 +175,16 @@ def test_cli_and_config_leave_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_ner_and_pretrain_leave_scipy_unloaded():
+    # only weight initialisation needs scipy.special, which is slow to load
+    code = (
+        "import sys\n"
+        "import nanoalbert.cli, nanoalbert.ner, nanoalbert.pretrain\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert done.returncode == 0, done.stderr

@@ -28,13 +28,11 @@ from nanoalbert.ops import (
     gelu,
     gelu_backward,
     gelu_forward,
-    layer_norm,
     layer_norm_backward,
     layer_norm_forward,
     linear,
     linear_backward,
     linear_forward,
-    softmax,
     softmax_backward,
     softmax_cross_entropy_with_grad,
     softmax_forward,
@@ -130,26 +128,26 @@ def test_tanh_backward_matches_identity():
 # ---------------------------------------------------------------------------
 
 def test_layer_norm_known_values():
-    out = layer_norm(np.array([[1.0, 2.0, 3.0]]), np.ones(3), np.zeros(3))
+    out = layer_norm_forward(np.array([[1.0, 2.0, 3.0]]), np.ones(3), np.zeros(3))[0]
     # (x - 2) / sqrt(2/3)
     assert np.allclose(out, [[-1.224744871, 0.0, 1.224744871]], atol=1e-6)
 
 
 def test_layer_norm_constant_row_maps_to_bias():
-    out = layer_norm(np.zeros((2, 4)), 2.0 * np.ones(4), 5.0 * np.ones(4))
+    out = layer_norm_forward(np.zeros((2, 4)), 2.0 * np.ones(4), 5.0 * np.ones(4))[0]
     assert np.allclose(out, 5.0)
 
 
 def test_layer_norm_rows_are_standardized():
     x = randn(RngStream(17), 8, 16)
-    out = layer_norm(x, np.ones(16), np.zeros(16))
+    out = layer_norm_forward(x, np.ones(16), np.zeros(16))[0]
     assert np.abs(out.mean(axis=-1)).max() < 1e-7
     assert np.allclose(out.var(axis=-1), 1.0, atol=1e-6)
 
 
 def test_layer_norm_zero_width_rejected():
     with pytest.raises(ValueError):
-        layer_norm(np.zeros((2, 0)), np.ones(0), np.zeros(0))
+        layer_norm_forward(np.zeros((2, 0)), np.ones(0), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +155,20 @@ def test_layer_norm_zero_width_rejected():
 # ---------------------------------------------------------------------------
 
 def test_softmax_known_values():
-    assert np.allclose(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
-    assert np.allclose(softmax(np.array([[0.0, np.log(3.0)]])), [[0.25, 0.75]])
+    assert np.allclose(softmax_forward(np.array([[0.0, 0.0]]))[0], [[0.5, 0.5]])
+    assert np.allclose(softmax_forward(np.array([[0.0, np.log(3.0)]]))[0], [[0.25, 0.75]])
 
 
 def test_softmax_rows_sum_to_one():
     x = 10.0 * randn(RngStream(4), 32, 50)
-    assert np.abs(softmax(x).sum(axis=-1) - 1.0).max() < 1e-9
+    assert np.abs(softmax_forward(x)[0].sum(axis=-1) - 1.0).max() < 1e-9
 
 
 def test_softmax_shift_invariance_and_overflow_safety():
     x = np.array([[1000.0, 1001.0, 999.0]])
-    p = softmax(x)
+    p = softmax_forward(x)[0]
     assert np.all(np.isfinite(p))
-    assert np.allclose(p, softmax(x - 1000.0))
+    assert np.allclose(p, softmax_forward(x - 1000.0)[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -178,7 +176,7 @@ def test_softmax_bitwise_equals_closed_form(dtype):
     x = (10.0 * randn(RngStream(13), 8, 3, 20)).astype(dtype)
     for axis in (-1, 1):
         e = np.exp(x - x.max(axis=axis, keepdims=True))
-        assert_bitwise(softmax(x, axis=axis), e / e.sum(axis=axis, keepdims=True))
+        assert_bitwise(softmax_forward(x, axis=axis)[0], e / e.sum(axis=axis, keepdims=True))
 
 
 def test_cross_entropy_known_values():
