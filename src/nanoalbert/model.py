@@ -7,7 +7,10 @@ set. GELU is the tanh form of the BERT/ALBERT reference. Heads: tied-weight
 masked-LM decoder back to the vocabulary, a tanh pooler feeding the
 sentence-order classifier, and an optional per-token linear tagger.
 
-Parameters live in a flat name -> ndarray dict. The forward keeps its
+Parameters live in a flat name -> ndarray dict. Each linear and layer
+norm names its tensors once, by its forward/backward pair (_linear,
+_norm): the forward reads {name}_weight/_bias (or _gain/_bias) and the
+backward adds their gradients under the same name. The forward keeps its
 caches only in a list a training loss passes in, and every backward adds
 into one gradient dict, summing the shared block's L applications.
 Inference keeps no cache and computes no GELU slope.
@@ -152,15 +155,15 @@ def init_parameters(
     return params
 
 
-def truncated_normal(rng: RngStream, shape, std, clip=INIT_CLIP_SIGMA, dtype=np.float32):
-    """Inverse-CDF sampling of a normal truncated at +-clip sigma; consumes
-    exactly one stream word per element."""
+def truncated_normal(rng: RngStream, shape, std, dtype=np.float32):
+    """Inverse-CDF sampling of a normal truncated at +-INIT_CLIP_SIGMA sigma;
+    consumes exactly one stream word per element."""
     # only weight initialisation needs this 0.3 s, 20 MiB import
     from scipy import special
 
     n = int(np.prod(shape))
-    lo = special.ndtr(-clip)
-    hi = special.ndtr(clip)
+    lo = special.ndtr(-INIT_CLIP_SIGMA)
+    hi = special.ndtr(INIT_CLIP_SIGMA)
     u = lo + (hi - lo) * rng.uniform_block(n)
     return (special.ndtri(u) * std).astype(dtype).reshape(shape)
 
@@ -182,36 +185,55 @@ def _dropout_backward(mask, d_out):
     return d_out if mask is None else d_out * mask
 
 
-def _embed_forward(params, config, token_ids, type_ids, rate, rng):
-    seq_len = token_ids.shape[1]
-    tok, tok_cache = ops.embedding_forward(params["token_embedding"], token_ids)
-    typ, typ_cache = ops.embedding_forward(params["type_embedding"], type_ids)
-    summed = tok + typ + params["position_embedding"][:seq_len]
-    normed, norm_cache = ops.layer_norm_forward(
-        summed, params["embedding_norm_gain"], params["embedding_norm_bias"]
-    )
-    projected, proj_cache = ops.linear_forward(
-        normed,
-        params["embedding_projection_weight"],
-        params["embedding_projection_bias"],
-    )
-    dropped, drop_mask = _dropout_forward(projected, rate, rng)
-    return dropped, (tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len)
+# Each linear and layer norm is named once, in its forward: the cache keeps
+# the name, and the backward adds both parameter gradients under it and
+# returns the input gradient.
+
+def _linear(params, name, x):
+    y, cache = ops.linear_forward(x, params[f"{name}_weight"], params[f"{name}_bias"])
+    return y, (name, cache)
+
+
+def _linear_back(grads, cache, d_out):
+    name, lin_cache = cache
+    d_x, d_w, d_b = ops.linear_backward(lin_cache, d_out)
+    _add(grads, f"{name}_weight", d_w)
+    _add(grads, f"{name}_bias", d_b)
+    return d_x
+
+
+def _norm(params, name, x):
+    y, cache = ops.layer_norm_forward(x, params[f"{name}_gain"], params[f"{name}_bias"])
+    return y, (name, cache)
+
+
+def _norm_back(grads, cache, d_out):
+    name, norm_cache = cache
+    d_x, d_gain, d_bias = ops.layer_norm_backward(norm_cache, d_out)
+    _add(grads, f"{name}_gain", d_gain)
+    _add(grads, f"{name}_bias", d_bias)
+    return d_x
 
 
 def _add(grads, name, value):
     grads[name] = grads.get(name, 0.0) + value
 
 
+def _embed_forward(params, config, token_ids, type_ids, rate, rng):
+    seq_len = token_ids.shape[1]
+    tok, tok_cache = ops.embedding_forward(params["token_embedding"], token_ids)
+    typ, typ_cache = ops.embedding_forward(params["type_embedding"], type_ids)
+    summed = tok + typ + params["position_embedding"][:seq_len]
+    normed, norm_cache = _norm(params, "embedding_norm", summed)
+    projected, proj_cache = _linear(params, "embedding_projection", normed)
+    dropped, drop_mask = _dropout_forward(projected, rate, rng)
+    return dropped, (tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len)
+
+
 def _embed_backward(params, config, cache, d_out, grads):
     tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len = cache
-    d_out = _dropout_backward(drop_mask, d_out)
-    d_normed, d_w, d_b = ops.linear_backward(proj_cache, d_out)
-    _add(grads, "embedding_projection_weight", d_w)
-    _add(grads, "embedding_projection_bias", d_b)
-    d_summed, d_gain, d_bias = ops.layer_norm_backward(norm_cache, d_normed)
-    _add(grads, "embedding_norm_gain", d_gain)
-    _add(grads, "embedding_norm_bias", d_bias)
+    d_normed = _linear_back(grads, proj_cache, _dropout_backward(drop_mask, d_out))
+    d_summed = _norm_back(grads, norm_cache, d_normed)
     _add(grads, "token_embedding", ops.embedding_backward(tok_cache, d_summed))
     _add(grads, "type_embedding", ops.embedding_backward(typ_cache, d_summed))
     d_pos = np.zeros_like(params["position_embedding"])
@@ -229,78 +251,58 @@ def _join_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, a * dh)
 
 
-def _block_forward(params, config, x, neg_mask, rate, rng, backward=True):
-    a = config.num_heads
-    # python-float scale so float32 activations stay float32
-    scale = (config.hidden_size // a) ** -0.5
+def _attention_scale(config):
+    # python float, so float32 activations stay float32
+    return (config.hidden_size // config.num_heads) ** -0.5
 
-    q_full, q_cache = ops.linear_forward(x, params["block_query_weight"], params["block_query_bias"])
-    k_full, k_cache = ops.linear_forward(x, params["block_key_weight"], params["block_key_bias"])
-    v_full, v_cache = ops.linear_forward(x, params["block_value_weight"], params["block_value_bias"])
-    q, k, v = (_split_heads(z, a) for z in (q_full, k_full, v_full))
+
+def _block_forward(params, config, x, neg_mask, rate, rng, backward=True):
+    qkv, qkv_caches = zip(*(
+        _linear(params, f"block_{part}", x) for part in ("query", "key", "value")
+    ))
+    q, k, v = (_split_heads(z, config.num_heads) for z in qkv)
 
     scores = q @ k.swapaxes(-1, -2)
-    scores *= scale
+    scores *= _attention_scale(config)
     scores += neg_mask
-    probs, probs_cache = ops.softmax_forward(scores, axis=-1)
+    probs, _ = ops.softmax_forward(scores)
     del scores
     ctx = _join_heads(probs @ v)
-    attn_out, out_cache = ops.linear_forward(
-        ctx, params["block_attn_output_weight"], params["block_attn_output_bias"]
-    )
+    attn_out, out_cache = _linear(params, "block_attn_output", ctx)
     attn_out, attn_drop = _dropout_forward(attn_out, rate, rng)
-    x1, attn_norm_cache = ops.layer_norm_forward(
-        x + attn_out, params["block_attn_norm_gain"], params["block_attn_norm_bias"]
-    )
+    x1, attn_norm_cache = _norm(params, "block_attn_norm", x + attn_out)
 
-    inner, in_cache = ops.linear_forward(x1, params["block_ffn_in_weight"], params["block_ffn_in_bias"])
+    inner, in_cache = _linear(params, "block_ffn_in", x1)
     act, act_cache = ops.gelu_forward(inner) if backward else (ops.gelu(inner), None)
-    ffn_out, out2_cache = ops.linear_forward(act, params["block_ffn_out_weight"], params["block_ffn_out_bias"])
+    ffn_out, out2_cache = _linear(params, "block_ffn_out", act)
     ffn_out, ffn_drop = _dropout_forward(ffn_out, rate, rng)
-    x2, ffn_norm_cache = ops.layer_norm_forward(
-        x1 + ffn_out, params["block_ffn_norm_gain"], params["block_ffn_norm_bias"]
-    )
+    x2, ffn_norm_cache = _norm(params, "block_ffn_norm", x1 + ffn_out)
     cache = (
-        q_cache, k_cache, v_cache, (q, k, v), probs_cache, out_cache, attn_drop,
-        attn_norm_cache, in_cache, act_cache, out2_cache, ffn_drop, ffn_norm_cache,
-        scale, a,
+        qkv_caches, (q, k, v), probs, out_cache, attn_drop, attn_norm_cache,
+        in_cache, act_cache, out2_cache, ffn_drop, ffn_norm_cache,
     )
     return x2, cache
 
 
 def _block_backward(params, config, cache, d_out, grads):
-    (q_cache, k_cache, v_cache, qkv, probs_cache, out_cache, attn_drop,
-     attn_norm_cache, in_cache, act_cache, out2_cache, ffn_drop, ffn_norm_cache,
-     scale, a) = cache
-    q, k, v = qkv
-    probs = probs_cache[0]
+    (qkv_caches, (q, k, v), probs, out_cache, attn_drop, attn_norm_cache,
+     in_cache, act_cache, out2_cache, ffn_drop, ffn_norm_cache) = cache
+    scale = _attention_scale(config)
 
-    d_x1_plus, d_gain, d_bias = ops.layer_norm_backward(ffn_norm_cache, d_out)
-    _add(grads, "block_ffn_norm_gain", d_gain)
-    _add(grads, "block_ffn_norm_bias", d_bias)
-    d_ffn = _dropout_backward(ffn_drop, d_x1_plus)
-    d_act, d_w, d_b = ops.linear_backward(out2_cache, d_ffn)
-    _add(grads, "block_ffn_out_weight", d_w)
-    _add(grads, "block_ffn_out_bias", d_b)
+    d_x1_plus = _norm_back(grads, ffn_norm_cache, d_out)
+    d_act = _linear_back(grads, out2_cache, _dropout_backward(ffn_drop, d_x1_plus))
     d_inner = ops.gelu_backward(act_cache, d_act)
-    d_x1_ffn, d_w, d_b = ops.linear_backward(in_cache, d_inner)
-    _add(grads, "block_ffn_in_weight", d_w)
-    _add(grads, "block_ffn_in_bias", d_b)
+    d_x1_ffn = _linear_back(grads, in_cache, d_inner)
     del d_act, d_inner  # (b, T, I) each: free them before attention's backward
     d_x1 = d_x1_plus + d_x1_ffn
 
-    d_x_plus, d_gain, d_bias = ops.layer_norm_backward(attn_norm_cache, d_x1)
-    _add(grads, "block_attn_norm_gain", d_gain)
-    _add(grads, "block_attn_norm_bias", d_bias)
-    d_attn = _dropout_backward(attn_drop, d_x_plus)
-    d_ctx, d_w, d_b = ops.linear_backward(out_cache, d_attn)
-    _add(grads, "block_attn_output_weight", d_w)
-    _add(grads, "block_attn_output_bias", d_b)
+    d_x_plus = _norm_back(grads, attn_norm_cache, d_x1)
+    d_ctx = _linear_back(grads, out_cache, _dropout_backward(attn_drop, d_x_plus))
 
-    d_ctx = _split_heads(d_ctx, a)
+    d_ctx = _split_heads(d_ctx, config.num_heads)
     d_probs = d_ctx @ v.swapaxes(-1, -2)
     d_v = probs.swapaxes(-1, -2) @ d_ctx
-    d_scores = ops.softmax_backward(probs_cache, d_probs)
+    d_scores = ops.softmax_backward(probs, d_probs)
     del d_probs
     d_q = d_scores @ k
     d_q *= scale
@@ -308,15 +310,8 @@ def _block_backward(params, config, cache, d_out, grads):
     d_k *= scale
 
     d_x = d_x_plus
-    for full, lin_cache, w_name in (
-        (d_q, q_cache, "query"),
-        (d_k, k_cache, "key"),
-        (d_v, v_cache, "value"),
-    ):
-        d_in, d_w, d_b = ops.linear_backward(lin_cache, _join_heads(full))
-        _add(grads, f"block_{w_name}_weight", d_w)
-        _add(grads, f"block_{w_name}_bias", d_b)
-        d_x = d_x + d_in
+    for d_part, lin_cache in zip((d_q, d_k, d_v), qkv_caches):
+        d_x = d_x + _linear_back(grads, lin_cache, _join_heads(d_part))
     return d_x
 
 
@@ -432,14 +427,9 @@ def pack_pretrain_batch(batch, length=None):
 
 
 def _mlm_head_forward(params, hidden_flat, rows, backward):
-    gathered = hidden_flat[rows]
-    dense, dense_cache = ops.linear_forward(
-        gathered, params["mlm_dense_weight"], params["mlm_dense_bias"]
-    )
+    dense, dense_cache = _linear(params, "mlm_dense", hidden_flat[rows])
     act, act_cache = ops.gelu_forward(dense) if backward else (ops.gelu(dense), None)
-    normed, norm_cache = ops.layer_norm_forward(
-        act, params["mlm_norm_gain"], params["mlm_norm_bias"]
-    )
+    normed, norm_cache = _norm(params, "mlm_norm", act)
     logits = normed @ params["token_embedding"].T + params["mlm_output_bias"]
     return logits, (dense_cache, act_cache, norm_cache, normed, rows)
 
@@ -449,19 +439,14 @@ def _mlm_head_backward(params, cache, d_logits, grads, d_hidden_flat):
     _add(grads, "mlm_output_bias", d_logits.sum(axis=0))
     _add(grads, "token_embedding", d_logits.T @ normed)  # tied decoder weight
     d_normed = d_logits @ params["token_embedding"]
-    d_act, d_gain, d_bias = ops.layer_norm_backward(norm_cache, d_normed)
-    _add(grads, "mlm_norm_gain", d_gain)
-    _add(grads, "mlm_norm_bias", d_bias)
+    d_act = _norm_back(grads, norm_cache, d_normed)
     d_dense = ops.gelu_backward(act_cache, d_act)
-    d_gathered, d_w, d_b = ops.linear_backward(dense_cache, d_dense)
-    _add(grads, "mlm_dense_weight", d_w)
-    _add(grads, "mlm_dense_bias", d_b)
-    np.add.at(d_hidden_flat, rows, d_gathered)
+    np.add.at(d_hidden_flat, rows, _linear_back(grads, dense_cache, d_dense))
 
 
 def _pooler_forward(params, hidden):
     cls = hidden[:, 0]
-    lin, lin_cache = ops.linear_forward(cls, params["pooler_weight"], params["pooler_bias"])
+    lin, lin_cache = _linear(params, "pooler", cls)
     pooled, tanh_cache = ops.tanh_forward(lin)
     return pooled, (lin_cache, tanh_cache)
 
@@ -501,7 +486,7 @@ def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
         mlm_logits, batch["mlm_labels"], count=mlm_count
     )
     pooled, pooler_cache = _pooler_forward(params, hidden)
-    sop_logits_, sop_cache = ops.linear_forward(pooled, params["sop_weight"], params["sop_bias"])
+    sop_logits_, sop_cache = _linear(params, "sop", pooled)
     sop_loss, d_sop_logits = ops.softmax_cross_entropy_with_grad(
         sop_logits_, batch["sop_labels"], count=sop_count
     )
@@ -512,14 +497,9 @@ def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
     d_hidden_flat = np.zeros_like(hidden_flat)
     _mlm_head_backward(params, mlm_cache, d_mlm_logits, grads, d_hidden_flat)
 
-    d_pooled, d_w, d_b = ops.linear_backward(sop_cache, d_sop_logits)
-    _add(grads, "sop_weight", d_w)
-    _add(grads, "sop_bias", d_b)
+    d_pooled = _linear_back(grads, sop_cache, d_sop_logits)
     lin_cache, tanh_cache = pooler_cache
-    d_lin = ops.tanh_backward(tanh_cache, d_pooled)
-    d_cls, d_w, d_b = ops.linear_backward(lin_cache, d_lin)
-    _add(grads, "pooler_weight", d_w)
-    _add(grads, "pooler_bias", d_b)
+    d_cls = _linear_back(grads, lin_cache, ops.tanh_backward(tanh_cache, d_pooled))
 
     d_hidden = d_hidden_flat.reshape(b, t, h)
     d_hidden[:, 0] += d_cls
@@ -530,7 +510,7 @@ def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
 def sop_logits(params, config, token_ids, type_ids, attention_mask):
     hidden = encode_forward(params, config, token_ids, type_ids, attention_mask)
     pooled, _ = _pooler_forward(params, hidden)
-    return pooled @ params["sop_weight"] + params["sop_bias"]
+    return ops.linear(pooled, params["sop_weight"], params["sop_bias"])
 
 
 def token_logits(params, config, token_ids, type_ids, attention_mask):
@@ -543,7 +523,7 @@ def token_logits(params, config, token_ids, type_ids, attention_mask):
 
 def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
                        label_ids, dropout_rng=None, count=None, grads=None):
-    """Cross-entropy over word-initial positions (others carry ignore_index):
+    """Cross-entropy over word-initial positions (others carry IGNORE_INDEX):
     the mean over them, or with `count` their summed loss over the count of
     a larger batch this one is part of. Gradients are added into `grads` (a
     new dict when None); returns (loss, grads)."""
@@ -555,13 +535,11 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
     )
     b, t, h = hidden.shape
     flat = hidden.reshape(b * t, h)
-    logits, lin_cache = ops.linear_forward(flat, params["ner_weight"], params["ner_bias"])
+    logits, lin_cache = _linear(params, "ner", flat)
     loss, d_logits = ops.softmax_cross_entropy_with_grad(
         logits, np.asarray(label_ids).reshape(-1), count=count
     )
-    d_flat, d_w, d_b = ops.linear_backward(lin_cache, d_logits)
     grads = {} if grads is None else grads
-    _add(grads, "ner_weight", d_w)
-    _add(grads, "ner_bias", d_b)
+    d_flat = _linear_back(grads, lin_cache, d_logits)
     _encode_backward(params, config, caches, d_flat.reshape(b, t, h), grads)
     return loss, grads

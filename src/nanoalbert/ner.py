@@ -23,6 +23,7 @@ from .model import (
     ModelConfig,
     length_parts,
     ner_loss_and_grads,
+    parameter_shapes,
     token_logits,
     truncated_normal,
 )
@@ -67,19 +68,25 @@ def _parse_label(label: str) -> tuple[str, str]:
     raise ValueError(f"unrecognized label {label!r}")
 
 
+def _first_orphan(labels) -> str | None:
+    """The first "I-X" (or bare "I") of `labels`, a collection in first-seen
+    order, whose "B-X" (or "B") it does not hold; None if there is none."""
+    for label in labels:
+        head, entity_type = _parse_label(label)
+        if head == "I" and (f"B-{entity_type}" if entity_type else "B") not in labels:
+            return label
+    return None
+
+
 class LabelSet:
     """Contiguous label ids with "O" fixed at id 0, the rest sorted."""
 
     def __init__(self, labels):
-        # first-seen order, so an orphan "I-" error names the first orphan
         observed = dict.fromkeys(labels)
         observed.setdefault("O")
-        for label in observed:
-            head, entity_type = _parse_label(label)
-            if head == "I":
-                required = f"B-{entity_type}" if entity_type else "B"
-                if required not in observed:
-                    raise ValueError(f"label {label!r} has no matching B label")
+        orphan = _first_orphan(observed)
+        if orphan is not None:
+            raise ValueError(f"label {orphan!r} has no matching B label")
         self.labels = ("O",) + tuple(sorted(observed.keys() - {"O"}))
         self._ids = {label: i for i, label in enumerate(self.labels)}
 
@@ -143,15 +150,9 @@ def read_conll(path, *, predicted=False) -> tuple[list[NerExample], LabelSet | N
         return examples, None
 
     try:
-        label_set = LabelSet(first_line_of)
-    except ValueError as exc:
-        bad = next(
-            (lab for lab in sorted(first_line_of) if str(exc).startswith(f"label {lab!r}")),
-            None,
-        )
-        where = f":{first_line_of[bad]}" if bad else ""
-        raise ConllError(f"{path}{where}: {exc}")
-    return examples, label_set
+        return examples, LabelSet(first_line_of)
+    except ValueError as exc:  # every label parsed, so only an orphan "I-" is left
+        raise ConllError(f"{path}:{first_line_of[_first_orphan(first_line_of)]}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ def metrics_keyvalues(metrics: EntityMetrics) -> str:
 # prediction and fine-tuning
 # ---------------------------------------------------------------------------
 
-def predict_labels(params, config, label_set, packed, batch_size=16) -> list[list[str]]:
+def predict_labels(params, config, label_set, packed, batch_size) -> list[list[str]]:
     """Argmax tags at word-initial positions, one tag per word of each
     sentence, in input order; words truncated away during alignment are
     tagged "O". Sentences run in the length-sorted, trimmed parts of
@@ -381,7 +382,7 @@ def ner_step(params, config, batch, dropout_rng=None):
 
 
 def evaluate_split(params, config, label_set, packed, examples,
-                   batch_size=16) -> EntityMetrics:
+                   batch_size) -> EntityMetrics:
     """Predictions vs gold; words truncated away during alignment count as
     unpredicted ("O")."""
     preds = predict_labels(params, config, label_set, packed, batch_size)
@@ -429,12 +430,8 @@ def finetune(
         for label in example.labels
     )
 
-    # fresh head on top of copied encoder weights; mlm/sop/pooler are dropped
-    params = {
-        name: arr.copy()
-        for name, arr in pretrained.params.items()
-        if not name.startswith(("mlm_", "sop_", "pooler_"))
-    }
+    # fresh head on top of copied encoder weights; the pretraining heads are dropped
+    params = {name: pretrained.params[name].copy() for name in parameter_shapes(config, heads=())}
     head_rng = RngStream(cfg.seed).child("ner-init")
     dtype = params["token_embedding"].dtype
     params["ner_weight"] = truncated_normal(

@@ -91,27 +91,25 @@ def tanh_backward(cache, d_out):
 # linear / embedding
 # ---------------------------------------------------------------------------
 
-def linear(x, w, b=None):
+def linear(x, w, b):
     """x (..., n_in) @ w (n_in, n_out) + b, as one 2-D GEMM over all rows:
     numpy would run a 3-D x as a stack of small ones. The bias is added in
     place."""
     y = x.reshape(-1, x.shape[-1]) @ w
-    if b is not None:
-        y += b
+    y += b
     return y.reshape(*x.shape[:-1], w.shape[1])
 
 
-def linear_forward(x, w, b=None):
-    return linear(x, w, b), (x, w, b is not None)
+def linear_forward(x, w, b):
+    return linear(x, w, b), (x, w)
 
 
 def linear_backward(cache, d_out):
-    x, w, has_bias = cache
+    x, w = cache
     d_flat = d_out.reshape(-1, d_out.shape[-1])
     d_x = (d_flat @ w.T).reshape(x.shape)
     d_w = x.reshape(-1, x.shape[-1]).T @ d_flat
-    d_b = d_flat.sum(axis=0) if has_bias else None
-    return d_x, d_w, d_b
+    return d_x, d_w, d_flat.sum(axis=0)
 
 
 def embedding_forward(table, ids):
@@ -131,14 +129,17 @@ def embedding_backward(cache, d_out):
 # layer norm
 # ---------------------------------------------------------------------------
 
-def layer_norm_forward(x, gain, bias, eps=1e-12):
+LAYER_NORM_EPS = 1e-12
+
+
+def layer_norm_forward(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     if x.shape[-1] == 0:
         raise ValueError("layer_norm over zero-length last axis")
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x_hat = centered * inv_std
     y = x_hat * gain + bias
     return y, (x_hat, inv_std, gain)
@@ -163,24 +164,25 @@ def layer_norm_backward(cache, d_out):
 # softmax / cross-entropy
 # ---------------------------------------------------------------------------
 
-def softmax_forward(x, axis=-1):
-    p = x - x.max(axis=axis, keepdims=True)
+def softmax_forward(x):
+    """Softmax over the last axis; the cache is the output."""
+    p = x - x.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
-    return p, (p, axis)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p, p
 
 
 def softmax_backward(cache, d_out):
-    p, axis = cache
-    return p * (d_out - (p * d_out).sum(axis=axis, keepdims=True))
+    p = cache
+    return p * (d_out - (p * d_out).sum(axis=-1, keepdims=True))
 
 
 IGNORE_INDEX = -100
 
 
-def softmax_cross_entropy_with_grad(logits, target_ids, ignore_index=IGNORE_INDEX, count=None):
+def softmax_cross_entropy_with_grad(logits, target_ids, count=None):
     """Returns (loss, d_loss/d_logits): the summed negative log-probability
-    over rows whose target != ignore_index divided by `count`, and its
+    over rows whose target != IGNORE_INDEX divided by `count`, and its
     gradient. `count` defaults to the number of those rows, giving their
     mean; a larger one makes this batch one part of a mean over more rows,
     and a part with no kept row then contributes zero. Stabilized by
@@ -188,7 +190,7 @@ def softmax_cross_entropy_with_grad(logits, target_ids, ignore_index=IGNORE_INDE
     targets = np.asarray(target_ids)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ValueError("logits must be (rows, classes) with one target per row")
-    keep = targets != ignore_index
+    keep = targets != IGNORE_INDEX
     n_keep = int(keep.sum())
     if count is None:
         count = n_keep

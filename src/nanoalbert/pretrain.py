@@ -232,14 +232,14 @@ def pretrain_step(params, config, examples, dropout_rng=None):
     return _summed_over_parts(examples, None, part_loss), grads
 
 
-def evaluate_pretrain(params, config, examples, batch_size: int = 32) -> PretrainLosses:
+def evaluate_pretrain(params, config, examples, batch_size: int) -> PretrainLosses:
     """Per-prediction MLM loss and per-example SOP loss over a fixed set, in
     parts of at most batch_size rows."""
     return _summed_over_parts(examples, batch_size,
                               lambda batch, counts: pretrain_loss(params, config, batch, counts))
 
 
-def sop_accuracy(params, config, examples, batch_size: int = 32) -> float:
+def sop_accuracy(params, config, examples, batch_size: int) -> float:
     """Fraction of examples whose order/swapped call matches the label, in
     parts of at most batch_size rows."""
     if len(examples) == 0:

@@ -623,6 +623,22 @@ def test_ner_gradients_match_finite_differences():
     assert err < 1e-3, f"worst relative error {err:.2e}"
 
 
+def test_each_loss_returns_a_gradient_for_exactly_its_parameters():
+    # the finite-difference checks read only params' names, so a stray key passes them
+    r = RngStream(4)
+    ids, types, mask = batch_for(GRAD_CONFIG, r, batch=2, seq=6)
+    labels = np.array([[-100, 0, 1, 2, 0, -100], [-100, 2, 1, -100, 0, -100]])
+    pretrain_params = init_parameters(GRAD_CONFIG, r.child("pretrain"))
+    ner_params = init_parameters(GRAD_CONFIG, r.child("ner"), heads=("ner",), num_labels=3)
+    _, pretrain_grads = pretrain_loss_and_grads(
+        pretrain_params, GRAD_CONFIG, grad_batch(GRAD_CONFIG, 4))
+    _, ner_grads = ner_loss_and_grads(ner_params, GRAD_CONFIG, ids, types, mask, labels)
+    for params, grads in ((pretrain_params, pretrain_grads), (ner_params, ner_grads)):
+        assert grads.keys() == params.keys()
+        for name, p in params.items():
+            assert grads[name].shape == p.shape and grads[name].dtype == p.dtype, name
+
+
 # ---------------------------------------------------------------------------
 # shared block against an einsum reference
 # ---------------------------------------------------------------------------

@@ -493,11 +493,11 @@ def test_predict_and_evaluate_split_pad_truncated_words(quick_setup):
     ls = result.label_set
     packed = pack_ner_examples(dev_ex, synthdata.WordVocab(), ls, max_len=8)
     assert (packed["label_ids"] != IGNORE_INDEX).sum(1).tolist() == [6] * len(dev_ex)
-    preds = predict_labels(result.params, result.config, ls, packed)
+    preds = predict_labels(result.params, result.config, ls, packed, batch_size=16)
     assert [len(p) for p in preds] == [8] * len(dev_ex)
     assert all(p[6:] == ["O", "O"] for p in preds)
     assert all(label in ls.labels for pred in preds for label in pred)
-    metrics = evaluate_split(result.params, result.config, ls, packed, dev_ex)
+    metrics = evaluate_split(result.params, result.config, ls, packed, dev_ex, batch_size=16)
     assert metrics == evaluate_entities([e.labels for e in dev_ex], preds)
     assert 0.0 <= metrics.overall.f1 <= 1.0
 
@@ -516,7 +516,8 @@ def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup):
     three = predict_labels(result.params, result.config, result.label_set, packed, batch_size=3)
     assert three == one
     assert [len(tags) for tags in three] == [len(s.words) for s in sentences]
-    assert predict_labels(result.params, result.config, result.label_set, packed[:0]) == []
+    assert predict_labels(result.params, result.config, result.label_set, packed[:0],
+                          batch_size=3) == []
 
 
 def test_finetune_at_batch_size_one(quick_setup, tmp_path):

@@ -174,9 +174,8 @@ def test_softmax_shift_invariance_and_overflow_safety():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_bitwise_equals_closed_form(dtype):
     x = (10.0 * randn(RngStream(13), 8, 3, 20)).astype(dtype)
-    for axis in (-1, 1):
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-        assert_bitwise(softmax_forward(x, axis=axis)[0], e / e.sum(axis=axis, keepdims=True))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert_bitwise(softmax_forward(x)[0], e / e.sum(axis=-1, keepdims=True))
 
 
 def test_cross_entropy_known_values():
@@ -238,12 +237,6 @@ def test_linear_forward_known_values():
     w = np.array([[1.0, 0.0], [0.0, 3.0]])
     y, _ = linear_forward(x, w, np.array([10.0, 20.0]))
     assert np.allclose(y, [[11.0, 26.0]])
-
-
-def test_linear_without_bias_has_no_bias_grad():
-    y, cache = linear_forward(np.ones((2, 3)), np.ones((3, 4)))
-    _, _, d_b = linear_backward(cache, np.ones_like(y))
-    assert d_b is None
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -287,4 +287,4 @@ def test_sop_accuracy_bounds(corpus):
     acc = sop_accuracy(result.params, config, corpus[:50], batch_size=16)
     assert 0.0 <= acc <= 1.0
     with pytest.raises(ValueError):
-        sop_accuracy(result.params, config, [])
+        sop_accuracy(result.params, config, [], batch_size=16)
