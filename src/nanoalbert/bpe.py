@@ -5,6 +5,9 @@ text (or arbitrary byte string) encodes losslessly and decodes back exactly.
 Training greedily merges the most frequent adjacent pair, ties broken by
 lexicographically smallest pair. Five special tokens occupy fixed ids.
 
+No merge holds an ASCII whitespace byte, so encoding merges each chunk
+between whitespace once, through a cache on the vocabulary.
+
 On disk a vocabulary is two text files: ``piece<TAB>id`` lines (specials
 first) and an ordered ``left<TAB>right`` merge list. Raw bytes are mapped to
 printable characters for serialization so the files stay valid UTF-8.
@@ -12,6 +15,7 @@ printable characters for serialization so the files stay valid UTF-8.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress
@@ -24,6 +28,12 @@ MASK_ID = 4
 SPECIAL_NAMES = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
 NUM_SPECIALS = len(SPECIAL_NAMES)
 MIN_VOCAB_SIZE = 256 + NUM_SPECIALS
+# ASCII whitespace (0x09-0x0D, 0x1C-0x20) as a regex class: str.split()
+# strips these bytes from every training word. Other Unicode spaces encode
+# to bytes >= 0x80 and stay inside a chunk.
+_SPACE_CLASS = rb"\t-\r\x1c-\x20"
+_SPACE = re.compile(rb"[%b]" % _SPACE_CLASS)
+_CHUNKS = re.compile(rb"[^%b]+|[%b]+" % (_SPACE_CLASS, _SPACE_CLASS))
 
 
 def _byte_char_tables() -> tuple[dict[int, str], dict[str, int]]:
@@ -69,16 +79,31 @@ class Vocab:
         }
         self._id_pieces = list(content_pieces)
         self.size = NUM_SPECIALS + len(content_pieces)
+        self._chunk_ids: dict[bytes, tuple[int, ...]] = {}
 
     def piece_id(self, piece: bytes) -> int:
         return self._piece_ids[piece]
 
     def encode(self, text: str | bytes) -> list[int]:
-        """Greedy merge application over the byte sequence; no specials added."""
+        """Greedy merge application per chunk; no specials added.
+
+        Chunks are runs of ASCII whitespace and runs of other bytes. No merge
+        holds a whitespace byte, so none crosses a chunk edge and the ids are
+        those of greedy merging over the whole text. Each distinct chunk is
+        merged once and its ids are cached as a tuple.
+        """
         data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-        if not data:
-            return []
-        symbols = [data[i : i + 1] for i in range(len(data))]
+        ids: list[int] = []
+        for chunk in _CHUNKS.findall(data):
+            chunk_ids = self._chunk_ids.get(chunk)
+            if chunk_ids is None:
+                chunk_ids = self._chunk_ids[chunk] = self._merge_chunk(chunk)
+            ids.extend(chunk_ids)
+        return ids
+
+    def _merge_chunk(self, chunk: bytes) -> tuple[int, ...]:
+        """Apply the lowest-ranked merge present until none is."""
+        symbols = [chunk[i : i + 1] for i in range(len(chunk))]
         while len(symbols) > 1:
             best_rank = None
             for pair in zip(symbols, symbols[1:]):
@@ -89,7 +114,7 @@ class Vocab:
                 break
             left, right = self.merges[best_rank]
             symbols = _merge_pair(symbols, left, right)
-        return [self._piece_ids[s] for s in symbols]
+        return tuple(self._piece_ids[s] for s in symbols)
 
     def decode_bytes(self, ids) -> bytes:
         """Concatenate piece bytes; special ids are dropped."""
@@ -259,6 +284,9 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
                 if piece not in known:
                     raise ValueError(f"{merges_path}:{lineno + 1}: piece "
                                      f"{piece_to_text(piece)!r} is not in the vocabulary")
+            if _SPACE.search(left + right):
+                raise ValueError(f"{merges_path}:{lineno + 1}: merge "
+                                 f"{piece_to_text(left + right)!r} holds a whitespace byte")
             merges.append((left, right))
     return Vocab(pieces, merges)
 

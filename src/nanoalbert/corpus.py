@@ -187,18 +187,11 @@ def build_pretrain_examples(
     """Full pipeline: SOP pairing, packing, and MLM masking, one record
     (example_dtype) per sentence pair; each row fills its leading positions
     and the zeros after them are padding."""
-    id_cache: dict[str, list[int]] = {}
-
-    def ids_of(sentence: str) -> list[int]:
-        if sentence not in id_cache:
-            id_cache[sentence] = vocab.encode(sentence)
-        return id_cache[sentence]
-
     pairs = make_sop_pairs(docs, rng, dup_factor)
     examples = np.zeros(len(pairs), example_dtype(max_len, max_predictions))
     examples["mlm_labels"] = IGNORE_INDEX
     for ex, (seg_a, seg_b, sop_label) in zip(examples, pairs):
-        token_ids, type_ids = build_input_pair(ids_of(seg_a), ids_of(seg_b), max_len)
+        token_ids, type_ids = build_input_pair(vocab.encode(seg_a), vocab.encode(seg_b), max_len)
         positions, labels, new_ids = apply_mlm_mask(
             token_ids, vocab, rng, mask_rate, max_predictions
         )

@@ -230,7 +230,7 @@ def _embed_forward(params, config, token_ids, type_ids, rate, rng):
     return dropped, (tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len)
 
 
-def _embed_backward(params, config, cache, d_out, grads):
+def _embed_backward(params, cache, d_out, grads):
     tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len = cache
     d_normed = _linear_back(grads, proj_cache, _dropout_backward(drop_mask, d_out))
     d_summed = _norm_back(grads, norm_cache, d_normed)
@@ -284,7 +284,7 @@ def _block_forward(params, config, x, neg_mask, rate, rng, backward=True):
     return x2, cache
 
 
-def _block_backward(params, config, cache, d_out, grads):
+def _block_backward(config, cache, d_out, grads):
     (qkv_caches, (q, k, v), probs, out_cache, attn_drop, attn_norm_cache,
      in_cache, act_cache, out2_cache, ffn_drop, ffn_norm_cache) = cache
     scale = _attention_scale(config)
@@ -382,8 +382,8 @@ def encode_forward(params, config, token_ids, type_ids, attention_mask,
 def _encode_backward(params, config, caches, d_hidden, grads):
     d_x = d_hidden
     for layer_cache in reversed(caches[1:]):
-        d_x = _block_backward(params, config, layer_cache, d_x, grads)
-    _embed_backward(params, config, caches[0], d_x, grads)
+        d_x = _block_backward(config, layer_cache, d_x, grads)
+    _embed_backward(params, caches[0], d_x, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from nanoalbert.bpe import (
     _merge_pair,
     build_input_pair,
     load_vocab,
+    piece_to_text,
     save_vocab,
     train_vocab,
 )
@@ -183,6 +184,51 @@ def test_training_matches_full_recount_on_zipfian_corpus():
 # encoding / decoding
 # ---------------------------------------------------------------------------
 
+def reference_encode(vocab: Vocab, text: str | bytes) -> list[int]:
+    """The encoder before per-chunk caching: greedy merging over the whole
+    byte sequence, rescanning every pair at every merge."""
+    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    if not data:
+        return []
+    symbols = [data[i : i + 1] for i in range(len(data))]
+    while len(symbols) > 1:
+        best_rank = None
+        for pair in zip(symbols, symbols[1:]):
+            rank = vocab._merge_rank.get(pair)
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank = rank
+        if best_rank is None:
+            break
+        left, right = vocab.merges[best_rank]
+        symbols = _merge_pair(symbols, left, right)
+    return [vocab.piece_id(s) for s in symbols]
+
+
+# Every ASCII whitespace byte, the Unicode spaces that str.split() cuts at
+# but that encode to bytes >= 0x80, and repeat-prone and multi-byte letters.
+_ASCII_SPACES = [chr(b) for b in [*range(0x09, 0x0E), *range(0x1C, 0x21)]]
+_TEXT_SYMBOLS = _SYMBOLS + [" ", "\u0085", "\u3000"]
+_TEXTS = st.lists(
+    st.one_of(st.sampled_from(_TEXT_SYMBOLS),
+              st.lists(st.sampled_from(_ASCII_SPACES), min_size=1, max_size=3).map("".join)),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(words=st.lists(_WORDS, min_size=1, max_size=30),
+       target_size=st.integers(MIN_VOCAB_SIZE, 320),
+       texts=st.lists(_TEXTS, min_size=1, max_size=5))
+def test_encode_matches_whole_text_reference(words, target_size, texts):
+    vocab = train_vocab(" ".join(words), target_size)
+    for text in texts + words:
+        want = reference_encode(vocab, text)
+        got = vocab.encode(text)
+        assert got == want
+        got[:] = [-1]  # a caller's list is its own: the cache keeps its ids
+        assert vocab.encode(text.encode("utf-8")) == want
+
+
 def test_encode_applies_merges_by_rank():
     base = train_vocab("x", MIN_VOCAB_SIZE)
     vocab = Vocab(base._id_pieces + [b"bc", b"ab"], [(b"b", b"c"), (b"a", b"b")])
@@ -264,6 +310,16 @@ def test_load_rejects_merge_of_unknown_pieces(tmp_path):
         load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
     (tmp_path / "merges.txt").write_text(good + "abc\td\n")
     with pytest.raises(ValueError, match=r"merges.txt:2: piece 'abc' is not"):
+        load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+
+
+def test_load_rejects_merge_holding_whitespace(tmp_path):
+    vocab = train_vocab("abab abab", 262)
+    save_vocab(Vocab(vocab._id_pieces + [b"a "], vocab.merges),
+               tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    good = (tmp_path / "merges.txt").read_text()
+    (tmp_path / "merges.txt").write_text(good + f"a\t{piece_to_text(b' ')}\n")
+    with pytest.raises(ValueError, match=r"merges.txt:2: merge 'a.' holds a whitespace byte"):
         load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
 
 

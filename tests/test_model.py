@@ -719,7 +719,7 @@ def test_block_matches_einsum_reference():
 
     out, cache = _block_forward(params, config, x, neg_mask, 0.0, None)
     grads = {}
-    d_x = _block_backward(params, config, cache, d_out, grads)
+    d_x = _block_backward(config, cache, d_out, grads)
     want_out, want_d_x, want_grads = einsum_block(params, config.num_heads, x, neg_mask, d_out)
 
     def rel_err(got, want, scale=None):
