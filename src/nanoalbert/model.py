@@ -15,11 +15,13 @@ caches only in a list a training loss passes in, and every backward adds
 into one gradient dict, summing the shared block's L applications.
 Inference keeps no cache and computes no GELU slope.
 
-One rule cuts every batch (length_parts): length-sorted parts of at most
-PART_POSITIONS positions (and, in inference, an eval batch of rows), each
-trimmed to its longest row, so padding is never computed and activations do
-not grow with the batch. A training step's parts, each divided by the whole
-step's count, add into one loss and one gradient dict.
+One rule cuts every batch (length_parts) and one runner walks it
+(map_parts): length-sorted parts of at most PART_POSITIONS positions (and,
+in inference, an eval batch of rows), each trimmed to its longest row, so
+padding is never computed and activations do not grow with the batch. A
+training step's parts, each divided by the whole step's count, add into one
+loss and one gradient dict. The pretraining pass also counts its SOP hits,
+so held-out SOP accuracy needs no second forward.
 """
 
 from __future__ import annotations
@@ -349,6 +351,12 @@ def length_parts(attention_mask, max_rows=None) -> list[tuple[np.ndarray, int]]:
     return parts
 
 
+def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
+    """(rows, part_fn(records[rows], t)) for each part length_parts cuts
+    attention_mask into, in part order; t is the part's trimmed length."""
+    return [(rows, part_fn(records[rows], t)) for rows, t in length_parts(attention_mask, max_rows)]
+
+
 def encode_forward(params, config, token_ids, type_ids, attention_mask,
                    dropout_rng=None, caches=None):
     """Hidden states (batch, T, H) for a batch padded to T. Callers pass
@@ -394,6 +402,7 @@ def _encode_backward(params, config, caches, d_hidden, grads):
 class PretrainLosses:
     mlm_loss: float
     sop_loss: float
+    sop_hits: int  # rows whose SOP argmax matches the label
     total: float = field(init=False)
 
     def __post_init__(self):
@@ -452,9 +461,9 @@ def _pooler_forward(params, hidden):
 
 
 def pretrain_loss(params, config, batch, counts=None) -> PretrainLosses:
-    """MLM + SOP losses for a packed batch (see pack_pretrain_batch). With
-    counts=(masked slots, rows) of a larger set the batch is part of, each
-    loss is this part's share of that set's mean."""
+    """MLM + SOP losses and SOP hits for a packed batch (see
+    pack_pretrain_batch). With counts=(masked slots, rows) of a larger set
+    the batch is part of, each loss is this part's share of that set's mean."""
     return _pretrain_pass(params, config, batch, None, counts=counts)
 
 
@@ -486,11 +495,12 @@ def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
         mlm_logits, batch["mlm_labels"], count=mlm_count
     )
     pooled, pooler_cache = _pooler_forward(params, hidden)
-    sop_logits_, sop_cache = _linear(params, "sop", pooled)
+    sop_logits, sop_cache = _linear(params, "sop", pooled)
     sop_loss, d_sop_logits = ops.softmax_cross_entropy_with_grad(
-        sop_logits_, batch["sop_labels"], count=sop_count
+        sop_logits, batch["sop_labels"], count=sop_count
     )
-    losses = PretrainLosses(mlm_loss=mlm_loss, sop_loss=sop_loss)
+    sop_hits = int((sop_logits.argmax(axis=1) == batch["sop_labels"]).sum())
+    losses = PretrainLosses(mlm_loss=mlm_loss, sop_loss=sop_loss, sop_hits=sop_hits)
     if grads is None:
         return losses
 
@@ -505,12 +515,6 @@ def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
     d_hidden[:, 0] += d_cls
     _encode_backward(params, config, caches, d_hidden, grads)
     return losses
-
-
-def sop_logits(params, config, token_ids, type_ids, attention_mask):
-    hidden = encode_forward(params, config, token_ids, type_ids, attention_mask)
-    pooled, _ = _pooler_forward(params, hidden)
-    return ops.linear(pooled, params["sop_weight"], params["sop_bias"])
 
 
 def token_logits(params, config, token_ids, type_ids, attention_mask):

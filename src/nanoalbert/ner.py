@@ -21,7 +21,7 @@ from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig, format_pairs
 from .model import (
     ModelConfig,
-    length_parts,
+    map_parts,
     ner_loss_and_grads,
     parameter_shapes,
     token_logits,
@@ -251,22 +251,6 @@ def decode_spans(labels) -> set[EntitySpan]:
     return spans
 
 
-def spans_to_bio(spans, length: int) -> list[str]:
-    """Inverse of decode_spans for non-overlapping spans."""
-    labels = ["O"] * length
-    for span in sorted(spans, key=lambda s: s.start):
-        if span.end > length:
-            raise ValueError(f"span {span} exceeds sentence length {length}")
-        for i in range(span.start, span.end):
-            if labels[i] != "O":
-                raise ValueError("overlapping spans")
-        suffix = f"-{span.type}" if span.type else ""
-        labels[span.start] = "B" + suffix
-        for i in range(span.start + 1, span.end):
-            labels[i] = "I" + suffix
-    return labels
-
-
 @dataclass
 class MetricTriple:
     precision: float
@@ -353,32 +337,35 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
     """Argmax tags at word-initial positions, one tag per word of each
     sentence, in input order; words truncated away during alignment are
     tagged "O". Sentences run in the length-sorted, trimmed parts of
-    length_parts, at most batch_size to a part."""
-    out: list[list[str]] = [[] for _ in range(len(packed))]
-    for rows, t in length_parts(packed["attention_mask"], batch_size):
-        token_ids, type_ids, mask, label_ids = (packed[name][rows, :t] for name in ROW_FIELDS)
+    map_parts, at most batch_size to a part."""
+
+    def part_tags(records, t):
+        token_ids, type_ids, mask, label_ids = (records[name][:, :t] for name in ROW_FIELDS)
         logits = token_logits(params, config, token_ids, type_ids, mask)
-        for i, labels, scores in zip(rows, label_ids, logits):
-            best = scores[labels != ops.IGNORE_INDEX].argmax(axis=1)
-            tags = [label_set.label_of(int(b)) for b in best]
-            out[i] = tags + ["O"] * (int(packed["words"][i]) - len(tags))
+        first = label_ids != ops.IGNORE_INDEX
+        return [[label_set.label_of(int(b)) for b in scores[keep].argmax(axis=1)]
+                for scores, keep in zip(logits, first)]
+
+    out: list[list[str]] = [[] for _ in range(len(packed))]
+    for rows, tags in map_parts(part_tags, packed, packed["attention_mask"], batch_size):
+        for i, row in zip(rows, tags):
+            out[i] = row + ["O"] * (int(packed["words"][i]) - len(row))
     return out
 
 
 def ner_step(params, config, batch, dropout_rng=None):
     """Loss and gradients of one fine-tuning step over tagged-sentence
     records: the mean over their labelled words, run as the length-sorted,
-    trimmed parts of length_parts, whose losses and gradients add up to the
+    trimmed parts of map_parts, whose losses and gradients add up to the
     step's; dropout masks are drawn part by part."""
     count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
-    loss, grads = 0.0, {}
-    for rows, t in length_parts(batch["attention_mask"]):
-        part_loss, _ = ner_loss_and_grads(
-            params, config, *(batch[name][rows, :t] for name in ROW_FIELDS),
-            dropout_rng=dropout_rng, count=count, grads=grads,
-        )
-        loss += part_loss
-    return loss, grads
+    grads: dict = {}
+
+    def part_loss(records, t):
+        return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),
+                                  dropout_rng=dropout_rng, count=count, grads=grads)[0]
+
+    return sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"])), grads
 
 
 def evaluate_split(params, config, label_set, packed, examples,

@@ -20,11 +20,10 @@ from .model import (
     ModelConfig,
     PretrainLosses,
     init_parameters,
-    length_parts,
+    map_parts,
     pack_pretrain_batch,
     pretrain_loss,
     pretrain_loss_and_grads,
-    sop_logits,
 )
 from .optim import (
     DEFAULT_WEIGHT_DECAY,
@@ -205,23 +204,23 @@ def train(
 
 
 def _summed_over_parts(examples, max_rows, part_loss) -> PretrainLosses:
-    """The mean losses over example records, summed over the packed parts
-    length_parts cuts them into: part_loss(batch, counts) gets each part
-    and the whole set's counts (masked slots, rows) to divide by."""
+    """The mean losses and the SOP hits over example records, summed over
+    the packed parts map_parts cuts them into: part_loss(batch, counts) gets
+    each part and the whole set's counts (masked slots, rows) to divide by."""
     if len(examples) == 0:
         raise ValueError("empty batch")
     counts = (int((examples["mlm_labels"] != ops.IGNORE_INDEX).sum()), len(examples))
-    mlm = sop = 0.0
-    for rows, t in length_parts(examples["input"]["attention_mask"], max_rows):
-        losses = part_loss(pack_pretrain_batch(examples[rows], t), counts)
-        mlm += losses.mlm_loss
-        sop += losses.sop_loss
-    return PretrainLosses(mlm_loss=mlm, sop_loss=sop)
+    parts = [losses for _, losses in map_parts(
+        lambda records, t: part_loss(pack_pretrain_batch(records, t), counts),
+        examples, examples["input"]["attention_mask"], max_rows)]
+    return PretrainLosses(mlm_loss=sum(p.mlm_loss for p in parts),
+                          sop_loss=sum(p.sop_loss for p in parts),
+                          sop_hits=sum(p.sop_hits for p in parts))
 
 
 def pretrain_step(params, config, examples, dropout_rng=None):
     """Losses and gradients of one training step over example records, run
-    as the length-sorted, trimmed parts of length_parts, whose losses and
+    as the length-sorted, trimmed parts of map_parts, whose losses and
     gradients add up to the step's; dropout masks are drawn part by part."""
     grads: dict = {}
 
@@ -233,21 +232,13 @@ def pretrain_step(params, config, examples, dropout_rng=None):
 
 
 def evaluate_pretrain(params, config, examples, batch_size: int) -> PretrainLosses:
-    """Per-prediction MLM loss and per-example SOP loss over a fixed set, in
-    parts of at most batch_size rows."""
+    """Per-prediction MLM loss, per-example SOP loss and SOP hits over a
+    fixed set, in parts of at most batch_size rows."""
     return _summed_over_parts(examples, batch_size,
                               lambda batch, counts: pretrain_loss(params, config, batch, counts))
 
 
 def sop_accuracy(params, config, examples, batch_size: int) -> float:
-    """Fraction of examples whose order/swapped call matches the label, in
-    parts of at most batch_size rows."""
-    if len(examples) == 0:
-        raise ValueError("empty batch")
-    correct = 0
-    for rows, t in length_parts(examples["input"]["attention_mask"], batch_size):
-        batch = pack_pretrain_batch(examples[rows], t)
-        logits = sop_logits(params, config, batch["token_ids"], batch["type_ids"],
-                            batch["attention_mask"])
-        correct += int((logits.argmax(axis=1) == batch["sop_labels"]).sum())
-    return correct / len(examples)
+    """Fraction of examples whose order/swapped call matches the label,
+    counted by evaluate_pretrain's pass."""
+    return evaluate_pretrain(params, config, examples, batch_size).sop_hits / len(examples)

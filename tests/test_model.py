@@ -27,23 +27,24 @@ from nanoalbert.model import (
     ModelConfig,
     _block_backward,
     _block_forward,
+    _pooler_forward,
     PretrainLosses,
     block_shapes,
     count_parameters,
     encode_forward,
     init_parameters,
     length_parts,
+    map_parts,
     ner_loss_and_grads,
     pack_pretrain_batch,
     parameter_shapes,
     pretrain_loss,
     pretrain_loss_and_grads,
-    sop_logits,
     token_logits,
     truncated_normal,
 )
 from nanoalbert.ner import LabelSet, NerExample, ner_step, pack_ner_examples
-from nanoalbert.pretrain import pretrain_step
+from nanoalbert.pretrain import evaluate_pretrain, pretrain_step
 from nanoalbert.rng import RngStream
 
 TINY = ModelConfig(
@@ -309,7 +310,7 @@ def test_pretrain_losses_near_theoretical_start():
 
 
 def test_pretrain_losses_total_is_derived():
-    losses = PretrainLosses(mlm_loss=1.25, sop_loss=0.5)
+    losses = PretrainLosses(mlm_loss=1.25, sop_loss=0.5, sop_hits=1)
     assert losses.total == 1.75
 
 
@@ -387,12 +388,23 @@ def test_empty_and_unmasked_batches_rejected(tiny_model):
 
 
 def test_sop_and_token_logit_shapes():
-    config = synthdata.tiny_config()
+    config = synthdata.tiny_config(max_positions=32)
     params = init_parameters(config, RngStream(2).child("init"), heads=("mlm", "sop", "ner"),
                              num_labels=3)
     ids, types, mask = batch_for(config, RngStream(6))
-    assert sop_logits(params, config, ids, types, mask).shape == (2, 2)
     assert token_logits(params, config, ids, types, mask).shape == (2, 8, 3)
+    # SOP hits, counted part by part in the pretraining pass, equal those of
+    # one full-width padded pass through the pooler and the SOP classifier
+    examples = mixed_length_pretrain_examples(67)
+    padded = _reference_pack(examples, trim=False)
+    hidden = encode_forward(params, config, padded["token_ids"], padded["type_ids"],
+                            padded["attention_mask"])
+    sop = ops.linear(_pooler_forward(params, hidden)[0], params["sop_weight"], params["sop_bias"])
+    hits = int((sop.argmax(axis=1) == padded["sop_labels"]).sum())
+    assert 0 < hits < len(examples)
+    for batch_size in (1, 64):
+        assert evaluate_pretrain(params, config, examples, batch_size).sop_hits == hits
+    assert pretrain_step(params, config, examples)[0].sop_hits == hits
 
 
 def test_inference_memory_does_not_grow_with_depth():
@@ -441,6 +453,15 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
     # the row cap closes parts the budget would have kept open
     assert cut(mask, max_rows=2) == [([5, 1], 3), ([3, 4], 5), ([0], 7), ([2], 13)]
     assert cut(mask, max_rows=1) == [([5], 2), ([1], 3), ([3], 3), ([4], 5), ([0], 7), ([2], 13)]
+    # the runner calls part_fn once per part, in that order, on the part's
+    # records and trimmed length, so it visits every record exactly once
+    records = np.arange(6) * 10
+    for max_rows in (None, 2):
+        got = map_parts(lambda part, t: (part.tolist(), t), records, mask, max_rows)
+        assert [(rows.tolist(), part) for rows, part in got] == [
+            (rows, ([10 * row for row in rows], t)) for rows, t in cut(mask, max_rows)]
+        assert sorted(row for rows, _ in got for row in rows.tolist()) == list(range(6))
+    assert map_parts(lambda part, t: pytest.fail("no part to run"), records[:0], mask[:0]) == []
     monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 1000)
     assert cut(mask) == [([5, 1, 3, 4, 0, 2], 13)]
     # a length is one past the last real position, and at least 1

@@ -39,7 +39,6 @@ from nanoalbert.ner import (
     pack_ner_examples,
     predict_labels,
     read_conll,
-    spans_to_bio,
 )
 from nanoalbert.ops import IGNORE_INDEX
 from nanoalbert.rng import RngStream
@@ -309,31 +308,6 @@ def test_decoder_matches_enumeration_oracle():
         assert decode_spans(labels) == enumerated_spans(labels), labels
 
 
-def test_spans_to_bio_round_trip():
-    rng = RngStream(321)
-    for _ in range(10_000):
-        length = 1 + rng.randint(15)
-        generated = set()
-        pos = 0
-        while pos < length:
-            if rng.coin(0.4):
-                width = 1 + rng.randint(min(3, length - pos))
-                t = ["", "Chem", "Dis"][rng.randint(3)]
-                generated.add(EntitySpan(pos, pos + width, t))
-                pos += width
-            else:
-                pos += 1
-        bio = spans_to_bio(generated, length)
-        assert decode_spans(bio) == generated
-
-
-def test_spans_to_bio_validation():
-    with pytest.raises(ValueError, match="exceeds"):
-        spans_to_bio({EntitySpan(0, 5)}, 3)
-    with pytest.raises(ValueError, match="overlap"):
-        spans_to_bio({EntitySpan(0, 2), EntitySpan(1, 3)}, 4)
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -384,8 +358,7 @@ def test_metrics_per_type_breakdown():
 def test_swapping_gold_and_pred_swaps_precision_recall():
     rng = RngStream(777)
     gold = [random_labels(rng) for _ in range(30)]
-    pred = [spans_to_bio(enumerated_spans(random_labels(rng, len(g))), len(g))
-            for g in gold]
+    pred = [random_labels(rng, len(g)) for g in gold]
     pred = [p[:len(g)] + ["O"] * (len(g) - len(p)) for g, p in zip(gold, pred)]
     fwd = evaluate_entities(gold, pred)
     rev = evaluate_entities(pred, gold)
