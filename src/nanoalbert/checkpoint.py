@@ -83,12 +83,17 @@ def _validate(config, params, labels):
             )
 
 
+def check_labels(labels) -> None:
+    """Refuse a label the header's one comma-joined labels line cannot hold."""
+    for label in labels:
+        if "," in label or "\n" in label:
+            raise ValueError(f"label {label!r} may not contain ',' or newline")
+
+
 def _header_text(config, step, labels, optim_t) -> str:
     pairs = [*dataclasses.asdict(config).items(), ("step", step), ("optim_t", optim_t)]
     if labels is not None:
-        for label in labels:
-            if "," in label or "\n" in label:
-                raise ValueError(f"label {label!r} may not contain ',' or newline")
+        check_labels(labels)
         pairs.append(("labels", ",".join(labels)))
     return format_pairs(pairs)
 
@@ -145,10 +150,10 @@ class _Reader:
 
 
 # older checkpoints carry retired keys: share_parameters (the model only ever
-# ran with shared parameters) and kind (the heads are read off the tensors),
-# so neither says anything
+# ran with shared parameters), kind (the heads are read off the tensors) and
+# dropout_rate (the model trains without dropout), so none says anything
 _HEADER_TYPES = {**typing.get_type_hints(ModelConfig), "step": int, "optim_t": int,
-                 "kind": str, "labels": str, "share_parameters": str}
+                 "kind": str, "labels": str, "share_parameters": str, "dropout_rate": str}
 
 
 def _parse_header(text: str):
@@ -171,15 +176,22 @@ def _parse_header(text: str):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint in `path`; every error it raises names the file."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        data = fh.read()
+    try:
+        return _decode(data)
+    except UnicodeDecodeError:
+        raise CorruptCheckpointError(f"{path}: header or tensor name is not valid UTF-8") from None
+    except (CorruptCheckpointError, ConfigMismatchError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decode(data: bytes) -> Checkpoint:
+    reader = _Reader(data)
     if reader.take(len(MAGIC)) != MAGIC:
         raise CorruptCheckpointError("bad magic: not a checkpoint file")
-    header = reader.take(reader.u32())
-    try:
-        config, step, optim_t, labels = _parse_header(header.decode("utf-8"))
-    except UnicodeDecodeError:
-        raise CorruptCheckpointError("header is not valid UTF-8")
+    config, step, optim_t, labels = _parse_header(reader.take(reader.u32()).decode("utf-8"))
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):

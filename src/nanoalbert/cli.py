@@ -151,6 +151,8 @@ def _cmd_build_vocab(args, cfg, out: Path) -> None:
     from .bpe import save_vocab, train_vocab
 
     text = Path(args.corpus).read_text(encoding="utf-8")
+    if not text or text.isspace():
+        raise CliError(f"{args.corpus} is an empty corpus")
     vocab = train_vocab(text, cfg.vocab_size)
     save_vocab(vocab, out / "vocab.txt", out / "merges.txt")
     print(f"vocab_size={vocab.size} merges={len(vocab.merges)}")
@@ -242,10 +244,13 @@ def _cmd_evaluate(args, cfg, out: Path) -> None:
 
     gold_examples, _ = read_conll(args.gold)
     pred_examples, _ = read_conll(args.pred, predicted=True)
-    metrics = evaluate_entities(
-        [example.labels for example in gold_examples],
-        [example.labels for example in pred_examples],
-    )
+    try:
+        metrics = evaluate_entities(
+            [example.labels for example in gold_examples],
+            [example.labels for example in pred_examples],
+        )
+    except ValueError as exc:
+        raise CliError(f"--gold {args.gold} and --pred {args.pred} disagree: {exc}") from None
     (out / "metrics.txt").write_text(metrics_report(metrics))
     (out / "metrics.kv").write_text(metrics_keyvalues(metrics))
     overall = metrics.overall

@@ -34,7 +34,6 @@ class RunConfig:
     num_heads: int = 12
     intermediate_size: int = 0  # 0 means 4 * hidden_size
     max_positions: int = 512
-    dropout_rate: float = 0.0
     # pretraining data
     max_seq_length: int = 512
     max_predictions_per_seq: int = 20
@@ -62,6 +61,10 @@ class RunConfig:
 
 
 _BOOL_WORDS = {"true": True, "false": False}
+
+# retired keys that older files may still hold, with the only values they
+# may take: ALBERT trains without dropout, so an old rate must be 0
+_RETIRED = {"dropout_rate": Literal["0", "0.0"]}
 
 
 def parse_pairs(lines, types: dict) -> dict:
@@ -112,7 +115,8 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             # comments in files only: overrides and checkpoint labels may hold '#'
             lines = [(f"{path}:{n}", line.split("#", 1)[0]) for n, line in enumerate(fh, 1)]
     lines += [("override", item) for item in overrides]
-    return RunConfig(**parse_pairs(lines, typing.get_type_hints(RunConfig)))
+    values = parse_pairs(lines, {**typing.get_type_hints(RunConfig), **_RETIRED})
+    return RunConfig(**{key: value for key, value in values.items() if key not in _RETIRED})
 
 
 def effective_text(config: RunConfig) -> str:

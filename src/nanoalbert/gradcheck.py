@@ -1,6 +1,6 @@
 """Finite-difference verification of analytic gradients.
 
-``grad_check`` compares hand-written backward passes against central
+``max_grad_error`` compares hand-written backward passes against central
 differences. The loss function under test must be deterministic and evaluated
 in float64. Given a loss-only callable, the numeric side never touches the
 analytic code path.
@@ -13,8 +13,9 @@ import numpy as np
 DEFAULT_STEP = 1e-5
 
 
-def grad_check(fn, inputs, tolerance, step=DEFAULT_STEP, floor=1e-3, loss=None):
-    """True iff analytic and central-difference gradients agree elementwise.
+def max_grad_error(fn, inputs, step=DEFAULT_STEP, floor=1e-3, loss=None):
+    """Worst elementwise relative error between analytic and central-difference
+    gradients; a check passes when it is below its tolerance.
 
     fn: callable taking a list of float64 arrays, returning
         (scalar loss, list of gradient arrays in input order).
@@ -24,14 +25,10 @@ def grad_check(fn, inputs, tolerance, step=DEFAULT_STEP, floor=1e-3, loss=None):
     turns the test absolute for near-zero gradients, where central
     differences bottom out around 1e-10.
     """
-    return _max_rel_error(fn, inputs, step, floor, loss) < tolerance
-
-
-def _max_rel_error(fn, inputs, step, floor, loss):
     inputs = [np.asarray(x) for x in inputs]
     for x in inputs:
         if x.dtype != np.float64:
-            raise ValueError("grad_check requires float64 inputs")
+            raise ValueError("max_grad_error requires float64 inputs")
     if loss is None:
         def loss(xs):
             return fn(xs)[0]
@@ -54,8 +51,3 @@ def _max_rel_error(fn, inputs, step, floor, loss):
             denom = max(abs(a_flat[j]), abs(numeric), floor)
             worst = max(worst, abs(a_flat[j] - numeric) / denom)
     return worst
-
-
-def max_grad_error(fn, inputs, step=DEFAULT_STEP, floor=1e-3, loss=None):
-    """Worst relative error across all elements; handy when a check fails."""
-    return _max_rel_error(fn, inputs, step, floor, loss)

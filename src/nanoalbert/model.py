@@ -49,7 +49,6 @@ class ModelConfig:
     intermediate_size: int = 0  # 0 means 4 * hidden_size
     max_positions: int = 512
     type_vocab_size: int = 2
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         if self.intermediate_size == 0:
@@ -60,8 +59,6 @@ class ModelConfig:
             raise ValueError("embedding_size must not exceed hidden_size")
         if self.num_layers < 0:
             raise ValueError("num_layers must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +139,17 @@ def init_parameters(
     rng: RngStream,
     heads=("mlm", "sop"),
     num_labels: int | None = None,
-    dtype=np.float32,
 ) -> dict[str, np.ndarray]:
     """Truncated-normal weights (std 0.02, clipped at 2 sigma), zero biases,
     unit norm gains."""
     params = {}
     for name, shape in parameter_shapes(config, heads, num_labels).items():
         if name.endswith("_gain"):
-            params[name] = np.ones(shape, dtype=dtype)
+            params[name] = np.ones(shape, dtype=np.float32)
         elif name.endswith("_bias"):
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
-            params[name] = truncated_normal(rng, shape, INIT_STD, dtype=dtype)
+            params[name] = truncated_normal(rng, shape, INIT_STD)
     return params
 
 
@@ -173,19 +169,6 @@ def truncated_normal(rng: RngStream, shape, std, dtype=np.float32):
 # ---------------------------------------------------------------------------
 # forward/backward
 # ---------------------------------------------------------------------------
-
-def _dropout_forward(x, rate, rng):
-    if rate <= 0.0:
-        return x, None
-    keep = rng.uniform_block(x.size).reshape(x.shape) >= rate
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
-    mask = keep.astype(x.dtype) * scale
-    return x * mask, mask
-
-
-def _dropout_backward(mask, d_out):
-    return d_out if mask is None else d_out * mask
-
 
 # Each linear and layer norm is named once, in its forward: the cache keeps
 # the name, and the backward adds both parameter gradients under it and
@@ -221,20 +204,19 @@ def _add(grads, name, value):
     grads[name] = grads.get(name, 0.0) + value
 
 
-def _embed_forward(params, config, token_ids, type_ids, rate, rng):
+def _embed_forward(params, config, token_ids, type_ids):
     seq_len = token_ids.shape[1]
     tok, tok_cache = ops.embedding_forward(params["token_embedding"], token_ids)
     typ, typ_cache = ops.embedding_forward(params["type_embedding"], type_ids)
     summed = tok + typ + params["position_embedding"][:seq_len]
     normed, norm_cache = _norm(params, "embedding_norm", summed)
     projected, proj_cache = _linear(params, "embedding_projection", normed)
-    dropped, drop_mask = _dropout_forward(projected, rate, rng)
-    return dropped, (tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len)
+    return projected, (tok_cache, typ_cache, norm_cache, proj_cache, seq_len)
 
 
 def _embed_backward(params, cache, d_out, grads):
-    tok_cache, typ_cache, norm_cache, proj_cache, drop_mask, seq_len = cache
-    d_normed = _linear_back(grads, proj_cache, _dropout_backward(drop_mask, d_out))
+    tok_cache, typ_cache, norm_cache, proj_cache, seq_len = cache
+    d_normed = _linear_back(grads, proj_cache, d_out)
     d_summed = _norm_back(grads, norm_cache, d_normed)
     _add(grads, "token_embedding", ops.embedding_backward(tok_cache, d_summed))
     _add(grads, "type_embedding", ops.embedding_backward(typ_cache, d_summed))
@@ -258,7 +240,7 @@ def _attention_scale(config):
     return (config.hidden_size // config.num_heads) ** -0.5
 
 
-def _block_forward(params, config, x, neg_mask, rate, rng, backward=True):
+def _block_forward(params, config, x, neg_mask, backward=True):
     qkv, qkv_caches = zip(*(
         _linear(params, f"block_{part}", x) for part in ("query", "key", "value")
     ))
@@ -271,35 +253,33 @@ def _block_forward(params, config, x, neg_mask, rate, rng, backward=True):
     del scores
     ctx = _join_heads(probs @ v)
     attn_out, out_cache = _linear(params, "block_attn_output", ctx)
-    attn_out, attn_drop = _dropout_forward(attn_out, rate, rng)
     x1, attn_norm_cache = _norm(params, "block_attn_norm", x + attn_out)
 
     inner, in_cache = _linear(params, "block_ffn_in", x1)
     act, act_cache = ops.gelu_forward(inner) if backward else (ops.gelu(inner), None)
     ffn_out, out2_cache = _linear(params, "block_ffn_out", act)
-    ffn_out, ffn_drop = _dropout_forward(ffn_out, rate, rng)
     x2, ffn_norm_cache = _norm(params, "block_ffn_norm", x1 + ffn_out)
     cache = (
-        qkv_caches, (q, k, v), probs, out_cache, attn_drop, attn_norm_cache,
-        in_cache, act_cache, out2_cache, ffn_drop, ffn_norm_cache,
+        qkv_caches, (q, k, v), probs, out_cache, attn_norm_cache,
+        in_cache, act_cache, out2_cache, ffn_norm_cache,
     )
     return x2, cache
 
 
 def _block_backward(config, cache, d_out, grads):
-    (qkv_caches, (q, k, v), probs, out_cache, attn_drop, attn_norm_cache,
-     in_cache, act_cache, out2_cache, ffn_drop, ffn_norm_cache) = cache
+    (qkv_caches, (q, k, v), probs, out_cache, attn_norm_cache,
+     in_cache, act_cache, out2_cache, ffn_norm_cache) = cache
     scale = _attention_scale(config)
 
     d_x1_plus = _norm_back(grads, ffn_norm_cache, d_out)
-    d_act = _linear_back(grads, out2_cache, _dropout_backward(ffn_drop, d_x1_plus))
+    d_act = _linear_back(grads, out2_cache, d_x1_plus)
     d_inner = ops.gelu_backward(act_cache, d_act)
     d_x1_ffn = _linear_back(grads, in_cache, d_inner)
     del d_act, d_inner  # (b, T, I) each: free them before attention's backward
     d_x1 = d_x1_plus + d_x1_ffn
 
     d_x_plus = _norm_back(grads, attn_norm_cache, d_x1)
-    d_ctx = _linear_back(grads, out_cache, _dropout_backward(attn_drop, d_x_plus))
+    d_ctx = _linear_back(grads, out_cache, d_x_plus)
 
     d_ctx = _split_heads(d_ctx, config.num_heads)
     d_probs = d_ctx @ v.swapaxes(-1, -2)
@@ -357,31 +337,26 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
     return [(rows, part_fn(records[rows], t)) for rows, t in length_parts(attention_mask, max_rows)]
 
 
-def encode_forward(params, config, token_ids, type_ids, attention_mask,
-                   dropout_rng=None, caches=None):
+def encode_forward(params, config, token_ids, type_ids, attention_mask, caches=None):
     """Hidden states (batch, T, H) for a batch padded to T. Callers pass
     batches sorted by length and trimmed (length_parts), so T is the part's
     longest row. A list passed as `caches` gets the embedding's and then
     each layer's cache (L + 1) for _encode_backward; without one, no layer's
-    cache outlives the layer. Dropout at config.dropout_rate is on exactly
-    when a dropout_rng is passed."""
+    cache outlives the layer."""
     token_ids = np.asarray(token_ids)
     type_ids = np.asarray(type_ids)
     attention_mask = np.asarray(attention_mask)
     _check_inputs(config, token_ids, attention_mask)
 
-    rate = config.dropout_rate if dropout_rng is not None else 0.0
     dtype = params["token_embedding"].dtype
     neg_mask = ((1 - attention_mask) * NEG_INF).astype(dtype)[:, None, None, :]
 
-    x, cache = _embed_forward(params, config, token_ids, type_ids, rate, dropout_rng)
+    x, cache = _embed_forward(params, config, token_ids, type_ids)
     for _ in range(config.num_layers):
         if caches is not None:
             caches.append(cache)
         del cache  # inference holds no cache while the next layer runs
-        x, cache = _block_forward(
-            params, config, x, neg_mask, rate, dropout_rng, caches is not None
-        )
+        x, cache = _block_forward(params, config, x, neg_mask, caches is not None)
     if caches is not None:
         caches.append(cache)
     return x
@@ -467,14 +442,14 @@ def pretrain_loss(params, config, batch, counts=None) -> PretrainLosses:
     return _pretrain_pass(params, config, batch, None, counts=counts)
 
 
-def pretrain_loss_and_grads(params, config, batch, dropout_rng=None, counts=None, grads=None):
+def pretrain_loss_and_grads(params, config, batch, counts=None, grads=None):
     """pretrain_loss and its gradients, added into `grads` (a new dict when
     None); returns (losses, grads)."""
     grads = {} if grads is None else grads
-    return _pretrain_pass(params, config, batch, grads, dropout_rng, counts), grads
+    return _pretrain_pass(params, config, batch, grads, counts), grads
 
 
-def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
+def _pretrain_pass(params, config, batch, grads, counts=None):
     if batch["sop_labels"].size == 0:
         raise ValueError("empty batch")
     mlm_count, sop_count = counts or (batch["mlm_rows"].size, batch["sop_labels"].size)
@@ -482,8 +457,7 @@ def _pretrain_pass(params, config, batch, grads, dropout_rng=None, counts=None):
         raise ValueError("batch has no masked positions")
     caches = [] if grads is not None else None
     hidden = encode_forward(
-        params, config, batch["token_ids"], batch["type_ids"],
-        batch["attention_mask"], dropout_rng, caches,
+        params, config, batch["token_ids"], batch["type_ids"], batch["attention_mask"], caches
     )
     b, t, h = hidden.shape
     hidden_flat = hidden.reshape(b * t, h)
@@ -526,7 +500,7 @@ def token_logits(params, config, token_ids, type_ids, attention_mask):
 
 
 def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
-                       label_ids, dropout_rng=None, count=None, grads=None):
+                       label_ids, count=None, grads=None):
     """Cross-entropy over word-initial positions (others carry IGNORE_INDEX):
     the mean over them, or with `count` their summed loss over the count of
     a larger batch this one is part of. Gradients are added into `grads` (a
@@ -534,9 +508,7 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
     if "ner_weight" not in params:
         raise ValueError("model has no ner head")
     caches = []
-    hidden = encode_forward(
-        params, config, token_ids, type_ids, attention_mask, dropout_rng, caches
-    )
+    hidden = encode_forward(params, config, token_ids, type_ids, attention_mask, caches)
     b, t, h = hidden.shape
     flat = hidden.reshape(b * t, h)
     logits, lin_cache = _linear(params, "ner", flat)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ops
 from .bpe import CLS_ID, SEP_ID, Vocab
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, check_labels, save_checkpoint
 from .config import RunConfig, format_pairs
 from .model import (
     ModelConfig,
@@ -101,9 +101,6 @@ class LabelSet:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LabelSet) and self.labels == other.labels
-
-    def __repr__(self) -> str:
-        return f"LabelSet({list(self.labels)!r})"
 
 
 def read_conll(path, *, predicted=False) -> tuple[list[NerExample], LabelSet | None]:
@@ -353,17 +350,17 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
     return out
 
 
-def ner_step(params, config, batch, dropout_rng=None):
+def ner_step(params, config, batch):
     """Loss and gradients of one fine-tuning step over tagged-sentence
     records: the mean over their labelled words, run as the length-sorted,
     trimmed parts of map_parts, whose losses and gradients add up to the
-    step's; dropout masks are drawn part by part."""
+    step's."""
     count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
     grads: dict = {}
 
     def part_loss(records, t):
         return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),
-                                  dropout_rng=dropout_rng, count=count, grads=grads)[0]
+                                  count=count, grads=grads)[0]
 
     return sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"])), grads
 
@@ -416,6 +413,7 @@ def finetune(
         for example in split
         for label in example.labels
     )
+    check_labels(label_set.labels)  # before training: best.ckpt must hold them
 
     # fresh head on top of copied encoder weights; the pretraining heads are dropped
     params = {name: pretrained.params[name].copy() for name in parameter_shapes(config, heads=())}
@@ -436,7 +434,7 @@ def finetune(
     best_step = 0
     best_params = None  # fit always scores dev at its last step, and any F1 beats -1
 
-    def loss_fn(idx, dropout_rng):
+    def loss_fn(idx):
         batch = train_packed[idx]
         if (batch["label_ids"] == ops.IGNORE_INDEX).all():
             numbers = ", ".join(str(i + 1) for i in sorted(set(idx)))
@@ -444,7 +442,7 @@ def finetune(
                 f"training sentences {numbers} keep no word within "
                 f"finetune_max_seq_length={max_len}, so the batch has no label to learn"
             )
-        return ner_step(params, config, batch, dropout_rng=dropout_rng)
+        return ner_step(params, config, batch)
 
     def evaluate_dev(done):
         nonlocal best_f1, best_step, best_params
@@ -469,8 +467,8 @@ def finetune(
                               cfg.finetune_steps),
             seed=cfg.seed, num_examples=len(train_examples),
             batch_size=cfg.finetune_batch_size, num_steps=cfg.finetune_steps,
-            weight_decay=cfg.weight_decay, dropout=config.dropout_rate > 0,
-            log=log, log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
+            weight_decay=cfg.weight_decay, log=log,
+            log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
             hook=evaluate_dev, every=cfg.save_checkpoint)
 
     test_metrics = None

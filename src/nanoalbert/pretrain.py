@@ -90,17 +90,16 @@ def open_log(path, step: int):
 
 def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Schedule,
         seed: int, num_examples: int, batch_size: int, num_steps: int, first: int = 0,
-        weight_decay: float = DEFAULT_WEIGHT_DECAY, dropout: bool = False,
-        log=None, log_lines=None, hook=None, every: int = 0):
+        weight_decay: float = DEFAULT_WEIGHT_DECAY, log=None, log_lines=None, hook=None,
+        every: int = 0):
     """The step loop shared by pretraining and fine-tuning.
 
-    Step s trains on batch_indices(seed, s, ...) with the dropout stream
-    "dropout/step{s}" (when dropout is on) at lr_at(schedule, s + 1):
-    loss_fn(indices, dropout_rng) returns (loss, grads) and step_fn updates
-    params and state in place. After each step, log_lines(loss, lr) gives
-    the "metric<TAB>value" lines written to the text file `log` under the
-    step number, and hook(done) runs every `every` steps and at the last
-    step (every=0: last step only). Returns the last step's loss, None if
+    Step s trains on batch_indices(seed, s, ...) at lr_at(schedule, s + 1):
+    loss_fn(indices) returns (loss, grads) and step_fn updates params and
+    state in place. After each step, log_lines(loss, lr) gives the
+    "metric<TAB>value" lines written to the text file `log` under the step
+    number, and hook(done) runs every `every` steps and at the last step
+    (every=0: last step only). Returns the last step's loss, None if
     no step ran. A ValueError from loss_fn is raised again with the step
     number in front.
     """
@@ -108,9 +107,8 @@ def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Sche
     for step in range(first, num_steps):
         idx = batch_indices(seed, step, num_examples, batch_size)
         lr = lr_at(schedule, step + 1)
-        dropout_rng = RngStream(seed).child("dropout").child(f"step{step}") if dropout else None
         try:
-            loss, grads = loss_fn(idx, dropout_rng)
+            loss, grads = loss_fn(idx)
         except ValueError as exc:
             raise ValueError(f"step {step + 1}: {exc}") from exc
         step_fn(state, params, grads, lr, weight_decay)
@@ -184,8 +182,8 @@ def train(
         params = init_parameters(config, RngStream(seed).child("init"))
         state = OptimizerState.for_params(params)
 
-    def loss_fn(idx, dropout_rng):
-        return pretrain_step(params, config, examples[idx], dropout_rng=dropout_rng)
+    def loss_fn(idx):
+        return pretrain_step(params, config, examples[idx])
 
     def log_lines(losses, lr):
         return (f"lr\t{lr:.8f}", f"mlm_loss\t{losses.mlm_loss:.6f}",
@@ -197,8 +195,7 @@ def train(
     with nullcontext() if out_dir is None else open_log(out_dir / "train.log", first) as log:
         last = fit(loss_fn, params, state, step_fn=step_fn, schedule=schedule, seed=seed,
                    num_examples=len(examples), batch_size=batch_size, num_steps=num_steps,
-                   first=first, weight_decay=weight_decay, dropout=config.dropout_rate > 0,
-                   log=log, log_lines=log_lines,
+                   first=first, weight_decay=weight_decay, log=log, log_lines=log_lines,
                    hook=None if out_dir is None else save, every=checkpoint_every)
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
@@ -218,15 +215,14 @@ def _summed_over_parts(examples, max_rows, part_loss) -> PretrainLosses:
                           sop_hits=sum(p.sop_hits for p in parts))
 
 
-def pretrain_step(params, config, examples, dropout_rng=None):
+def pretrain_step(params, config, examples):
     """Losses and gradients of one training step over example records, run
     as the length-sorted, trimmed parts of map_parts, whose losses and
-    gradients add up to the step's; dropout masks are drawn part by part."""
+    gradients add up to the step's."""
     grads: dict = {}
 
     def part_loss(batch, counts):
-        return pretrain_loss_and_grads(params, config, batch, dropout_rng=dropout_rng,
-                                       counts=counts, grads=grads)[0]
+        return pretrain_loss_and_grads(params, config, batch, counts=counts, grads=grads)[0]
 
     return _summed_over_parts(examples, None, part_loss), grads
 

@@ -5,6 +5,7 @@ bitwise identical and a forward pass from the reloaded parameters must match
 the original to the last bit.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -182,24 +183,67 @@ def test_malformed_header_value_names_the_key(saved, tmp_path):
         load_checkpoint(bad)
 
 
+def _with_header(path, target, edit):
+    """Copy the checkpoint at path to target with edit(header bytes) as its
+    header; the tensor bytes stay as they are."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", raw[len(MAGIC):start])
+    header = edit(raw[start:start + length])
+    target.write_bytes(raw[:len(MAGIC)] + struct.pack("<I", len(header)) + header
+                       + raw[start + length:])
+    return target
+
+
+def _assert_loads_unchanged(target, params):
+    ck = load_checkpoint(target)
+    assert ck.step == 120
+    for name, arr in params.items():
+        assert ck.params[name].tobytes() == arr.tobytes(), name
+
+
 def test_header_with_retired_share_parameters_key_loads(saved, tmp_path):
     # checkpoints written while ModelConfig had a share_parameters flag, and
     # while headers carried a kind line
     _, params, path = saved
+
+    def edit(header):
+        old = header.replace(b"\ntype_vocab_size=", b"\nshare_parameters=true\ntype_vocab_size=")
+        old = old.replace(b"\noptim_t=", b"\nkind=pretrain\noptim_t=")
+        assert old.count(b"\n") == header.count(b"\n") + 2
+        return old
+
+    _assert_loads_unchanged(_with_header(path, tmp_path / "legacy.ckpt", edit), params)
+
+
+def test_parent_header_with_dropout_rate_loads(saved, tmp_path):
+    # headers written while ModelConfig had a dropout_rate, which followed
+    # type_vocab_size, next to the older share_parameters and kind lines
+    _, params, path = saved
+
+    def edit(header):
+        old = header.replace(b"\nstep=", b"\nshare_parameters=true\ndropout_rate=0.0\nstep=")
+        old = old.replace(b"\noptim_t=", b"\nkind=pretrain\noptim_t=")
+        assert b"\ntype_vocab_size=2\nshare_parameters=true\ndropout_rate=0.0\n" in old
+        return old
+
+    _assert_loads_unchanged(_with_header(path, tmp_path / "parent.ckpt", edit), params)
+
+
+def test_load_errors_name_the_file(saved, tmp_path):
+    _, _, path = saved
     raw = path.read_bytes()
-    start = len(MAGIC) + 4
-    (length,) = struct.unpack("<I", raw[len(MAGIC):start])
-    header = raw[start:start + length]
-    old = header.replace(b"\ndropout_rate=", b"\nshare_parameters=true\ndropout_rate=")
-    old = old.replace(b"\noptim_t=", b"\nkind=pretrain\noptim_t=")
-    assert old.count(b"\n") == header.count(b"\n") + 2
-    legacy = tmp_path / "legacy.ckpt"
-    legacy.write_bytes(raw[:len(MAGIC)] + struct.pack("<I", len(old)) + old
-                       + raw[start + length:])
-    ck = load_checkpoint(legacy)
-    assert ck.step == 120
-    for name, arr in params.items():
-        assert ck.params[name].tobytes() == arr.tobytes(), name
+    cases = [
+        (b"NOTACKPT" + raw[len(MAGIC):], CorruptCheckpointError, "bad magic"),
+        (raw[:100], CorruptCheckpointError, "truncated"),
+        (raw.replace(b"\nstep=", b"\nst\xffp="), CorruptCheckpointError, "not valid UTF-8"),
+        (raw.replace(b"hidden_size=32", b"hidden_size=64"), ConfigMismatchError, "shape"),
+    ]
+    for n, (data, error, what) in enumerate(cases):
+        target = tmp_path / f"bad{n}.ckpt"
+        target.write_bytes(data)
+        with pytest.raises(error, match=rf"^{re.escape(str(target))}: .*{what}"):
+            load_checkpoint(target)
 
 
 def test_checkpoint_dataclass_defaults():

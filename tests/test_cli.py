@@ -170,6 +170,13 @@ def test_build_vocab_rejects_too_small_vocab_size(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err == "error: vocab_size must be >= 261\n"
 
 
+def test_build_vocab_names_an_empty_corpus(tmp_path, capsys):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text(" \n\n")
+    assert run_cli("build-vocab", "--out", tmp_path / "v", "--corpus", corpus) == 1
+    assert capsys.readouterr().err == f"error: {corpus} is an empty corpus\n"
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 # ---------------------------------------------------------------------------
@@ -281,7 +288,7 @@ def test_pretrain_refuses_to_resume_a_checkpoint_of_another_architecture(pipelin
     log = read(run / "train.log")
     effective = (run / "effective.cfg").read_bytes()
     assert run_cli("pretrain", "--out", run, "--corpus", corpus, "--vocab", pipeline / "vocab",
-                   *TINY_OVERRIDES, "num_layers=5", "dropout_rate=0.3") == 1
+                   *TINY_OVERRIDES, "num_layers=5") == 1
     assert capsys.readouterr().err == (
         f"error: {run / 'checkpoint-000002.ckpt'} was trained with num_layers=1, "
         "but the config says num_layers=5; cannot resume\n")
@@ -472,6 +479,21 @@ def test_finetune_batch_without_a_labelled_word_fails_with_located_error(
                    "finetune_max_seq_length=16, so the batch has no label to learn")
 
 
+def test_finetune_refuses_a_label_the_checkpoint_cannot_store_before_step_1(
+        pipeline, tmp_path, capsys):
+    train = tmp_path / "comma.conll"
+    train.write_text(CONLL_TRAIN.replace("B-Drug", "B-Dr,ug"))
+    out = tmp_path / "ft"
+    assert run_cli("finetune", "--out", out,
+                   "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                   "--vocab", pipeline / "vocab",
+                   "--train", train, "--dev", pipeline / "dev.conll", *FT_OVERRIDES) == 1
+    assert capsys.readouterr().err == "error: label 'B-Dr,ug' may not contain ',' or newline\n"
+    log = out / "train.log"
+    assert not log.exists() or read(log) == ""
+    assert not (out / "best.ckpt").exists()
+
+
 def test_finetune_refuses_a_vocabulary_of_another_size(pipeline, tmp_path, capsys):
     vocab = tmp_path / "vocab273"
     assert run_cli("build-vocab", "--out", vocab, "--corpus",
@@ -557,6 +579,22 @@ def test_predict_refuses_a_sequence_length_past_the_checkpoint_positions(
     assert not (out / "predictions.conll").exists()
 
 
+def test_predict_names_a_garbage_or_truncated_checkpoint(pipeline, finetuned, tmp_path, capsys):
+    source = tmp_path / "input.txt"
+    source.write_text("some words\n")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"this is not a checkpoint at all")
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((finetuned / "best.ckpt").read_bytes()[:100])
+    for n, checkpoint in enumerate((bad, cut)):
+        assert run_cli("predict", "--out", tmp_path / f"p{n}", "--checkpoint", checkpoint,
+                       "--vocab", pipeline / "vocab", "--input", source) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: {bad}: bad magic: not a checkpoint file"
+    assert err[1].startswith(f"error: {cut}: truncated: wanted ")
+    assert err[1].endswith(", file has 100") and len(err) == 2
+
+
 def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):
     source = tmp_path / "input.txt"
     source.write_text("some words\n")
@@ -590,6 +628,22 @@ def test_evaluate_scores_orphan_inside_predictions(tmp_path, capsys):
     assert run_cli("evaluate", "--out", tmp_path / "strict",
                    "--gold", pred, "--pred", gold) == 1
     assert "pred.conll:1: label 'I-PER' has no matching B" in capsys.readouterr().err
+
+
+def test_evaluate_names_both_files_when_they_disagree(tmp_path, capsys):
+    gold = tmp_path / "gold.conll"
+    gold.write_text("Ada B-PER\nwrote O\n\nBob B-PER\n")
+    pred = tmp_path / "pred.conll"
+    pred.write_text("Ada B-PER\nwrote O\n")
+    assert run_cli("evaluate", "--out", tmp_path / "e", "--gold", gold, "--pred", pred) == 1
+    assert capsys.readouterr().err == (
+        f"error: --gold {gold} and --pred {pred} disagree: gold has 2 sentences, pred has 1\n")
+
+    pred.write_text("Ada B-PER\n\nBob B-PER\n")
+    assert run_cli("evaluate", "--out", tmp_path / "e2", "--gold", gold, "--pred", pred) == 1
+    assert capsys.readouterr().err == (
+        f"error: --gold {gold} and --pred {pred} disagree: "
+        "sentence 0: gold length 2 != pred length 1\n")
 
 
 def test_evaluate_leaves_inputs_untouched(pipeline, tmp_path):

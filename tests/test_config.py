@@ -108,12 +108,26 @@ def test_run_config_is_read_only():
 
 def test_effective_text_round_trips(tmp_path):
     cfg = parse_config(overrides=[
-        "learning_rate=0.0005", "dropout_rate=0.1", "lowercase=true", "seed=33",
+        "learning_rate=0.0005", "lowercase=true", "seed=33",
     ])
     dump = tmp_path / "effective.cfg"
     dump.write_text(effective_text(cfg))
     again = parse_config(dump)
     assert again == cfg
+
+
+def test_retired_dropout_rate_parses_only_as_off(tmp_path):
+    # effective.cfg files written while dropout_rate was a key hold it at 0.0
+    old = tmp_path / "effective.cfg"
+    old.write_text("dropout_rate=0.0\n" + effective_text(parse_config(overrides=["seed=3"])))
+    assert parse_config(old) == parse_config(overrides=["seed=3"])
+    assert parse_config(overrides=["dropout_rate=0"]) == parse_config()
+    with pytest.raises(ConfigError, match=r"^override: invalid value '0.1' for dropout_rate "
+                                          r"\(expected 0/0\.0\)$"):
+        parse_config(overrides=["dropout_rate=0.1"])
+    old.write_text("seed=3\ndropout_rate=0.1\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(old))}:2: invalid value '0.1'"):
+        parse_config(old)
 
 
 def test_effective_text_covers_every_key():
@@ -125,12 +139,11 @@ def test_effective_text_covers_every_key():
 def test_model_config_mapping():
     cfg = parse_config(overrides=[
         "vocab_size=200", "embedding_size=16", "hidden_size=32",
-        "num_layers=2", "num_heads=2", "max_positions=16", "dropout_rate=0.1",
+        "num_layers=2", "num_heads=2", "max_positions=16",
     ])
     mc = model_config_from(cfg)
     assert (mc.vocab_size, mc.embedding_size, mc.hidden_size) == (200, 16, 32)
     assert (mc.num_layers, mc.num_heads, mc.max_positions) == (2, 2, 16)
-    assert mc.dropout_rate == 0.1
     assert mc.intermediate_size == 128  # 0 in the run config means 4 * hidden
 
 

@@ -68,9 +68,6 @@ def test_config_validation():
         ModelConfig(vocab_size=10, embedding_size=32, hidden_size=16, num_layers=1, num_heads=2)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, embedding_size=4, hidden_size=8, num_layers=-1, num_heads=2)
-    with pytest.raises(ValueError):
-        ModelConfig(vocab_size=10, embedding_size=4, hidden_size=8, num_layers=1, num_heads=2,
-                    dropout_rate=1.0)
 
 
 def test_intermediate_size_defaults_to_4h():
@@ -249,32 +246,6 @@ def test_depth_changes_output(tiny_model):
     h2 = encode_forward(params, config, ids, types, mask)
     h1 = encode_forward(params, shallow, ids, types, mask)
     assert not np.allclose(h1, h2, atol=1e-3)
-
-
-def test_dropout_paths(tiny_model):
-    config, params = tiny_model
-    dropped_cfg = synthdata.tiny_config(dropout_rate=0.3)
-    ids, types, mask = batch_for(config, RngStream(5))
-    clean = encode_forward(params, config, ids, types, mask)
-
-    noisy1 = encode_forward(params, dropped_cfg, ids, types, mask, dropout_rng=RngStream(70))
-    noisy2 = encode_forward(params, dropped_cfg, ids, types, mask, dropout_rng=RngStream(70))
-    assert np.array_equal(noisy1, noisy2)  # same stream, same masks
-    assert not np.allclose(noisy1, clean, atol=1e-4)
-
-    # keeping the backward caches changes no bit of the forward
-    caches = []
-    kept = encode_forward(params, dropped_cfg, ids, types, mask,
-                          dropout_rng=RngStream(70), caches=caches)
-    assert np.array_equal(kept, noisy1)
-    assert len(caches) == dropped_cfg.num_layers + 1
-    caches = []
-    assert np.array_equal(encode_forward(params, config, ids, types, mask, caches=caches), clean)
-    assert len(caches) == config.num_layers + 1
-
-    # without a dropout stream the configured rate is ignored
-    eval_out = encode_forward(params, dropped_cfg, ids, types, mask)
-    assert np.array_equal(eval_out, clean)
 
 
 def test_token_logits_give_the_training_forward_bits():
@@ -738,7 +709,7 @@ def test_block_matches_einsum_reference():
     mask[2, 2:] = 0
     neg_mask = ((1 - mask) * NEG_INF).astype(np.float64)[:, None, None, :]
 
-    out, cache = _block_forward(params, config, x, neg_mask, 0.0, None)
+    out, cache = _block_forward(params, config, x, neg_mask)
     grads = {}
     d_x = _block_backward(config, cache, d_out, grads)
     want_out, want_d_x, want_grads = einsum_block(params, config.num_heads, x, neg_mask, d_out)

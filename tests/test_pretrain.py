@@ -73,7 +73,7 @@ def test_checkpoint_naming_and_latest(tmp_path):
 
 def _hook_steps(num_steps, every, first=0):
     fired = []
-    fit(lambda idx, dropout_rng: (0.0, {}), {}, None,
+    fit(lambda idx: (0.0, {}), {}, None,
         step_fn=lambda state, params, grads, lr, weight_decay: None,
         schedule=SCHED, seed=0, num_examples=20, batch_size=4,
         num_steps=num_steps, first=first, hook=fired.append, every=every)
@@ -88,22 +88,17 @@ def test_fit_hook_cadence():
     assert _hook_steps(5, 4, first=5) == []
 
 
-def test_fit_feeds_batches_dropout_and_lr_by_step():
+def test_fit_feeds_batches_and_lr_by_step():
     seen = []
 
-    def loss_fn(idx, dropout_rng):
-        seen.append((idx, dropout_rng.next_uint64()))
+    def loss_fn(idx):
+        seen.append(idx)
         return 0.0, {}
 
     lrs = []
     fit(loss_fn, {}, None, step_fn=lambda state, params, grads, lr, wd: lrs.append(lr),
-        schedule=SCHED, seed=9, num_examples=30, batch_size=5, num_steps=3,
-        first=1, dropout=True)
-    assert seen == [
-        (batch_indices(9, step, 30, 5),
-         RngStream(9).child("dropout").child(f"step{step}").next_uint64())
-        for step in (1, 2)
-    ]
+        schedule=SCHED, seed=9, num_examples=30, batch_size=5, num_steps=3, first=1)
+    assert seen == [batch_indices(9, step, 30, 5) for step in (1, 2)]
     assert lrs == [SCHED.peak_lr * 2 / 10, SCHED.peak_lr * 3 / 10]
 
 
@@ -166,15 +161,6 @@ def test_log_format(corpus, tmp_path):
     assert [l.split("\t")[1] for l in lines[:4]] == [
         "lr", "mlm_loss", "sop_loss", "total_loss"
     ]
-
-
-def test_dropout_training_is_still_deterministic():
-    config = synthdata.tiny_config(dropout_rate=0.1)
-    examples = synthdata.ordered_examples(40, RngStream(93))
-    a = train(examples, config, seed=5, num_steps=8, batch_size=8, schedule=SCHED)
-    b = train(examples, config, seed=5, num_steps=8, batch_size=8, schedule=SCHED)
-    for name in a.params:
-        assert np.array_equal(a.params[name], b.params[name]), name
 
 
 # ---------------------------------------------------------------------------
