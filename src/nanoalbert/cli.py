@@ -224,6 +224,7 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
     from .ner import finetune, metrics_keyvalues, metrics_report, read_conll
 
     snapshot = load_checkpoint(args.checkpoint)
+    snapshot.optim = None  # fine-tuning starts fresh AdamW moments: free the LAMB ones
     _check_seq_length(cfg, snapshot, args.checkpoint)
     vocab = _load_vocab_dir(args.vocab, snapshot.config.vocab_size, args.checkpoint)
     train_examples, _ = read_conll(args.train)
@@ -249,6 +250,11 @@ def _cmd_evaluate(args, cfg, out: Path) -> None:
             [example.labels for example in gold_examples],
             [example.labels for example in pred_examples],
         )
+        for n, (gold, pred) in enumerate(zip(gold_examples, pred_examples)):
+            for m, (gold_word, pred_word) in enumerate(zip(gold.words, pred.words)):
+                if gold_word != pred_word:
+                    raise ValueError(f"sentence {n} word {m}: gold {gold_word!r}, "
+                                     f"pred {pred_word!r}")
     except ValueError as exc:
         raise CliError(f"--gold {args.gold} and --pred {args.pred} disagree: {exc}") from None
     (out / "metrics.txt").write_text(metrics_report(metrics))

@@ -12,8 +12,12 @@ norm names its tensors once, by its forward/backward pair (_linear,
 _norm): the forward reads {name}_weight/_bias (or _gain/_bias) and the
 backward adds their gradients under the same name. The forward keeps its
 caches only in a list a training loss passes in, and every backward adds
-into one gradient dict, summing the shared block's L applications.
-Inference keeps no cache and computes no GELU slope.
+in place into one zero-filled gradient dict (zero_grads), summing the
+shared block's L applications. The caches hold only what the backward
+cannot cheaply rebuild: a layer's input, its attention norm's output and
+its GELU output and slope are recomputed there, with the forward's own
+ops, so they have the forward's bits. Inference keeps no cache and
+computes no GELU slope.
 
 One rule cuts every batch (length_parts) and one runner walks it
 (map_parts): length-sorted parts of at most PART_POSITIONS positions (and,
@@ -156,14 +160,58 @@ def init_parameters(
 def truncated_normal(rng: RngStream, shape, std, dtype=np.float32):
     """Inverse-CDF sampling of a normal truncated at +-INIT_CLIP_SIGMA sigma;
     consumes exactly one stream word per element."""
-    # only weight initialisation needs this 0.3 s, 20 MiB import
-    from scipy import special
-
     n = int(np.prod(shape))
-    lo = special.ndtr(-INIT_CLIP_SIGMA)
-    hi = special.ndtr(INIT_CLIP_SIGMA)
-    u = lo + (hi - lo) * rng.uniform_block(n)
-    return (special.ndtri(u) * std).astype(dtype).reshape(shape)
+    u = _NDTR_LO + (_NDTR_HI - _NDTR_LO) * rng.uniform_block(n)
+    return (_ndtri(u) * std).astype(dtype).reshape(shape)
+
+
+# scipy.special.ndtr(-/+ INIT_CLIP_SIGMA): the normal CDF at the clip points
+_NDTR_LO = 0.022750131948179195
+_NDTR_HI = 0.9772498680518208
+
+# Cephes ndtri's rational approximations, highest power first: P0/Q0 for the
+# centre, P1/Q1 for the tails while sqrt(-2 log y) < 8.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x, coef):
+    """coef[0] x^n + ... + coef[n] by Horner's rule, rounded as cephes rounds it."""
+    y = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _ndtri(u):
+    """The standard normal quantile of u in [_NDTR_LO, _NDTR_HI], by cephes
+    ndtri's central and first tail branches: within a few float64 ulps of
+    scipy.special.ndtri, and the same float32 weights."""
+    upper = u > 1.0 - _EXP_MINUS_2
+    y = np.where(upper, 1.0 - u, u)
+    central = y > _EXP_MINUS_2
+    x = np.empty_like(y)
+    c = y[central] - 0.5
+    c2 = c * c
+    x[central] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = ~central
+    r = np.sqrt(-2.0 * np.log(y[tail]))
+    z = 1.0 / r
+    t = (r - np.log(r) / r) - z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    x[tail] = np.where(upper[tail], t, -t)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +230,15 @@ def _linear(params, name, x):
 def _linear_back(grads, cache, d_out):
     name, lin_cache = cache
     d_x, d_w, d_b = ops.linear_backward(lin_cache, d_out)
-    _add(grads, f"{name}_weight", d_w)
-    _add(grads, f"{name}_bias", d_b)
+    grads[f"{name}_weight"] += d_w
+    grads[f"{name}_bias"] += d_b
     return d_x
+
+
+def _linear_cache(params, name, x):
+    """The cache _linear(params, name, x) returns, for an input x the caller
+    kept or rebuilt."""
+    return name, (x, params[f"{name}_weight"])
 
 
 def _norm(params, name, x):
@@ -195,13 +249,24 @@ def _norm(params, name, x):
 def _norm_back(grads, cache, d_out):
     name, norm_cache = cache
     d_x, d_gain, d_bias = ops.layer_norm_backward(norm_cache, d_out)
-    _add(grads, f"{name}_gain", d_gain)
-    _add(grads, f"{name}_bias", d_bias)
+    grads[f"{name}_gain"] += d_gain
+    grads[f"{name}_bias"] += d_bias
     return d_x
 
 
-def _add(grads, name, value):
-    grads[name] = grads.get(name, 0.0) + value
+def _norm_output(params, cache):
+    """A _norm's output, rebuilt from its cache by layer_norm_forward's own
+    ops, so it has the forward's bits."""
+    name, (x_hat, _, gain) = cache
+    y = x_hat * gain
+    y += params[f"{name}_bias"]
+    return y
+
+
+def zero_grads(params) -> dict[str, np.ndarray]:
+    """A zero gradient for every parameter. Backward passes add into it in
+    place, so a step's parts share one set of buffers from the first part on."""
+    return {name: np.zeros_like(p) for name, p in params.items()}
 
 
 def _embed_forward(params, config, token_ids, type_ids):
@@ -218,11 +283,9 @@ def _embed_backward(params, cache, d_out, grads):
     tok_cache, typ_cache, norm_cache, proj_cache, seq_len = cache
     d_normed = _linear_back(grads, proj_cache, d_out)
     d_summed = _norm_back(grads, norm_cache, d_normed)
-    _add(grads, "token_embedding", ops.embedding_backward(tok_cache, d_summed))
-    _add(grads, "type_embedding", ops.embedding_backward(typ_cache, d_summed))
-    d_pos = np.zeros_like(params["position_embedding"])
-    d_pos[:seq_len] = d_summed.sum(axis=0)
-    _add(grads, "position_embedding", d_pos)
+    grads["token_embedding"] += ops.embedding_backward(tok_cache, d_summed)
+    grads["type_embedding"] += ops.embedding_backward(typ_cache, d_summed)
+    grads["position_embedding"][:seq_len] += d_summed.sum(axis=0)
 
 
 def _split_heads(x, num_heads):
@@ -240,12 +303,15 @@ def _attention_scale(config):
     return (config.hidden_size // config.num_heads) ** -0.5
 
 
-def _block_forward(params, config, x, neg_mask, backward=True):
-    qkv, qkv_caches = zip(*(
-        _linear(params, f"block_{part}", x) for part in ("query", "key", "value")
-    ))
-    q, k, v = (_split_heads(z, config.num_heads) for z in qkv)
-
+def _block_forward(params, config, x, neg_mask):
+    """The shared block on x. Its cache keeps neither x nor what the backward
+    rebuilds: the attention norm's output (from that norm's cache) and the
+    GELU's output and slope (from its input, `inner`), so the forward
+    builds no slope."""
+    q, k, v = (
+        _split_heads(_linear(params, f"block_{part}", x)[0], config.num_heads)
+        for part in ("query", "key", "value")
+    )
     scores = q @ k.swapaxes(-1, -2)
     scores *= _attention_scale(config)
     scores += neg_mask
@@ -253,47 +319,58 @@ def _block_forward(params, config, x, neg_mask, backward=True):
     del scores
     ctx = _join_heads(probs @ v)
     attn_out, out_cache = _linear(params, "block_attn_output", ctx)
-    x1, attn_norm_cache = _norm(params, "block_attn_norm", x + attn_out)
+    attn_out += x
+    x1, attn_norm_cache = _norm(params, "block_attn_norm", attn_out)
+    del attn_out
 
-    inner, in_cache = _linear(params, "block_ffn_in", x1)
-    act, act_cache = ops.gelu_forward(inner) if backward else (ops.gelu(inner), None)
-    ffn_out, out2_cache = _linear(params, "block_ffn_out", act)
-    x2, ffn_norm_cache = _norm(params, "block_ffn_norm", x1 + ffn_out)
-    cache = (
-        qkv_caches, (q, k, v), probs, out_cache, attn_norm_cache,
-        in_cache, act_cache, out2_cache, ffn_norm_cache,
-    )
+    inner = _linear(params, "block_ffn_in", x1)[0]
+    act = ops.gelu(inner)
+    ffn_out = _linear(params, "block_ffn_out", act)[0]
+    del act
+    ffn_out += x1
+    x2, ffn_norm_cache = _norm(params, "block_ffn_norm", ffn_out)
+    cache = (q, k, v, probs, out_cache, attn_norm_cache, inner, ffn_norm_cache)
     return x2, cache
 
 
-def _block_backward(config, cache, d_out, grads):
-    (qkv_caches, (q, k, v), probs, out_cache, attn_norm_cache,
-     in_cache, act_cache, out2_cache, ffn_norm_cache) = cache
+def _block_backward(params, config, cache, x, d_out, grads):
+    """Input gradient of the block whose forward on x left `cache`; adds the
+    parameter gradients into grads. The rebuilt activations are the
+    forward's own ops on the same inputs, so they are its bits."""
+    q, k, v, probs, out_cache, attn_norm_cache, inner, ffn_norm_cache = cache
+    del cache  # a caller that let go of it frees each cached array after its last use
     scale = _attention_scale(config)
 
-    d_x1_plus = _norm_back(grads, ffn_norm_cache, d_out)
-    d_act = _linear_back(grads, out2_cache, d_x1_plus)
-    d_inner = ops.gelu_backward(act_cache, d_act)
-    d_x1_ffn = _linear_back(grads, in_cache, d_inner)
-    del d_act, d_inner  # (b, T, I) each: free them before attention's backward
-    d_x1 = d_x1_plus + d_x1_ffn
+    d_x1 = _norm_back(grads, ffn_norm_cache, d_out)
+    del ffn_norm_cache
+    act, slope = ops.gelu_forward(inner)
+    del inner
+    d_act = _linear_back(grads, _linear_cache(params, "block_ffn_out", act), d_x1)
+    del act
+    d_inner = ops.gelu_backward(slope, d_act)
+    del slope, d_act  # (b, T, I) each: free them before the next GEMM
+    x1 = _norm_output(params, attn_norm_cache)
+    d_x1 += _linear_back(grads, _linear_cache(params, "block_ffn_in", x1), d_inner)
+    del x1, d_inner
 
-    d_x_plus = _norm_back(grads, attn_norm_cache, d_x1)
-    d_ctx = _linear_back(grads, out_cache, d_x_plus)
+    d_x = _norm_back(grads, attn_norm_cache, d_x1)
+    del d_x1
+    d_ctx = _linear_back(grads, out_cache, d_x)
 
     d_ctx = _split_heads(d_ctx, config.num_heads)
     d_probs = d_ctx @ v.swapaxes(-1, -2)
     d_v = probs.swapaxes(-1, -2) @ d_ctx
+    del d_ctx
     d_scores = ops.softmax_backward(probs, d_probs)
     del d_probs
     d_q = d_scores @ k
     d_q *= scale
     d_k = d_scores.swapaxes(-1, -2) @ q
     d_k *= scale
+    del d_scores
 
-    d_x = d_x_plus
-    for d_part, lin_cache in zip((d_q, d_k, d_v), qkv_caches):
-        d_x = d_x + _linear_back(grads, lin_cache, _join_heads(d_part))
+    for part, d_part in (("query", d_q), ("key", d_k), ("value", d_v)):
+        d_x += _linear_back(grads, _linear_cache(params, f"block_{part}", x), _join_heads(d_part))
     return d_x
 
 
@@ -340,9 +417,9 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
 def encode_forward(params, config, token_ids, type_ids, attention_mask, caches=None):
     """Hidden states (batch, T, H) for a batch padded to T. Callers pass
     batches sorted by length and trimmed (length_parts), so T is the part's
-    longest row. A list passed as `caches` gets the embedding's and then
-    each layer's cache (L + 1) for _encode_backward; without one, no layer's
-    cache outlives the layer."""
+    longest row. A list passed as `caches` gets the embedding's cache, the
+    first layer's input and then each layer's cache (L + 2 items) for
+    _encode_backward; without one, no layer's cache outlives the layer."""
     token_ids = np.asarray(token_ids)
     type_ids = np.asarray(type_ids)
     attention_mask = np.asarray(attention_mask)
@@ -352,21 +429,29 @@ def encode_forward(params, config, token_ids, type_ids, attention_mask, caches=N
     neg_mask = ((1 - attention_mask) * NEG_INF).astype(dtype)[:, None, None, :]
 
     x, cache = _embed_forward(params, config, token_ids, type_ids)
+    if caches is not None:
+        caches += [cache, x]
+    del cache
     for _ in range(config.num_layers):
+        # inference holds no cache while the next layer runs
+        x, cache = _block_forward(params, config, x, neg_mask)
         if caches is not None:
             caches.append(cache)
-        del cache  # inference holds no cache while the next layer runs
-        x, cache = _block_forward(params, config, x, neg_mask, caches is not None)
-    if caches is not None:
-        caches.append(cache)
+        del cache
     return x
 
 
 def _encode_backward(params, config, caches, d_hidden, grads):
+    """Backward through encode_forward's caches, which it empties as it goes:
+    each layer's input after the first is rebuilt from the layer below's
+    output norm, and each layer's cache is freed once its backward is done."""
     d_x = d_hidden
-    for layer_cache in reversed(caches[1:]):
-        d_x = _block_backward(config, layer_cache, d_x, grads)
+    while len(caches) > 2:
+        x = caches[-2] if len(caches) == 3 else _norm_output(params, caches[-2][-1])
+        d_x = _block_backward(params, config, caches.pop(), x, d_x, grads)
+        del x
     _embed_backward(params, caches[0], d_x, grads)
+    caches.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +505,8 @@ def _mlm_head_forward(params, hidden_flat, rows, backward):
 
 def _mlm_head_backward(params, cache, d_logits, grads, d_hidden_flat):
     dense_cache, act_cache, norm_cache, normed, rows = cache
-    _add(grads, "mlm_output_bias", d_logits.sum(axis=0))
-    _add(grads, "token_embedding", d_logits.T @ normed)  # tied decoder weight
+    grads["mlm_output_bias"] += d_logits.sum(axis=0)
+    grads["token_embedding"] += d_logits.T @ normed  # tied decoder weight
     d_normed = d_logits @ params["token_embedding"]
     d_act = _norm_back(grads, norm_cache, d_normed)
     d_dense = ops.gelu_backward(act_cache, d_act)
@@ -443,9 +528,9 @@ def pretrain_loss(params, config, batch, counts=None) -> PretrainLosses:
 
 
 def pretrain_loss_and_grads(params, config, batch, counts=None, grads=None):
-    """pretrain_loss and its gradients, added into `grads` (a new dict when
-    None); returns (losses, grads)."""
-    grads = {} if grads is None else grads
+    """pretrain_loss and its gradients, added into `grads` (zero_grads(params)
+    when None); returns (losses, grads)."""
+    grads = zero_grads(params) if grads is None else grads
     return _pretrain_pass(params, config, batch, grads, counts), grads
 
 
@@ -503,8 +588,8 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
                        label_ids, count=None, grads=None):
     """Cross-entropy over word-initial positions (others carry IGNORE_INDEX):
     the mean over them, or with `count` their summed loss over the count of
-    a larger batch this one is part of. Gradients are added into `grads` (a
-    new dict when None); returns (loss, grads)."""
+    a larger batch this one is part of. Gradients are added into `grads`
+    (zero_grads(params) when None); returns (loss, grads)."""
     if "ner_weight" not in params:
         raise ValueError("model has no ner head")
     caches = []
@@ -515,7 +600,7 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
     loss, d_logits = ops.softmax_cross_entropy_with_grad(
         logits, np.asarray(label_ids).reshape(-1), count=count
     )
-    grads = {} if grads is None else grads
+    grads = zero_grads(params) if grads is None else grads
     d_flat = _linear_back(grads, lin_cache, d_logits)
     _encode_backward(params, config, caches, d_flat.reshape(b, t, h), grads)
     return loss, grads

@@ -26,6 +26,7 @@ from .model import (
     parameter_shapes,
     token_logits,
     truncated_normal,
+    zero_grads,
 )
 from .optim import OptimizerState, Schedule, adamw_step
 from .pretrain import batch_indices  # unused here; perfbench traces it at ner.batch_indices
@@ -356,7 +357,7 @@ def ner_step(params, config, batch):
     trimmed parts of map_parts, whose losses and gradients add up to the
     step's."""
     count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
-    grads: dict = {}
+    grads = zero_grads(params)
 
     def part_loss(records, t):
         return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),

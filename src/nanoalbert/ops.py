@@ -5,8 +5,9 @@ Every primitive the encoder needs lives here as a ``*_forward`` /
 cache plus the upstream gradient and returns gradients in input order. There
 is no autodiff graph: callers compose backward passes by hand, in reverse.
 
-Forward-only ``linear`` and ``gelu`` serve passes no backward follows
-(``gelu`` then builds no slope); such passes drop other kernels' caches.
+Forward-only ``linear`` and ``gelu`` serve results no cache is kept for
+(``gelu`` builds no slope): inference, and the encoder block's GELU, whose
+backward reruns ``gelu_forward`` on the cached input.
 
 Precision follows the inputs (float32 for training, float64 for gradient
 checks); no kernel upcasts.

@@ -24,6 +24,7 @@ from .model import (
     pack_pretrain_batch,
     pretrain_loss,
     pretrain_loss_and_grads,
+    zero_grads,
 )
 from .optim import (
     DEFAULT_WEIGHT_DECAY,
@@ -219,7 +220,7 @@ def pretrain_step(params, config, examples):
     """Losses and gradients of one training step over example records, run
     as the length-sorted, trimmed parts of map_parts, whose losses and
     gradients add up to the step's."""
-    grads: dict = {}
+    grads = zero_grads(params)
 
     def part_loss(batch, counts):
         return pretrain_loss_and_grads(params, config, batch, counts=counts, grads=grads)[0]

@@ -646,6 +646,19 @@ def test_evaluate_names_both_files_when_they_disagree(tmp_path, capsys):
         "sentence 0: gold length 2 != pred length 1\n")
 
 
+def test_evaluate_refuses_predictions_for_other_words(tmp_path, capsys):
+    # the labels alone agree, so scoring them would give F1 1.0
+    gold = tmp_path / "gold.conll"
+    gold.write_text("Ada B-PER\nwrote O\n\nBob B-PER\nsang O\n")
+    pred = tmp_path / "pred.conll"
+    pred.write_text("Ada B-PER\nwrote O\n\nBob B-PER\nran O\n")
+    assert run_cli("evaluate", "--out", tmp_path / "e", "--gold", gold, "--pred", pred) == 1
+    assert capsys.readouterr().err == (
+        f"error: --gold {gold} and --pred {pred} disagree: "
+        "sentence 1 word 1: gold 'sang', pred 'ran'\n")
+    assert not (tmp_path / "e" / "metrics.kv").exists()
+
+
 def test_evaluate_leaves_inputs_untouched(pipeline, tmp_path):
     gold = pipeline / "train.conll"
     before = gold.read_bytes()

@@ -191,10 +191,17 @@ def test_cli_and_config_leave_numpy_unloaded():
 
 
 def test_cli_ner_and_pretrain_leave_scipy_unloaded():
-    # only weight initialisation needs scipy.special, which is slow to load
+    # scipy is a test-only dependency: weight initialisation, the pretraining
+    # and tagging heads and finetune's head draw included, runs on numpy alone
     code = (
         "import sys\n"
         "import nanoalbert.cli, nanoalbert.ner, nanoalbert.pretrain\n"
+        "from nanoalbert.model import ModelConfig, init_parameters\n"
+        "from nanoalbert.rng import RngStream\n"
+        "config = ModelConfig(vocab_size=50, embedding_size=8, hidden_size=16,\n"
+        "                     num_layers=1, num_heads=2, max_positions=16)\n"
+        "init_parameters(config, RngStream(1), heads=('mlm', 'sop', 'ner'), num_labels=3)\n"
+        "nanoalbert.ner.truncated_normal(RngStream(1).child('ner-init'), (16, 3), 0.02)\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -17,12 +17,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 import synthdata
-from nanoalbert import ops
-from nanoalbert.corpus import build_pretrain_examples, read_examples, write_examples
+from nanoalbert import model, ops
+from nanoalbert.corpus import (
+    build_pretrain_examples,
+    example_dtype,
+    read_examples,
+    write_examples,
+)
 from nanoalbert.gradcheck import max_grad_error
 from nanoalbert.model import (
+    INIT_CLIP_SIGMA,
+    INIT_STD,
     NEG_INF,
     ModelConfig,
     _block_backward,
@@ -42,6 +50,7 @@ from nanoalbert.model import (
     pretrain_loss_and_grads,
     token_logits,
     truncated_normal,
+    zero_grads,
 )
 from nanoalbert.ner import LabelSet, NerExample, ner_step, pack_ner_examples
 from nanoalbert.pretrain import evaluate_pretrain, pretrain_step
@@ -54,6 +63,11 @@ TINY = ModelConfig(
 BASE = ModelConfig(
     vocab_size=30000, embedding_size=128, hidden_size=768, num_layers=12,
     num_heads=12, intermediate_size=3072, max_positions=512,
+)
+# the encoder of perfbench's pretrain and tag workloads, at 1000 pieces
+BENCH_SHAPE = ModelConfig(
+    vocab_size=1000, embedding_size=128, hidden_size=256, num_layers=6,
+    num_heads=4, max_positions=128,
 )
 
 
@@ -160,6 +174,33 @@ def test_truncated_normal_consumes_one_word_per_element():
     r = RngStream(9)
     truncated_normal(r, (7, 3), 0.02)
     assert r.position == 21
+
+
+def test_ndtri_port_draws_scipys_weights(monkeypatch):
+    """The numpy port of cephes ndtri against scipy.special: the clip points
+    are scipy's, every float32 weight is scipy's to the bit, and float64
+    draws stay within a few ulps."""
+    assert model._NDTR_LO == special.ndtr(-INIT_CLIP_SIGMA)
+    assert model._NDTR_HI == special.ndtr(INIT_CLIP_SIGMA)
+
+    def draws():
+        inits = [init_parameters(config, RngStream(seed), heads=("mlm", "sop", "ner"),
+                                 num_labels=9)
+                 for config, seed in ((BENCH_SHAPE, 1), (TINY, 2))]
+        more = truncated_normal(RngStream(3), (1_000_000,), INIT_STD)
+        wide = truncated_normal(RngStream(4), (1_000_000,), INIT_STD, dtype=np.float64)
+        return inits, more, wide
+
+    inits, more, wide = draws()
+    monkeypatch.setattr(model, "_ndtri", special.ndtri)
+    want_inits, want_more, want_wide = draws()
+    for got, want in zip(inits, want_inits):
+        assert got.keys() == want.keys()
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+    assert more.tobytes() == want_more.tobytes()
+    ulps = np.abs(wide.view(np.int64) - want_wide.view(np.int64))
+    assert ulps.max() <= 8, ulps.max()
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +588,43 @@ def test_pretrain_step_memory_does_not_grow_with_batch_size(monkeypatch):
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+def benchmark_shape_examples(seed, count=32, max_len=128, slots=20):
+    """Pretraining records at the benchmark's shape: real lengths uniform in
+    20..127, 15% of the positions after [CLS] masked, up to `slots`."""
+    r = RngStream(seed)
+    examples = np.zeros(count, dtype=example_dtype(max_len, slots))
+    examples["mlm_labels"] = ops.IGNORE_INDEX
+    inputs = examples["input"]
+    for i in range(count):
+        n = 20 + r.randint(108)
+        inputs["token_ids"][i, :n] = 5 + r.uint64_block(n) % (BENCH_SHAPE.vocab_size - 5)
+        inputs["type_ids"][i, n // 2:n] = 1
+        inputs["attention_mask"][i, :n] = 1
+        k = min(slots, n * 15 // 100)
+        examples["mlm_positions"][i, :k] = sorted(1 + p for p in r.sample(n - 1, k))
+        examples["mlm_labels"][i, :k] = inputs["token_ids"][i, examples["mlm_positions"][i, :k]]
+        examples["sop_label"][i] = r.randint(2)
+    return examples
+
+
+def test_pretrain_step_memory_at_benchmark_shape():
+    """The lean block caches: one B=32 step's tracemalloc peak stays below
+    0.8 x 35.7 MiB, the peak when each layer also cached its input, its
+    attention norm's output and its GELU's output and slope (35.0 MiB on
+    this batch; 24.9 MiB with the lean caches)."""
+    params = init_parameters(BENCH_SHAPE, RngStream(69).child("init"))
+    examples = benchmark_shape_examples(70)
+    assert len(length_parts(examples["input"]["attention_mask"])) >= 10
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pretrain_step(params, BENCH_SHAPE, examples)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 35.7 * 2**20, peak / 2**20
+
+
 # ---------------------------------------------------------------------------
 # end-to-end gradients (the acceptance test runs these over 20 seeds)
 # ---------------------------------------------------------------------------
@@ -710,8 +788,8 @@ def test_block_matches_einsum_reference():
     neg_mask = ((1 - mask) * NEG_INF).astype(np.float64)[:, None, None, :]
 
     out, cache = _block_forward(params, config, x, neg_mask)
-    grads = {}
-    d_x = _block_backward(config, cache, d_out, grads)
+    grads = zero_grads(params)
+    d_x = _block_backward(params, config, cache, x, d_out, grads)
     want_out, want_d_x, want_grads = einsum_block(params, config.num_heads, x, neg_mask, d_out)
 
     def rel_err(got, want, scale=None):
