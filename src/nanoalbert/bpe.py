@@ -139,14 +139,19 @@ def _merge_pair(symbols: list[bytes], left: bytes, right: bytes) -> list[bytes]:
     return out
 
 
+def _add_count(counts: dict, pair: tuple[bytes, bytes], freq: int) -> None:
+    """Add freq to the count of pair; a count of 0 is deleted."""
+    count = counts.get(pair, 0) + freq
+    if count:
+        counts[pair] = count
+    else:
+        del counts[pair]
+
+
 def _add_pairs(counts: dict, symbols: list[bytes], freq: int) -> None:
-    """Add freq to the count of each adjacent pair; a count of 0 is deleted."""
+    """Add freq to the count of each adjacent pair."""
     for pair in zip(symbols, symbols[1:]):
-        count = counts.get(pair, 0) + freq
-        if count:
-            counts[pair] = count
-        else:
-            del counts[pair]
+        counts[pair] = counts.get(pair, 0) + freq
 
 
 def train_vocab(corpus: str, vocab_size: int) -> Vocab:
@@ -158,10 +163,11 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
     the 256-byte base alphabet, so the smallest legal value is 261 (zero
     merges).
 
-    Pair counts are taken once. A merge rewrites only the words that hold its
-    bytes and moves their counts from the old split to the new one (Sennrich
-    et al., arXiv 1508.07909), so each round sees exactly the counts a full
-    recount would give, and the merges are the same. A merge lowers or keeps
+    Pair counts are taken once. A merge edits in place only the words that
+    hold its bytes, and at each merge site moves the word's count off the
+    pairs it breaks and onto the two it makes (Sennrich et al., arXiv
+    1508.07909), so each round sees exactly the counts a full recount would
+    give, and the merges are the same. A merge lowers or keeps
     every count except those of pairs holding the merged piece, so the top
     count and the pairs tied at it are carried between rounds; all counts
     are scanned again only when the tied pairs run out.
@@ -200,7 +206,8 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
             heapify(tied)
         best = heappop(tied)
         merges.append(best)
-        merged = best[0] + best[1]
+        left, right = best
+        merged = left + right
         if merged not in known:
             known.add(merged)
             pieces.append(merged)
@@ -208,18 +215,37 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
         pos = text.find(merged)
         while pos >= 0:
             i = bisect_right(starts, pos) - 1
-            symbols = words[i]
-            new = _merge_pair(symbols, *best)
-            if len(new) < len(symbols):  # else the match straddled symbols
-                _add_pairs(counts, symbols, -freqs[i])
-                _add_pairs(counts, new, freqs[i])
-                words[i] = new
-                grown.update(p for p in zip(new, new[1:]) if merged in p)
+            symbols, freq = words[i], freqs[i]
+            # A site is `left` followed by `right`; a match that straddles
+            # symbols has none. The walk edits the list as it goes, so a
+            # site's neighbours are those left by the sites before it.
+            j = 0
+            while True:
+                try:
+                    j = symbols.index(left, j, len(symbols) - 1)
+                except ValueError:  # no `left` before the last symbol
+                    break
+                if symbols[j + 1] != right:
+                    j += 1
+                    continue
+                _add_count(counts, best, -freq)
+                if j:
+                    prev = symbols[j - 1]
+                    _add_count(counts, (prev, left), -freq)
+                    _add_count(counts, (prev, merged), freq)
+                    grown.add((prev, merged))
+                if j + 2 < len(symbols):
+                    after = symbols[j + 2]
+                    _add_count(counts, (right, after), -freq)
+                    _add_count(counts, (merged, after), freq)
+                    grown.add((merged, after))
+                symbols[j : j + 2] = [merged]
+                j += 1
             pos = text.find(merged, starts[i] + len(distinct[i]))
         # Only pairs holding the merged piece gain. None passes top unless
         # that piece was already known, so a new top resets the tied heap.
-        for pair in grown:
-            count = counts[pair]
+        for pair in grown:  # a pair made at one site may be gone at the next
+            count = counts.get(pair, 0)
             if count > top:
                 top, tied = count, []
             if count == top:

@@ -18,6 +18,7 @@ errors so callers can tell truncation from a wrong-model mistake.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import struct
 import typing
@@ -98,17 +99,20 @@ def _header_text(config, step, labels, optim_t) -> str:
     return format_pairs(pairs)
 
 
-def _tensor_bytes(name: str, values: np.ndarray) -> bytes:
+def _write_tensor(fh, name: str, values: np.ndarray) -> None:
     name_b = name.encode("utf-8")
     arr = np.ascontiguousarray(values, dtype="<f4")
-    parts = [_U32.pack(len(name_b)), name_b, _U32.pack(arr.ndim)]
-    parts.extend(_U32.pack(d) for d in arr.shape)
-    parts.append(arr.tobytes())
-    return b"".join(parts)
+    fh.write(b"".join([_U32.pack(len(name_b)), name_b, _U32.pack(arr.ndim),
+                       *(_U32.pack(d) for d in arr.shape)]))
+    fh.write(arr.data)
 
 
 def save_checkpoint(path, config, params, step=0, labels=None, optim=None) -> None:
-    """Write atomically (temp file + rename); tensors stored as float32."""
+    """Write atomically (temp file + rename); tensors stored as float32.
+
+    Each tensor's values go from its array straight to the file, so saving
+    holds no copy of the checkpoint in memory.
+    """
     _validate(config, params, labels)
     tensors = dict(params)
     optim_t = 0
@@ -120,33 +124,45 @@ def save_checkpoint(path, config, params, step=0, labels=None, optim=None) -> No
             tensors[f"optim/v/{name}"] = arr
 
     header = _header_text(config, step, labels, optim_t).encode("utf-8")
-    blob = [MAGIC, _U32.pack(len(header)), header, _U32.pack(len(tensors))]
-    for name in sorted(tensors):
-        blob.append(_tensor_bytes(name, tensors[name]))
-
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(b"".join(blob))
+        fh.write(b"".join([MAGIC, _U32.pack(len(header)), header, _U32.pack(len(tensors))]))
+        for name in sorted(tensors):
+            _write_tensor(fh, name, tensors[name])
     os.replace(tmp, path)
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads an open checkpoint front to back. Each read is checked against
+    the file's size before anything is allocated, so a corrupt length is
+    refused; saves replace a file by rename, so an open one never shrinks."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _advance(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise CorruptCheckpointError(
                 f"truncated: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.data)}"
+                f"file has {self.size}"
             )
-        out = self.data[self.pos:self.pos + n]
         self.pos += n
-        return out
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        return self.fh.read(n)
 
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
+
+    def floats(self, dims: tuple[int, ...]) -> np.ndarray:
+        """The next float32 values, read into their own array of shape dims."""
+        self._advance(4 * math.prod(dims))
+        arr = np.empty(dims, dtype="<f4")
+        self.fh.readinto(arr.reshape(-1).view(np.uint8))
+        return arr
 
 
 # older checkpoints carry retired keys: share_parameters (the model only ever
@@ -177,18 +193,16 @@ def _parse_header(text: str):
 
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint in `path`; every error it raises names the file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        return _decode(data)
+        with open(path, "rb") as fh:
+            return _decode(_Reader(fh))
     except UnicodeDecodeError:
         raise CorruptCheckpointError(f"{path}: header or tensor name is not valid UTF-8") from None
     except (CorruptCheckpointError, ConfigMismatchError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _decode(data: bytes) -> Checkpoint:
-    reader = _Reader(data)
+def _decode(reader: _Reader) -> Checkpoint:
     if reader.take(len(MAGIC)) != MAGIC:
         raise CorruptCheckpointError("bad magic: not a checkpoint file")
     config, step, optim_t, labels = _parse_header(reader.take(reader.u32()).decode("utf-8"))
@@ -198,14 +212,13 @@ def _decode(data: bytes) -> Checkpoint:
         name = reader.take(reader.u32()).decode("utf-8")
         rank = reader.u32()
         dims = tuple(reader.u32() for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
-        raw = reader.take(4 * count)
+        arr = reader.floats(dims)
         if name in tensors:
             raise CorruptCheckpointError(f"duplicate tensor {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    if reader.pos != len(reader.data):
+        tensors[name] = arr
+    if reader.pos != reader.size:
         raise CorruptCheckpointError(
-            f"{len(reader.data) - reader.pos} trailing bytes after last tensor"
+            f"{reader.size - reader.pos} trailing bytes after last tensor"
         )
 
     params, m, v = {}, {}, {}

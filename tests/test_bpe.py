@@ -155,6 +155,23 @@ def test_training_matches_full_recount_on_worked_corpora(corpus, target_size):
     assert_same_as_reference(corpus, target_size)
 
 
+@pytest.mark.parametrize("corpus, target_size, merges", [
+    # adjacent sites: ababab -> ab ab ab, so (ab,ab) counts 2 there + 1 in abab
+    ("ababab abab", 265, [(b"a", b"b"), (b"ab", b"ab")]),
+    # odd runs of (a,a): aaaaa -> aa aa a and aaa -> aa a, so (aa,a) counts 2
+    ("aaaaa aaa", 265, [(b"a", b"a"), (b"aa", b"a")]),
+    # after (a,b), "bc" straddles ab|c in abc but is a site in bcd, so (b,c)
+    # counts 3 and beats (ab,c) at 1, tying (c,d) at 3
+    ("ab ab ab ab abc bcd bcd bcd", 264,
+     [(b"a", b"b"), (b"b", b"c"), (b"bc", b"d")]),
+    # (ab,a) is made at the first site of abab and removed at the second, so
+    # it counts only aba's 3 and loses to (c,d) at 4
+    ("abab abab aba aba aba cd cd cd cd", 263, [(b"a", b"b"), (b"c", b"d")]),
+])
+def test_merge_sites_worked_by_hand(corpus, target_size, merges):
+    assert assert_same_as_reference(corpus, target_size).merges == merges
+
+
 # Repeat-prone symbols give ties and overlapping runs such as "aaaa"; the
 # multi-byte letters give merges inside a character.
 _SYMBOLS = ["a", "aa", "ab", "b", "c", "é", "α"]

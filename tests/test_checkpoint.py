@@ -7,6 +7,7 @@ the original to the last bit.
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,13 +133,63 @@ def test_header_disagreeing_with_tensors_rejected(saved, tmp_path):
 
 
 def test_truncation_detected(saved, tmp_path):
-    _, _, path = saved
+    _, params, path = saved
     raw = path.read_bytes()
     for cut in (len(raw) - 11, len(raw) // 2, 10):
         stub = tmp_path / f"cut{cut}.ckpt"
         stub.write_bytes(raw[:cut])
         with pytest.raises(CorruptCheckpointError, match="truncated"):
             load_checkpoint(stub)
+    # the first cut lies inside the last tensor's values; the error names
+    # where they start
+    payload = params[max(params)].nbytes
+    with pytest.raises(CorruptCheckpointError, match=re.escape(
+            f"truncated: wanted {payload} bytes at offset {len(raw) - payload}, "
+            f"file has {len(raw) - 11}")):
+        load_checkpoint(tmp_path / f"cut{len(raw) - 11}.ckpt")
+
+
+def test_duplicate_tensor_detected(saved, tmp_path):
+    _, params, path = saved
+    raw = path.read_bytes()
+    # append a second copy of the last tensor and count it in the header
+    name = max(params)
+    arr = params[name]
+    record = (struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", arr.ndim)
+              + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f4").tobytes())
+    assert raw.endswith(record)
+    at = len(MAGIC) + 4 + struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])[0]
+    (count,) = struct.unpack("<I", raw[at:at + 4])
+    dup = tmp_path / "dup.ckpt"
+    dup.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + record)
+    with pytest.raises(CorruptCheckpointError, match=f"duplicate tensor {name}"):
+        load_checkpoint(dup)
+
+
+def test_save_and_load_hold_no_copy_of_the_file(tmp_path):
+    # tensors go between arrays and the file directly: saving allocates
+    # little beside the parameters, and loading little beyond its result
+    config = synthdata.tiny_config(vocab_size=4000, embedding_size=32, hidden_size=64)
+    params = init_parameters(config, RngStream(6).child("init"))
+    state = OptimizerState.for_params(params)
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, config, params, optim=state)  # first calls import and cache
+    load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, config, params, optim=state)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ck = load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    tensor_bytes = sum(a.nbytes for part in (ck.params, ck.optim.m, ck.optim.v)
+                       for a in part.values())
+    assert tensor_bytes > 2_000_000
+    assert save_peak <= 0.25 * path.stat().st_size
+    assert load_peak <= 1.25 * tensor_bytes
 
 
 def test_trailing_garbage_detected(saved, tmp_path):
