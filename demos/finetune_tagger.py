@@ -8,6 +8,7 @@ script ends by tagging a sentence the model has never seen.
 Run:  python3 demos/finetune_tagger.py
 """
 
+import tempfile
 import time
 
 from nanoalbert.bpe import train_vocab
@@ -59,7 +60,9 @@ snapshot = Checkpoint(config=config,
 started = time.perf_counter()
 cfg = RunConfig(seed=1, finetune_steps=300, finetune_batch_size=16, finetune_learning_rate=1e-3,
                 finetune_warmup_steps=30, save_checkpoint=75, finetune_max_seq_length=48)
-result = finetune(snapshot, vocab, train_ex, dev_ex, test_ex, cfg)
+with tempfile.TemporaryDirectory() as run_dir:
+    # the run directory gets train.log and best.ckpt, the best-dev snapshot
+    result = finetune(snapshot, vocab, train_ex, dev_ex, test_ex, cfg, run_dir)
 elapsed = time.perf_counter() - started
 
 for step, f1 in result.history:

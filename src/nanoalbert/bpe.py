@@ -242,6 +242,9 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
                 symbols[j : j + 2] = [merged]
                 j += 1
             pos = text.find(merged, starts[i] + len(distinct[i]))
+        if best in counts:  # left in, it would be picked again forever
+            raise RuntimeError(f"pair {best!r} is still counted after its merge: "
+                               "the pair counts are out of step with the words")
         # Only pairs holding the merged piece gain. None passes top unless
         # that piece was already known, so a new top resets the tied heap.
         for pair in grown:  # a pair made at one site may be gone at the next

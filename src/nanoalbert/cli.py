@@ -207,7 +207,6 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
         num_steps=cfg.training_steps,
         batch_size=cfg.train_batch_size,
         schedule=Schedule(peak, cfg.warmup_steps, cfg.training_steps),
-        optimizer=cfg.optimizer,
         weight_decay=cfg.weight_decay,
         out_dir=out,
         checkpoint_every=cfg.save_checkpoint,

@@ -40,7 +40,6 @@ class RunConfig:
     mask_rate: float = 0.15
     dup_factor: int = 5
     # pretraining optimization
-    optimizer: Literal["lamb", "adamw"] = "lamb"
     learning_rate: float = 0.00176
     rescale_learning_rate: bool = False
     train_batch_size: int = 1024
@@ -63,8 +62,9 @@ class RunConfig:
 _BOOL_WORDS = {"true": True, "false": False}
 
 # retired keys that older files may still hold, with the only values they
-# may take: ALBERT trains without dropout, so an old rate must be 0
-_RETIRED = {"dropout_rate": Literal["0", "0.0"]}
+# may take: ALBERT trains without dropout, so an old rate must be 0, and
+# pretraining always steps with LAMB
+_RETIRED = {"dropout_rate": Literal["0", "0.0"], "optimizer": Literal["lamb"]}
 
 
 def parse_pairs(lines, types: dict) -> dict:

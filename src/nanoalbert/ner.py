@@ -9,7 +9,6 @@ precision/recall/F1 micro-averaged over decoded spans.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .model import (
 )
 from .optim import OptimizerState, Schedule, adamw_step
 from .pretrain import batch_indices  # unused here; perfbench traces it at ner.batch_indices
-from .pretrain import fit, open_log
+from .pretrain import fit
 from .rng import RngStream
 
 
@@ -392,13 +391,13 @@ def finetune(
     dev_examples,
     test_examples,
     cfg: RunConfig,
-    out_dir=None,
+    out_dir,
 ) -> FinetuneResult:
     """AdamW fine-tuning with cfg's finetune_* values, seed, weight_decay and
     lowercase; dev F1 every save_checkpoint steps and at the last step (0:
     last step only). The best-dev parameter snapshot is kept and scored on
-    test_examples (None: no test split). With an out_dir, train.log gets
-    each step's lines, started afresh, and best.ckpt the snapshot. The
+    test_examples (None: no test split). The run owns out_dir: train.log
+    gets each step's lines, started afresh, and best.ckpt the snapshot. The
     pretrained checkpoint is never modified."""
     if vocab.size != pretrained.config.vocab_size:
         raise ValueError(
@@ -451,26 +450,22 @@ def finetune(
             params, config, label_set, dev_packed, dev_examples, cfg.finetune_eval_batch_size
         ).overall.f1
         history.append((done, f1))
-        if log is not None:
-            print(f"{done}\tdev_f1\t{f1:.4f}", file=log)
         if f1 > best_f1:
             best_f1 = f1
             best_step = done
             best_params = {name: arr.copy() for name, arr in params.items()}
+        return (f"dev_f1\t{f1:.4f}",)
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # fine-tuning has no resume: a rerun starts over, and so does its log
-    with nullcontext() if out_dir is None else open_log(out_dir / "train.log", 0) as log:
-        fit(loss_fn, params, state, step_fn=adamw_step,
-            schedule=Schedule(cfg.finetune_learning_rate, cfg.finetune_warmup_steps,
-                              cfg.finetune_steps),
-            seed=cfg.seed, num_examples=len(train_examples),
-            batch_size=cfg.finetune_batch_size, num_steps=cfg.finetune_steps,
-            weight_decay=cfg.weight_decay, log=log,
-            log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
-            hook=evaluate_dev, every=cfg.save_checkpoint)
+    fit(loss_fn, params, state, step_fn=adamw_step,
+        schedule=Schedule(cfg.finetune_learning_rate, cfg.finetune_warmup_steps,
+                          cfg.finetune_steps),
+        seed=cfg.seed, num_examples=len(train_examples),
+        batch_size=cfg.finetune_batch_size, num_steps=cfg.finetune_steps,
+        out_dir=out_dir, first=0, log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
+        hook=evaluate_dev, every=cfg.save_checkpoint, weight_decay=cfg.weight_decay)
 
     test_metrics = None
     if test_examples:
@@ -479,9 +474,8 @@ def finetune(
             best_params, config, label_set, test_packed, test_examples,
             cfg.finetune_eval_batch_size,
         )
-    if out_dir is not None:
-        save_checkpoint(out_dir / "best.ckpt", config, best_params,
-                        step=best_step, labels=list(label_set.labels))
+    save_checkpoint(out_dir / "best.ckpt", config, best_params,
+                    step=best_step, labels=list(label_set.labels))
     return FinetuneResult(
         params=best_params,
         config=config,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,10 +29,10 @@ from .optim import (
     DEFAULT_WEIGHT_DECAY,
     OptimizerState,
     Schedule,
-    adamw_step,
     lamb_step,
     lr_at,
 )
+from .optim import adamw_step  # unused here; perfbench traces it at pretrain.adamw_step
 from .rng import RngStream
 
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d+)\.ckpt$")
@@ -90,35 +89,35 @@ def open_log(path, step: int):
 
 
 def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Schedule,
-        seed: int, num_examples: int, batch_size: int, num_steps: int, first: int = 0,
-        weight_decay: float = DEFAULT_WEIGHT_DECAY, log=None, log_lines=None, hook=None,
-        every: int = 0):
+        seed: int, num_examples: int, batch_size: int, num_steps: int, out_dir, first: int,
+        log_lines, hook, every: int = 0, weight_decay: float = DEFAULT_WEIGHT_DECAY):
     """The step loop shared by pretraining and fine-tuning.
 
     Step s trains on batch_indices(seed, s, ...) at lr_at(schedule, s + 1):
     loss_fn(indices) returns (loss, grads) and step_fn updates params and
-    state in place. After each step, log_lines(loss, lr) gives the
-    "metric<TAB>value" lines written to the text file `log` under the step
-    number, and hook(done) runs every `every` steps and at the last step
-    (every=0: last step only). Returns the last step's loss, None if
-    no step ran. A ValueError from loss_fn is raised again with the step
-    number in front.
+    state in place. out_dir/train.log, opened by open_log at `first`, gets
+    every line of the run under its step number: after each step the
+    "metric<TAB>value" lines of log_lines(loss, lr), then, every `every`
+    steps and at the last step (every=0: last step only), those that
+    hook(done) returns. Returns the last step's loss, None if no step ran.
+    A ValueError from loss_fn is raised again with the step number in front.
     """
     loss = None
-    for step in range(first, num_steps):
-        idx = batch_indices(seed, step, num_examples, batch_size)
-        lr = lr_at(schedule, step + 1)
-        try:
-            loss, grads = loss_fn(idx)
-        except ValueError as exc:
-            raise ValueError(f"step {step + 1}: {exc}") from exc
-        step_fn(state, params, grads, lr, weight_decay)
-        done = step + 1
-        if log is not None:
+    with open_log(Path(out_dir) / "train.log", first) as log:
+        for step in range(first, num_steps):
+            idx = batch_indices(seed, step, num_examples, batch_size)
+            lr = lr_at(schedule, step + 1)
+            try:
+                loss, grads = loss_fn(idx)
+            except ValueError as exc:
+                raise ValueError(f"step {step + 1}: {exc}") from exc
+            step_fn(state, params, grads, lr, weight_decay)
+            done = step + 1
             for line in log_lines(loss, lr):
                 print(f"{done}\t{line}", file=log)
-        if hook is not None and (done == num_steps or (every and done % every == 0)):
-            hook(done)
+            if done == num_steps or (every and done % every == 0):
+                for line in hook(done):
+                    print(f"{done}\t{line}", file=log)
     return loss
 
 
@@ -149,32 +148,27 @@ def train(
     num_steps: int,
     batch_size: int,
     schedule: Schedule,
-    optimizer: str = "lamb",
+    out_dir,
     weight_decay: float = DEFAULT_WEIGHT_DECAY,
-    out_dir=None,
     checkpoint_every: int = 0,
 ) -> TrainResult:
-    """Run the pretraining loop. With an out_dir the run owns that directory:
-    it resumes from the newest checkpoint-NNNNNN.ckpt there (refusing one of
+    """Run the pretraining loop under LAMB. The run owns out_dir: it
+    resumes from the newest checkpoint-NNNNNN.ckpt there (refusing one of
     another architecture or without optimizer state before train.log is
     touched), logs each step to train.log cut back to the resume step, and
     saves a checkpoint every checkpoint_every steps and at the last. A
     checkpoint that already reached num_steps is returned with last=None."""
-    step_fn = {"lamb": lamb_step, "adamw": adamw_step}.get(optimizer)
-    if step_fn is None:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
     params = state = None
     first = 0
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        snapshot = _resume_point(out_dir, config, num_steps)
-        if snapshot is not None:
-            if snapshot.step >= num_steps:
-                return TrainResult(params=snapshot.params, optim=snapshot.optim,
-                                   step=snapshot.step, last=None)
-            params, state, first = snapshot.params, snapshot.optim, snapshot.step
-            print(f"resuming from step {first}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    snapshot = _resume_point(out_dir, config, num_steps)
+    if snapshot is not None:
+        if snapshot.step >= num_steps:
+            return TrainResult(params=snapshot.params, optim=snapshot.optim,
+                               step=snapshot.step, last=None)
+        params, state, first = snapshot.params, snapshot.optim, snapshot.step
+        print(f"resuming from step {first}")
     if len(examples) == 0:
         raise ValueError("no pretraining examples")
     if num_steps > schedule.total_steps:
@@ -192,12 +186,12 @@ def train(
 
     def save(done):
         save_checkpoint(checkpoint_path(out_dir, done), config, params, step=done, optim=state)
+        return ()
 
-    with nullcontext() if out_dir is None else open_log(out_dir / "train.log", first) as log:
-        last = fit(loss_fn, params, state, step_fn=step_fn, schedule=schedule, seed=seed,
-                   num_examples=len(examples), batch_size=batch_size, num_steps=num_steps,
-                   first=first, weight_decay=weight_decay, log=log, log_lines=log_lines,
-                   hook=None if out_dir is None else save, every=checkpoint_every)
+    last = fit(loss_fn, params, state, step_fn=lamb_step, schedule=schedule, seed=seed,
+               num_examples=len(examples), batch_size=batch_size, num_steps=num_steps,
+               out_dir=out_dir, first=first, log_lines=log_lines, hook=save,
+               every=checkpoint_every, weight_decay=weight_decay)
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 

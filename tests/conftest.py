@@ -20,7 +20,7 @@ from nanoalbert.rng import RngStream
 
 
 @pytest.fixture(scope="session")
-def tiny_pretrained():
+def tiny_pretrained(tmp_path_factory):
     """300 LAMB steps on the ordered-pair corpus, with before/after metrics."""
     started = time.perf_counter()
     config = synthdata.tiny_config()
@@ -37,6 +37,7 @@ def tiny_pretrained():
         num_steps=300,
         batch_size=32,
         schedule=Schedule(peak_lr=0.03, warmup_steps=50, total_steps=800),
+        out_dir=tmp_path_factory.mktemp("tiny_pretrained"),
     )
     final_losses = evaluate_pretrain(result.params, config, examples, batch_size=64)
     heldout_sop = sop_accuracy(result.params, config, heldout, batch_size=64)

@@ -209,7 +209,7 @@ def test_gate_pretraining_learns_synthetic_corpus(tiny_pretrained):
 # 6. fine-tuning beats the majority baseline on a gazetteer task
 # ---------------------------------------------------------------------------
 
-def test_gate_finetuning_beats_majority_baseline(tiny_pretrained):
+def test_gate_finetuning_beats_majority_baseline(tiny_pretrained, tmp_path):
     started = time.monotonic()
     fx = tiny_pretrained
     snapshot = Checkpoint(config=fx.config, params=fx.result.params, step=fx.result.step)
@@ -226,6 +226,7 @@ def test_gate_finetuning_beats_majority_baseline(tiny_pretrained):
         RunConfig(seed=7, finetune_steps=500, finetune_batch_size=16,
                   finetune_learning_rate=1e-3, finetune_warmup_steps=50, save_checkpoint=100,
                   finetune_max_seq_length=16),
+        tmp_path,
     )
     elapsed = time.monotonic() - started
     assert result.best_dev_f1 >= 0.9, f"best dev F1 {result.best_dev_f1:.4f}"

@@ -5,6 +5,7 @@ ids are NUM_SPECIALS + piece index, so the first learned merge always gets
 id 261 (5 specials + 256 byte pieces).
 """
 
+import signal
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanoalbert import bpe
 from nanoalbert.bpe import (
     CLS_ID,
     MASK_ID,
@@ -170,6 +172,33 @@ def test_training_matches_full_recount_on_worked_corpora(corpus, target_size):
 ])
 def test_merge_sites_worked_by_hand(corpus, target_size, merges):
     assert assert_same_as_reference(corpus, target_size).merges == merges
+
+
+def test_pair_counts_out_of_step_with_the_words_raise(monkeypatch):
+    # One dropped decrement leaves (a,b) counted after its merge. Unchecked,
+    # the trainer picks it again forever, so an alarm bounds the run.
+    add_count, dropped = bpe._add_count, []
+
+    def dropping_first_decrement(counts, pair, freq):
+        if freq < 0 and not dropped:
+            dropped.append(pair)
+        else:
+            add_count(counts, pair, freq)
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("train_vocab did not end within 10 s")
+
+    monkeypatch.setattr(bpe, "_add_count", dropping_first_decrement)
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(RuntimeError, match=r"^pair \(b'a', b'b'\) is still counted after "
+                                               r"its merge: the pair counts are out of step"):
+            train_vocab("ab ab ab", 263)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert dropped == [(b"a", b"b")]
 
 
 # Repeat-prone symbols give ties and overlapping runs such as "aaaa"; the

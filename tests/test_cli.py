@@ -377,14 +377,20 @@ def test_pretrain_refuses_an_unknown_optimizer_before_resuming(pipeline, tmp_pat
     shutil.copy(pipeline / "pt" / "checkpoint-000002.ckpt", midway)
     finished = shutil.copytree(pipeline / "pt", tmp_path / "finished")
     for out in (midway, finished):
-        before = sorted(p.name for p in out.iterdir())
-        assert run_cli("pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
-                       "--vocab", pipeline / "vocab", *TINY_OVERRIDES, "optimizer=sgd") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: override: invalid value 'sgd' for optimizer "
-                                "(expected lamb/adamw)\n")
-        assert sorted(p.name for p in out.iterdir()) == before
+        for optimizer in ("sgd", "adamw"):
+            before = sorted(p.name for p in out.iterdir())
+            assert run_cli("pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+                           "--vocab", pipeline / "vocab", *TINY_OVERRIDES,
+                           f"optimizer={optimizer}") == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: override: invalid value '{optimizer}' for optimizer "
+                                    "(expected lamb)\n")
+            assert sorted(p.name for p in out.iterdir()) == before
+    # the retired key still parses as lamb, the optimizer pretraining always uses
+    assert run_cli("pretrain", "--out", finished, "--corpus", pipeline / "prep" / "corpus.txt",
+                   "--vocab", pipeline / "vocab", *TINY_OVERRIDES, "optimizer=lamb") == 0
+    assert capsys.readouterr().out == "already trained to step 4; nothing to do\n"
 
 
 def test_pretrain_refuses_merge_of_unknown_pieces(pipeline, tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_defaults_match_published_base_setup():
     assert cfg.max_seq_length == 512
     assert cfg.max_predictions_per_seq == 20
     assert cfg.dup_factor == 5
-    assert cfg.optimizer == "lamb"
+    assert "optimizer" not in KEYS  # retired: pretraining always steps with LAMB
     assert cfg.learning_rate == 0.00176
     assert cfg.train_batch_size == 1024
     assert cfg.training_steps == 200000
@@ -53,12 +53,12 @@ def test_file_overrides_defaults(tmp_path):
         "# comment line\n"
         "hidden_size = 64   # trailing comment\n"
         "\n"
-        "optimizer=adamw\n"
+        "optimizer=lamb\n"
         "rescale_learning_rate=true\n"
     )
     cfg = parse_config(path)
+    assert cfg == parse_config(overrides=["hidden_size=64", "rescale_learning_rate=true"])
     assert cfg.hidden_size == 64
-    assert cfg.optimizer == "adamw"
     assert cfg.rescale_learning_rate is True
     assert cfg.num_layers == 12  # untouched default
 
@@ -88,9 +88,10 @@ def test_bad_values_name_key_and_expected_type(tmp_path):
         parse_config(path)
     with pytest.raises(ConfigError, match="expected true/false"):
         parse_config(overrides=["lowercase=yes"])
-    with pytest.raises(ConfigError, match=r"^override: invalid value 'sgd' for optimizer "
-                                          r"\(expected lamb/adamw\)$"):
-        parse_config(overrides=["optimizer=sgd"])
+    for optimizer in ("sgd", "adamw"):
+        with pytest.raises(ConfigError, match=rf"^override: invalid value '{optimizer}' for "
+                                              r"optimizer \(expected lamb\)$"):
+            parse_config(overrides=[f"optimizer={optimizer}"])
     path.write_text("just some words\n")
     with pytest.raises(ConfigError, match="expected key=value"):
         parse_config(path)

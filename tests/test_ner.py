@@ -405,14 +405,14 @@ QUICK = RunConfig(seed=9, finetune_steps=20, finetune_batch_size=8, finetune_lea
                   finetune_warmup_steps=5, save_checkpoint=10, finetune_max_seq_length=16)
 
 
-def run_quick(ck, train_ex, dev_ex, out_dir=None, **changes):
+def run_quick(ck, train_ex, dev_ex, out_dir, **changes):
     return finetune(ck, synthdata.WordVocab(), train_ex, dev_ex, None, replace(QUICK, **changes),
                     out_dir)
 
 
-def test_finetune_result_structure(quick_setup):
+def test_finetune_result_structure(quick_setup, tmp_path):
     ck, train_ex, dev_ex = quick_setup
-    result = run_quick(ck, train_ex, dev_ex)
+    result = run_quick(ck, train_ex, dev_ex, tmp_path)
     assert result.label_set.labels == ("O", "B")
     assert [step for step, _ in result.history] == [10, 20]
     assert result.best_step in (10, 20)
@@ -422,10 +422,10 @@ def test_finetune_result_structure(quick_setup):
     assert not any(n.startswith(("mlm_", "sop_", "pooler_")) for n in result.params)
 
 
-def test_finetune_never_touches_the_checkpoint(quick_setup):
+def test_finetune_never_touches_the_checkpoint(quick_setup, tmp_path):
     ck, train_ex, dev_ex = quick_setup
     before = {n: a.copy() for n, a in ck.params.items()}
-    run_quick(ck, train_ex, dev_ex)
+    run_quick(ck, train_ex, dev_ex, tmp_path)
     for name in before:
         assert np.array_equal(ck.params[name], before[name]), name
 
@@ -449,19 +449,33 @@ def test_finetune_writes_best_checkpoint(quick_setup, tmp_path):
     assert np.array_equal(saved.params["ner_weight"], result.params["ner_weight"])
 
 
-def test_finetune_validates_inputs(quick_setup):
+def test_finetune_log_puts_dev_f1_after_its_step_loss(quick_setup, tmp_path):
+    ck, train_ex, dev_ex = quick_setup
+    result = run_quick(ck, train_ex, dev_ex, tmp_path)
+    rows = [line.split("\t") for line in (tmp_path / "train.log").read_text().splitlines()]
+    expected = []
+    for step in range(1, QUICK.finetune_steps + 1):
+        expected.append((str(step), "ner_loss"))
+        if step % QUICK.save_checkpoint == 0:
+            expected.append((str(step), "dev_f1"))
+    assert [(step, metric) for step, metric, _ in rows] == expected
+    assert [value for _, metric, value in rows if metric == "dev_f1"] == [
+        f"{f1:.4f}" for _, f1 in result.history]
+
+
+def test_finetune_validates_inputs(quick_setup, tmp_path):
     ck, train_ex, dev_ex = quick_setup
     base = train_vocab("tiny corpus for the test", 261)  # 261 != 200
     cfg = RunConfig(finetune_steps=4, finetune_warmup_steps=1)
     with pytest.raises(ValueError, match="vocab"):
-        finetune(ck, base, train_ex, dev_ex, None, cfg)
+        finetune(ck, base, train_ex, dev_ex, None, cfg, tmp_path)
     with pytest.raises(ValueError, match="nonempty"):
-        finetune(ck, synthdata.WordVocab(), [], dev_ex, None, cfg)
+        finetune(ck, synthdata.WordVocab(), [], dev_ex, None, cfg, tmp_path)
 
 
-def test_predict_and_evaluate_split_pad_truncated_words(quick_setup):
+def test_predict_and_evaluate_split_pad_truncated_words(quick_setup, tmp_path):
     ck, train_ex, dev_ex = quick_setup
-    result = run_quick(ck, train_ex, dev_ex)
+    result = run_quick(ck, train_ex, dev_ex, tmp_path)
     # max_len 8 keeps 6 of 8 words per sentence; the tail is tagged "O"
     ls = result.label_set
     packed = pack_ner_examples(dev_ex, synthdata.WordVocab(), ls, max_len=8)
@@ -475,9 +489,9 @@ def test_predict_and_evaluate_split_pad_truncated_words(quick_setup):
     assert 0.0 <= metrics.overall.f1 <= 1.0
 
 
-def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup):
+def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup, tmp_path):
     ck, train_ex, dev_ex = quick_setup
-    result = run_quick(ck, train_ex, dev_ex)
+    result = run_quick(ck, train_ex, dev_ex, tmp_path)
     r = RngStream(43)
     # mixed lengths in no sorted order, some cut at max_len
     sentences = [synthdata.gazetteer_examples(1, r.child(str(i)), length=1 + r.randint(16))[0]

@@ -13,7 +13,7 @@ import pytest
 import synthdata
 from nanoalbert import pretrain
 from nanoalbert.checkpoint import load_checkpoint, save_checkpoint
-from nanoalbert.optim import Schedule
+from nanoalbert.optim import Schedule, lamb_step
 from nanoalbert.pretrain import (
     batch_indices,
     checkpoint_path,
@@ -71,24 +71,25 @@ def test_checkpoint_naming_and_latest(tmp_path):
 # the loop
 # ---------------------------------------------------------------------------
 
-def _hook_steps(num_steps, every, first=0):
+def _hook_steps(out_dir, num_steps, every, first=0):
     fired = []
     fit(lambda idx: (0.0, {}), {}, None,
         step_fn=lambda state, params, grads, lr, weight_decay: None,
-        schedule=SCHED, seed=0, num_examples=20, batch_size=4,
-        num_steps=num_steps, first=first, hook=fired.append, every=every)
+        schedule=SCHED, seed=0, num_examples=20, batch_size=4, num_steps=num_steps,
+        out_dir=out_dir, first=first, log_lines=lambda loss, lr: (),
+        hook=lambda done: fired.append(done) or (), every=every)
     return fired
 
 
-def test_fit_hook_cadence():
-    assert _hook_steps(10, 4) == [4, 8, 10]
-    assert _hook_steps(12, 4) == [4, 8, 12]  # the last step fires once
-    assert _hook_steps(10, 0) == [10]
-    assert _hook_steps(10, 4, first=5) == [8, 10]
-    assert _hook_steps(5, 4, first=5) == []
+def test_fit_hook_cadence(tmp_path):
+    assert _hook_steps(tmp_path, 10, 4) == [4, 8, 10]
+    assert _hook_steps(tmp_path, 12, 4) == [4, 8, 12]  # the last step fires once
+    assert _hook_steps(tmp_path, 10, 0) == [10]
+    assert _hook_steps(tmp_path, 10, 4, first=5) == [8, 10]
+    assert _hook_steps(tmp_path, 5, 4, first=5) == []
 
 
-def test_fit_feeds_batches_and_lr_by_step():
+def test_fit_feeds_batches_and_lr_by_step(tmp_path):
     seen = []
 
     def loss_fn(idx):
@@ -97,7 +98,8 @@ def test_fit_feeds_batches_and_lr_by_step():
 
     lrs = []
     fit(loss_fn, {}, None, step_fn=lambda state, params, grads, lr, wd: lrs.append(lr),
-        schedule=SCHED, seed=9, num_examples=30, batch_size=5, num_steps=3, first=1)
+        schedule=SCHED, seed=9, num_examples=30, batch_size=5, num_steps=3, out_dir=tmp_path,
+        first=1, log_lines=lambda loss, lr: (), hook=lambda done: ())
     assert seen == [batch_indices(9, step, 30, 5) for step in (1, 2)]
     assert lrs == [SCHED.peak_lr * 2 / 10, SCHED.peak_lr * 3 / 10]
 
@@ -115,15 +117,27 @@ def test_train_saves_each_checkpoint_once(tmp_path, corpus, monkeypatch):
     assert saved == ["checkpoint-000005.ckpt", "checkpoint-000010.ckpt"]
 
 
-def test_train_validates_inputs(corpus):
+def test_train_steps_with_lamb(tmp_path, corpus, monkeypatch):
+    calls = []
+
+    def counting_lamb_step(*args, **kwargs):
+        calls.append(args[0].t)
+        return lamb_step(*args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "lamb_step", counting_lamb_step)
+    train(corpus, synthdata.tiny_config(), seed=8, num_steps=6, batch_size=8,
+          schedule=SCHED, out_dir=tmp_path)
+    assert calls == list(range(6))
+
+
+def test_train_validates_inputs(corpus, tmp_path):
     config = synthdata.tiny_config()
     with pytest.raises(ValueError, match="no pretraining examples"):
-        train([], config, seed=0, num_steps=5, batch_size=4, schedule=SCHED)
+        train([], config, seed=0, num_steps=5, batch_size=4, schedule=SCHED,
+              out_dir=tmp_path)
     with pytest.raises(ValueError, match="total_steps"):
-        train(corpus, config, seed=0, num_steps=500, batch_size=4, schedule=SCHED)
-    with pytest.raises(ValueError, match="optimizer"):
-        train(corpus, config, seed=0, num_steps=5, batch_size=4, schedule=SCHED,
-              optimizer="sgd")
+        train(corpus, config, seed=0, num_steps=500, batch_size=4, schedule=SCHED,
+              out_dir=tmp_path)
 
 
 def test_identical_seeds_reproduce_bitwise(corpus, tmp_path):
@@ -140,10 +154,12 @@ def test_identical_seeds_reproduce_bitwise(corpus, tmp_path):
         assert np.array_equal(runs[0].optim.m[name], runs[1].optim.m[name])
 
 
-def test_different_seeds_diverge(corpus):
+def test_different_seeds_diverge(corpus, tmp_path):
     config = synthdata.tiny_config()
-    a = train(corpus, config, seed=1, num_steps=5, batch_size=8, schedule=SCHED)
-    b = train(corpus, config, seed=2, num_steps=5, batch_size=8, schedule=SCHED)
+    a = train(corpus, config, seed=1, num_steps=5, batch_size=8, schedule=SCHED,
+              out_dir=tmp_path / "a")
+    b = train(corpus, config, seed=2, num_steps=5, batch_size=8, schedule=SCHED,
+              out_dir=tmp_path / "b")
     assert any(
         not np.array_equal(a.params[n], b.params[n]) for n in a.params
     )
@@ -186,10 +202,10 @@ def test_periodic_checkpoints_written(tmp_path, corpus):
 def test_resume_reproduces_uninterrupted_run(tmp_path, corpus):
     config = synthdata.tiny_config()
     straight = train(corpus, config, seed=12, num_steps=30, batch_size=8,
-                     schedule=SCHED)
+                     schedule=SCHED, out_dir=tmp_path / "straight")
 
     first = train(corpus, config, seed=12, num_steps=18, batch_size=8,
-                  schedule=SCHED)
+                  schedule=SCHED, out_dir=tmp_path / "first")
     save_checkpoint(checkpoint_path(tmp_path, 18), config, first.params, step=first.step,
                     optim=first.optim)
 
@@ -255,9 +271,10 @@ def test_train_refuses_to_resume_before_touching_its_log(tmp_path, corpus):
 # evaluation helpers
 # ---------------------------------------------------------------------------
 
-def test_evaluate_pretrain_weights_by_prediction_count(corpus):
+def test_evaluate_pretrain_weights_by_prediction_count(corpus, tmp_path):
     config = synthdata.tiny_config()
-    result = train(corpus, config, seed=13, num_steps=5, batch_size=8, schedule=SCHED)
+    result = train(corpus, config, seed=13, num_steps=5, batch_size=8, schedule=SCHED,
+                   out_dir=tmp_path)
     whole = evaluate_pretrain(result.params, config, corpus, batch_size=17)
     again = evaluate_pretrain(result.params, config, corpus, batch_size=120)
     # weighted averaging makes the numbers batch-size independent
@@ -267,9 +284,10 @@ def test_evaluate_pretrain_weights_by_prediction_count(corpus):
         evaluate_pretrain(result.params, config, [], batch_size=4)
 
 
-def test_sop_accuracy_bounds(corpus):
+def test_sop_accuracy_bounds(corpus, tmp_path):
     config = synthdata.tiny_config()
-    result = train(corpus, config, seed=14, num_steps=5, batch_size=8, schedule=SCHED)
+    result = train(corpus, config, seed=14, num_steps=5, batch_size=8, schedule=SCHED,
+                   out_dir=tmp_path)
     acc = sop_accuracy(result.params, config, corpus[:50], batch_size=16)
     assert 0.0 <= acc <= 1.0
     with pytest.raises(ValueError):
