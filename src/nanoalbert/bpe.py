@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress
+from itertools import accumulate
 
 PAD_ID = 0
 UNK_ID = 1
@@ -167,10 +167,10 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
     hold its bytes, and at each merge site moves the word's count off the
     pairs it breaks and onto the two it makes (Sennrich et al., arXiv
     1508.07909), so each round sees exactly the counts a full recount would
-    give, and the merges are the same. A merge lowers or keeps
-    every count except those of pairs holding the merged piece, so the top
-    count and the pairs tied at it are carried between rounds; all counts
-    are scanned again only when the tied pairs run out.
+    give, and the merges are the same. The best pair is popped from a lazy
+    max-heap of (-count, pair) entries, in which every pair counted at least
+    twice has an entry storing at least its count; an entry storing another
+    count is stale, and is pushed again at the pair's count or dropped.
     """
     if vocab_size < MIN_VOCAB_SIZE:
         raise ValueError(f"vocab_size must be >= {MIN_VOCAB_SIZE}")
@@ -183,6 +183,7 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
 
     distinct = sorted(word_freqs)
     freqs = [word_freqs[w] for w in distinct]
+    del word_freqs
     words = [[w[i : i + 1] for i in range(len(w))] for w in distinct]
     # Words hold no space byte, so a match in the joined text lies in one word.
     text = b" ".join(distinct)
@@ -191,26 +192,23 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
     for symbols, freq in zip(words, freqs):
         _add_pairs(counts, symbols, freq)
     pieces = [bytes([b]) for b in range(256)]
-    known = set(pieces)
     merges: list[tuple[bytes, bytes]] = []
-    top, tied = 0, []  # a heap of pairs; every pair whose count is top is in it
+    heap = [(-count, pair) for pair, count in counts.items() if count > 1]
+    heapify(heap)
 
-    while len(known) + NUM_SPECIALS < vocab_size:
-        while tied and counts.get(tied[0]) != top:
-            heappop(tied)
-        if not tied:
-            top = max(counts.values(), default=0)
-            if top < 2:
-                break
-            tied = list(compress(counts, map(top.__eq__, counts.values())))
-            heapify(tied)
-        best = heappop(tied)
+    while heap and len(pieces) + NUM_SPECIALS < vocab_size:
+        stored, best = heappop(heap)
+        count = counts.get(best, 0)
+        if count != -stored:
+            if count > 1:
+                heappush(heap, (-count, best))
+            continue
         merges.append(best)
         left, right = best
         merged = left + right
-        if merged not in known:
-            known.add(merged)
-            pieces.append(merged)
+        # Always new: symbols [left, right] in a word are the encoding of
+        # their bytes alone, and a known piece's bytes encode to that piece.
+        pieces.append(merged)
         grown = set()
         pos = text.find(merged)
         while pos >= 0:
@@ -245,14 +243,10 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
         if best in counts:  # left in, it would be picked again forever
             raise RuntimeError(f"pair {best!r} is still counted after its merge: "
                                "the pair counts are out of step with the words")
-        # Only pairs holding the merged piece gain. None passes top unless
-        # that piece was already known, so a new top resets the tied heap.
         for pair in grown:  # a pair made at one site may be gone at the next
             count = counts.get(pair, 0)
-            if count > top:
-                top, tied = count, []
-            if count == top:
-                heappush(tied, pair)
+            if count > 1:
+                heappush(heap, (-count, pair))
     return Vocab(pieces, merges)
 
 

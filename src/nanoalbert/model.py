@@ -159,15 +159,20 @@ def init_parameters(
 
 def truncated_normal(rng: RngStream, shape, std, dtype=np.float32):
     """Inverse-CDF sampling of a normal truncated at +-INIT_CLIP_SIGMA sigma;
-    consumes exactly one stream word per element."""
+    consumes exactly one stream word per element. An element depends only on
+    its stream position, so drawing in chunks gives a whole draw's bits."""
     n = int(np.prod(shape))
-    u = _NDTR_LO + (_NDTR_HI - _NDTR_LO) * rng.uniform_block(n)
-    return (_ndtri(u) * std).astype(dtype).reshape(shape)
+    out = np.empty(n, dtype)
+    for start in range(0, n, _NDTRI_CHUNK):
+        u = _NDTR_LO + (_NDTR_HI - _NDTR_LO) * rng.uniform_block(min(_NDTRI_CHUNK, n - start))
+        out[start : start + len(u)] = _ndtri(u) * std
+    return out.reshape(shape)
 
 
 # scipy.special.ndtr(-/+ INIT_CLIP_SIGMA): the normal CDF at the clip points
 _NDTR_LO = 0.022750131948179195
 _NDTR_HI = 0.9772498680518208
+_NDTRI_CHUNK = 65536  # elements per draw: 512 KiB of float64
 
 # Cephes ndtri's rational approximations, highest power first: P0/Q0 for the
 # centre, P1/Q1 for the tails while sqrt(-2 log y) < 8.

@@ -5,7 +5,9 @@ ids are NUM_SPECIALS + piece index, so the first learned merge always gets
 id 261 (5 specials + 256 byte pieces).
 """
 
+import hashlib
 import signal
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -169,6 +171,16 @@ def test_training_matches_full_recount_on_worked_corpora(corpus, target_size):
     # (ab,a) is made at the first site of abab and removed at the second, so
     # it counts only aba's 3 and loses to (c,d) at 4
     ("abab abab aba aba aba cd cd cd cd", 263, [(b"a", b"b"), (b"c", b"d")]),
+    # a stale heap entry: (a,b) at 7 makes (ab,z) at 5, pushed; (z,y) at 6
+    # then cuts it to 2. Its entry at 5 tops the heap and is pushed again at
+    # 2, below (c,d) at 4 and (ab,zy) at 3
+    ("abzy abzy abzy abz abz zy zy zy ab ab cd cd cd cd", 266,
+     [(b"a", b"b"), (b"z", b"y"), (b"c", b"d"), (b"ab", b"zy"), (b"ab", b"z")]),
+    # a heap tie: (a,b) at 5 makes (ab,c) at 3, pushed, tying (d,e) at 3
+    # from the first heap; (ab,c) sorts first
+    ("abc abc abc ab ab de de de", 264, [(b"a", b"b"), (b"ab", b"c"), (b"d", b"e")]),
+    # the same tie against (a,c), which sorts before (ab,c)
+    ("abc abc abc ab ab ac ac ac", 264, [(b"a", b"b"), (b"a", b"c"), (b"ab", b"c")]),
 ])
 def test_merge_sites_worked_by_hand(corpus, target_size, merges):
     assert assert_same_as_reference(corpus, target_size).merges == merges
@@ -214,16 +226,57 @@ def test_training_matches_full_recount_on_random_corpora(words, target_size):
     assert_same_as_reference(" ".join(words), target_size)
 
 
-def test_training_matches_full_recount_on_zipfian_corpus():
-    rng = RngStream(2024)
-    syllables = ["ka", "ro", "mi", "the", "ase", "in", "ol", "yl", "é", "α"]
+def zipfian_corpus(seed: int, syllables: list[str], lexicon_size: int, num_words: int) -> str:
+    """num_words words drawn with p(rank) ~ 1/rank from a lexicon of words
+    of one to four syllables."""
+    rng = RngStream(seed)
     lexicon = ["".join(syllables[rng.randint(len(syllables))]
-                       for _ in range(1 + rng.randint(4))) for _ in range(400)]
+                       for _ in range(1 + rng.randint(4))) for _ in range(lexicon_size)]
     bounds = list(accumulate(1 / rank for rank in range(1, len(lexicon) + 1)))
-    corpus = " ".join(lexicon[bisect_right(bounds, rng.uniform() * bounds[-1])]
-                      for _ in range(3000))
-    vocab = assert_same_as_reference(corpus, 600)
+    return " ".join(lexicon[bisect_right(bounds, rng.uniform() * bounds[-1])]
+                    for _ in range(num_words))
+
+
+def test_training_matches_full_recount_on_zipfian_corpus():
+    syllables = ["ka", "ro", "mi", "the", "ase", "in", "ol", "yl", "é", "α"]
+    vocab = assert_same_as_reference(zipfian_corpus(2024, syllables, 400, 3000), 600)
     assert len(vocab.merges) > 100
+
+
+@pytest.fixture(scope="module")
+def benchmark_scale_corpus() -> str:
+    """About the `vocab` benchmark's corpus size: 30,000 words, 1,000 pieces
+    wanted. The recount reference is too slow here."""
+    syllables = [onset + vowel + coda for onset in ["", *"bdgklmnprstvz", "th"]
+                 for vowel in "aeiou" for coda in ["", "n", "r", "s"]] + ["é", "α"]
+    return zipfian_corpus(33, syllables, 10_000, 30_000)
+
+
+# sha256 of merges.txt for benchmark_scale_corpus at 1,000 pieces, as the
+# trainer that found the top count by rescanning every pair count wrote it.
+BENCHMARK_SCALE_MERGES_SHA256 = "87040e05c6e5698a4790396146771d6e2ffeb5a1ee2d4dae0a00fce73ff4aace"
+# tracemalloc peak of train_vocab(benchmark_scale_corpus, 1000) under that
+# trainer: 2,419,378 B (Python 3.11.7). The lazy heap of pair counts took it
+# to 3,129,730 B (1.29x); a pair -> word index would pass 1.5x.
+BENCHMARK_SCALE_PEAK_BOUND = 1.5 * 2_419_378
+
+
+def test_merges_pinned_at_benchmark_scale(benchmark_scale_corpus, tmp_path):
+    vocab = train_vocab(benchmark_scale_corpus, 1000)
+    assert len(vocab.merges) == 739
+    save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    digest = hashlib.sha256((tmp_path / "merges.txt").read_bytes()).hexdigest()
+    assert digest == BENCHMARK_SCALE_MERGES_SHA256
+
+
+def test_training_memory_at_benchmark_scale(benchmark_scale_corpus):
+    tracemalloc.start()
+    try:
+        train_vocab(benchmark_scale_corpus, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BENCHMARK_SCALE_PEAK_BOUND, peak
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,14 @@ def test_truncated_normal_consumes_one_word_per_element():
     assert r.position == 21
 
 
+def test_chunked_draw_has_the_bits_of_one_whole_draw():
+    n = 3 * model._NDTRI_CHUNK + 1234  # several chunks and a ragged tail
+    got = truncated_normal(RngStream(5), (n,), INIT_STD)
+    u = model._NDTR_LO + (model._NDTR_HI - model._NDTR_LO) * RngStream(5).uniform_block(n)
+    want = (model._ndtri(u) * INIT_STD).astype(np.float32)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_ndtri_port_draws_scipys_weights(monkeypatch):
     """The numpy port of cephes ndtri against scipy.special: the clip points
     are scipy's, every float32 weight is scipy's to the bit, and float64
