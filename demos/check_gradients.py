@@ -170,7 +170,7 @@ padded_batch = {
     "mlm_labels": records["mlm_labels"].ravel().astype(np.int64),
     "sop_labels": records["sop_label"].astype(np.int64),
 }
-# at the default budget these 8 rows of at most 17 positions are one part
+# at the default budget these 8 rows of at most 17 positions make 2 parts, one per lane
 model.PART_POSITIONS = 48
 parts = len(length_parts(tagged["attention_mask"]))
 assert parts >= 2, parts

@@ -6,8 +6,10 @@ is guarded by an flock on its .lock file (one run at a time; the lock dies
 with its process, and the empty file stays) and an INCOMPLETE marker that is
 removed on success — if a run dies, the marker stays behind.
 
-Heavy imports happen inside the command handlers so that --threads can pin
-BLAS/OpenMP thread counts via environment variables before numpy loads.
+Heavy imports happen inside the command handlers so that --threads can set
+the BLAS/OpenMP thread variables before numpy loads. model.map_parts reads
+the count they set as how many of a step's parts run at once (at most 2)
+and then pins BLAS to one thread, so the outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory (created)")
         p.add_argument("--seed", type=int, help="override the seed key")
         p.add_argument("--threads", type=int,
-                       help="BLAS/OpenMP thread count (set before numpy loads)")
+                       help="how many of a step's parts run at once, at most 2 "
+                            "(set as the BLAS/OpenMP thread count before numpy loads; "
+                            "BLAS itself then runs on 1 thread)")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="config overrides, highest precedence")
         return p

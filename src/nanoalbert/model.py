@@ -20,12 +20,19 @@ ops, so they have the forward's bits. Inference keeps no cache and
 computes no GELU slope.
 
 One rule cuts every batch (length_parts) and one runner walks it
-(map_parts): length-sorted parts of at most PART_POSITIONS positions (and,
-in inference, an eval batch of rows), each trimmed to its longest row, so
-padding is never computed and activations do not grow with the batch. A
-training step's parts, each divided by the whole step's count, add into one
-loss and one gradient dict. The pretraining pass also counts its SOP hits,
-so held-out SOP accuracy needs no second forward.
+(map_parts): length-sorted parts of at most PART_POSITIONS = 96 positions
+(and, in inference, an eval batch of rows), each trimmed to its longest row,
+so padding is never computed and activations do not grow with the batch.
+map_parts runs part i on lane i % LANES, two fixed lanes: lane 0 on the
+calling thread and lane 1 on one worker thread, each taking its parts in
+order, so two parts are in flight and the budget bounds each one. The first
+run reads OpenBLAS's configured thread count (--threads, the environment or
+the core count), runs that many lanes at once (at most 2; at 1 they run one
+after the other), and pins BLAS to one thread for the rest of the process,
+so no result depends on the core count. A training step's parts, each
+divided by the whole step's count, add into one gradient dict per lane, and
+lane 1's dict is then added into lane 0's (add_lanes). The pretraining pass
+also counts its SOP hits, so held-out SOP accuracy needs no second forward.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from .rng import RngStream
 NEG_INF = -1e9
 INIT_STD = 0.02
 INIT_CLIP_SIGMA = 2.0
-PART_POSITIONS = 256  # rows x trimmed length per part: bounds its activations
+PART_POSITIONS = 96  # rows x trimmed length per part: bounds its activations
+LANES = 2  # map_parts runs part i on lane i % LANES
 
 
 @dataclass
@@ -413,10 +421,97 @@ def length_parts(attention_mask, max_rows=None) -> list[tuple[np.ndarray, int]]:
     return parts
 
 
+def _find_openblas():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
+    where numpy carries no scipy-openblas library."""
+    import ctypes
+    from pathlib import Path
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded: dlopen returns it
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_lanes_at_once = None  # set by the first map_parts call, which pins BLAS
+
+
+def _pin_blas() -> int:
+    """How many lanes run at once: OpenBLAS's configured thread count, read
+    once and capped at LANES, before BLAS is pinned to one thread for the
+    rest of the process. 1 where no OpenBLAS is found."""
+    global _lanes_at_once
+    if _lanes_at_once is None:
+        blas = _find_openblas()
+        if blas is None:
+            _lanes_at_once = 1
+        else:
+            get, set_ = blas
+            _lanes_at_once = min(LANES, get())
+            set_(1)
+    return _lanes_at_once
+
+
 def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
-    """(rows, part_fn(records[rows], t)) for each part length_parts cuts
-    attention_mask into, in part order; t is the part's trimmed length."""
-    return [(rows, part_fn(records[rows], t)) for rows, t in length_parts(attention_mask, max_rows)]
+    """(rows, part_fn(records[rows], t, lane)) for each part length_parts cuts
+    attention_mask into, in part order; t is the part's trimmed length. Part
+    i runs on lane i % LANES, each lane taking its parts in order: lane 0 on
+    the calling thread and each other lane on a worker thread, all at once
+    or one after the other (_pin_blas). A part_fn that writes only its
+    lane's state gives the same bits either way. When parts raise, the
+    lowest-numbered part's error is raised once every worker is joined; a
+    lane skips its parts after a lower-numbered failure."""
+    parts = length_parts(attention_mask, max_rows)
+    results = [None] * len(parts)
+    failures = []  # (part index, exception), appended by every lane
+
+    def run_lane(lane):
+        for i in range(lane, len(parts), LANES):
+            if failures and i > min(failures)[0]:
+                return
+            rows, t = parts[i]
+            try:
+                results[i] = (rows, part_fn(records[rows], t, lane))
+            except BaseException as exc:  # raised again below, on the calling thread
+                failures.append((i, exc))
+                return
+
+    if _pin_blas() > 1 and len(parts) > 1:
+        import threading
+
+        workers = [threading.Thread(target=run_lane, args=(lane,), name=f"map_parts lane {lane}")
+                   for lane in range(1, LANES)]
+        for worker in workers:
+            worker.start()
+        try:
+            run_lane(0)
+        finally:
+            for worker in workers:
+                worker.join()
+    else:
+        for lane in range(LANES):
+            run_lane(lane)
+    if failures:
+        raise min(failures)[1]
+    return results
+
+
+def add_lanes(lane_grads):
+    """Lane 0's gradient dict, with each later lane's added into it in lane
+    order."""
+    total = lane_grads[0]
+    for grads in lane_grads[1:]:
+        for name, grad in grads.items():
+            total[name] += grad
+    return total
 
 
 def encode_forward(params, config, token_ids, type_ids, attention_mask, caches=None):

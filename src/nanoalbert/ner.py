@@ -19,7 +19,9 @@ from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, check_labels, save_checkpoint
 from .config import RunConfig, format_pairs
 from .model import (
+    LANES,
     ModelConfig,
+    add_lanes,
     map_parts,
     ner_loss_and_grads,
     parameter_shapes,
@@ -336,7 +338,7 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
     tagged "O". Sentences run in the length-sorted, trimmed parts of
     map_parts, at most batch_size to a part."""
 
-    def part_tags(records, t):
+    def part_tags(records, t, lane):
         token_ids, type_ids, mask, label_ids = (records[name][:, :t] for name in ROW_FIELDS)
         logits = token_logits(params, config, token_ids, type_ids, mask)
         first = label_ids != ops.IGNORE_INDEX
@@ -354,15 +356,16 @@ def ner_step(params, config, batch):
     """Loss and gradients of one fine-tuning step over tagged-sentence
     records: the mean over their labelled words, run as the length-sorted,
     trimmed parts of map_parts, whose losses and gradients add up to the
-    step's."""
+    step's: each lane adds into its own dict."""
     count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
-    grads = zero_grads(params)
+    lane_grads = [zero_grads(params) for _ in range(LANES)]
 
-    def part_loss(records, t):
+    def part_loss(records, t, lane):
         return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),
-                                  count=count, grads=grads)[0]
+                                  count=count, grads=lane_grads[lane])[0]
 
-    return sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"])), grads
+    total = sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"]))
+    return total, add_lanes(lane_grads)
 
 
 def evaluate_split(params, config, label_set, packed, examples,

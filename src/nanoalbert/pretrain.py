@@ -16,8 +16,10 @@ from pathlib import Path
 from . import checkpoint, ops
 from .checkpoint import save_checkpoint
 from .model import (
+    LANES,
     ModelConfig,
     PretrainLosses,
+    add_lanes,
     init_parameters,
     map_parts,
     pack_pretrain_batch,
@@ -112,6 +114,7 @@ def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Sche
             except ValueError as exc:
                 raise ValueError(f"step {step + 1}: {exc}") from exc
             step_fn(state, params, grads, lr, weight_decay)
+            del grads  # freed before the next step's loss_fn builds its own
             done = step + 1
             for line in log_lines(loss, lr):
                 print(f"{done}\t{line}", file=log)
@@ -197,13 +200,14 @@ def train(
 
 def _summed_over_parts(examples, max_rows, part_loss) -> PretrainLosses:
     """The mean losses and the SOP hits over example records, summed over
-    the packed parts map_parts cuts them into: part_loss(batch, counts) gets
-    each part and the whole set's counts (masked slots, rows) to divide by."""
+    the packed parts map_parts cuts them into: part_loss(batch, counts, lane)
+    gets each part, the whole set's counts (masked slots, rows) to divide by
+    and the part's lane."""
     if len(examples) == 0:
         raise ValueError("empty batch")
     counts = (int((examples["mlm_labels"] != ops.IGNORE_INDEX).sum()), len(examples))
     parts = [losses for _, losses in map_parts(
-        lambda records, t: part_loss(pack_pretrain_batch(records, t), counts),
+        lambda records, t, lane: part_loss(pack_pretrain_batch(records, t), counts, lane),
         examples, examples["input"]["attention_mask"], max_rows)]
     return PretrainLosses(mlm_loss=sum(p.mlm_loss for p in parts),
                           sop_loss=sum(p.sop_loss for p in parts),
@@ -213,20 +217,21 @@ def _summed_over_parts(examples, max_rows, part_loss) -> PretrainLosses:
 def pretrain_step(params, config, examples):
     """Losses and gradients of one training step over example records, run
     as the length-sorted, trimmed parts of map_parts, whose losses and
-    gradients add up to the step's."""
-    grads = zero_grads(params)
+    gradients add up to the step's: each lane adds into its own dict."""
+    lane_grads = [zero_grads(params) for _ in range(LANES)]
 
-    def part_loss(batch, counts):
-        return pretrain_loss_and_grads(params, config, batch, counts=counts, grads=grads)[0]
+    def part_loss(batch, counts, lane):
+        return pretrain_loss_and_grads(params, config, batch, counts=counts,
+                                       grads=lane_grads[lane])[0]
 
-    return _summed_over_parts(examples, None, part_loss), grads
+    return _summed_over_parts(examples, None, part_loss), add_lanes(lane_grads)
 
 
 def evaluate_pretrain(params, config, examples, batch_size: int) -> PretrainLosses:
     """Per-prediction MLM loss, per-example SOP loss and SOP hits over a
     fixed set, in parts of at most batch_size rows."""
-    return _summed_over_parts(examples, batch_size,
-                              lambda batch, counts: pretrain_loss(params, config, batch, counts))
+    return _summed_over_parts(
+        examples, batch_size, lambda batch, counts, lane: pretrain_loss(params, config, batch, counts))
 
 
 def sop_accuracy(params, config, examples, batch_size: int) -> float:

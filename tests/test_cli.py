@@ -610,6 +610,54 @@ def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):
     assert "fine-tune first" in capsys.readouterr().err
 
 
+def test_threads_1_and_2_write_byte_identical_runs(pipeline, tmp_path):
+    """--threads sets how many of a step's parts run at once; BLAS runs on
+    one thread either way, so pretraining (resume included), fine-tuning and
+    prediction write the same bytes at 1 and 2. The batches are large
+    enough to be cut into several parts."""
+    words = ["aspirin", "lowers", "fever", "quickly", "in", "most", "adults", "today"]
+    lines = [" ".join(words[(i + j) % 8] for j in range(3 + i % 4)) for i in range(12)]
+    (tmp_path / "train.conll").write_text("\n\n".join(
+        "\n".join(f"{w} {'B-Drug' if w == 'aspirin' else 'O'}" for w in line.split())
+        for line in lines) + "\n")
+    (tmp_path / "input.txt").write_text("\n".join(lines) + "\n")
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def nanoalbert(threads, *argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "nanoalbert", *map(str, argv), "--threads", str(threads)],
+            env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    for threads in (1, 2):
+        run = tmp_path / f"threads{threads}"
+        pt = run / "pt"
+        pt_args = ["--corpus", pipeline / "prep" / "corpus.txt", "--vocab", pipeline / "vocab",
+                   *TINY_OVERRIDES, "train_batch_size=16"]
+        nanoalbert(threads, "pretrain", "--out", pt, *pt_args)
+        os.replace(pt / "checkpoint-000004.ckpt", run / "uninterrupted.ckpt")
+        nanoalbert(threads, "pretrain", "--out", pt, *pt_args)  # resumes from step 2
+        assert (pt / "checkpoint-000004.ckpt").read_bytes() == \
+            (run / "uninterrupted.ckpt").read_bytes()
+        nanoalbert(threads, "finetune", "--out", run / "ft",
+                   "--checkpoint", pt / "checkpoint-000004.ckpt", "--vocab", pipeline / "vocab",
+                   "--train", tmp_path / "train.conll", "--dev", tmp_path / "train.conll",
+                   "--test", tmp_path / "train.conll", *FT_OVERRIDES, "finetune_batch_size=8")
+        nanoalbert(threads, "predict", "--out", run / "pred",
+                   "--checkpoint", run / "ft" / "best.ckpt", "--vocab", pipeline / "vocab",
+                   "--input", tmp_path / "input.txt", "finetune_max_seq_length=32")
+
+    files = sorted(path.relative_to(tmp_path / "threads1")
+                   for path in (tmp_path / "threads1").rglob("*")
+                   if path.is_file() and path.name != ".lock")
+    assert {"pt/checkpoint-000002.ckpt", "pt/checkpoint-000004.ckpt", "pt/train.log",
+            "ft/best.ckpt", "ft/train.log", "pred/predictions.conll"} <= set(map(str, files))
+    for name in files:
+        assert (tmp_path / "threads1" / name).read_bytes() == \
+            (tmp_path / "threads2" / name).read_bytes(), name
+
+
 def test_evaluate_perfect_predictions(pipeline, tmp_path, capsys):
     out = tmp_path / "eval"
     assert run_cli("evaluate", "--out", out,

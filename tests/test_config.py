@@ -176,7 +176,8 @@ def test_pairs_codec_round_trips_typed_values():
 
 def test_cli_and_config_leave_numpy_unloaded():
     # --threads sets the BLAS thread variables, which only count before
-    # numpy loads
+    # numpy loads; model.map_parts reads the count they set as how many
+    # parts run at once
     code = (
         "import sys\n"
         "import nanoalbert.cli\n"

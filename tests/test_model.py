@@ -13,6 +13,9 @@ The production-shape config (V=30000, E=128, H=768, L=12, A=12, I=3072,
 P=512) comes to 11,813,810 by the same accounting.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -53,7 +56,8 @@ from nanoalbert.model import (
     zero_grads,
 )
 from nanoalbert.ner import LabelSet, NerExample, ner_step, pack_ner_examples
-from nanoalbert.pretrain import evaluate_pretrain, pretrain_step
+from nanoalbert.optim import Schedule
+from nanoalbert.pretrain import evaluate_pretrain, fit, pretrain_step
 from nanoalbert.rng import RngStream
 
 TINY = ModelConfig(
@@ -477,11 +481,12 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
     # records and trimmed length, so it visits every record exactly once
     records = np.arange(6) * 10
     for max_rows in (None, 2):
-        got = map_parts(lambda part, t: (part.tolist(), t), records, mask, max_rows)
+        got = map_parts(lambda part, t, lane: (part.tolist(), t), records, mask, max_rows)
         assert [(rows.tolist(), part) for rows, part in got] == [
             (rows, ([10 * row for row in rows], t)) for rows, t in cut(mask, max_rows)]
         assert sorted(row for rows, _ in got for row in rows.tolist()) == list(range(6))
-    assert map_parts(lambda part, t: pytest.fail("no part to run"), records[:0], mask[:0]) == []
+    assert map_parts(lambda part, t, lane: pytest.fail("no part to run"),
+                     records[:0], mask[:0]) == []
     monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 1000)
     assert cut(mask) == [([5, 1, 3, 4, 0, 2], 13)]
     # a length is one past the last real position, and at least 1
@@ -489,6 +494,151 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
     assert length_parts(mask[:0]) == []
     with pytest.raises(ValueError, match="empty batch"):
         pack_pretrain_batch(synthdata.ordered_examples(2, RngStream(1))[:0])
+
+
+# ---------------------------------------------------------------------------
+# lanes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """map_parts runs its two lanes at once, on any machine."""
+    model._pin_blas()  # the first call pins; the override below then holds
+    monkeypatch.setattr(model, "_lanes_at_once", 2)
+
+
+def one_row_parts(monkeypatch, rows):
+    """A mask whose length_parts are its rows in order, one row a part."""
+    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 4)
+    return np.ones((rows, 4), dtype=np.int32)
+
+
+def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes, monkeypatch):
+    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 4)
+    mask = np.zeros((7, 8), dtype=np.int32)
+    for row, length in enumerate((3, 1, 4, 2, 4, 1, 3)):
+        mask[row, :length] = 1
+    parts = length_parts(mask)
+    assert len(parts) >= 5
+    threads = {0: set(), 1: set()}
+
+    def part_fn(part, t, lane):
+        threads[lane].add(threading.get_ident())
+        time.sleep(0.001)  # lets the lanes interleave
+        return part.tolist(), t, lane
+
+    got = map_parts(part_fn, np.arange(7) * 10, mask)
+    assert [(rows.tolist(), result) for rows, result in got] == [
+        (rows.tolist(), ((rows * 10).tolist(), t, i % 2)) for i, (rows, t) in enumerate(parts)]
+    # lane 0 is the calling thread; lane 1 is one other thread
+    assert threads[0] == {threading.get_ident()}
+    assert len(threads[1]) == 1 and threads[1] != threads[0]
+
+
+def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
+        two_lanes, monkeypatch, tmp_path):
+    mask = one_row_parts(monkeypatch, 6)
+    ran = []
+
+    def part_fn(part, t, lane):
+        i = int(part[0])
+        ran.append(i)
+        if i == 1:
+            time.sleep(0.2)  # part 2, on lane 0, fails first
+        if i in (1, 2):
+            raise ValueError(f"part {i} failed")
+        return i
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^part 1 failed$"):
+        map_parts(part_fn, np.arange(6), mask)
+    assert threading.active_count() == before
+    assert sorted(ran) == [0, 1, 2]  # each lane stops at its first failure
+
+    # a lane skips its parts after the other lane's lower-numbered failure
+    def first_fails(part, t, lane):
+        i = int(part[0])
+        ran.append(i)
+        if i == 0:
+            raise ValueError("part 0 failed")
+        time.sleep(0.2)
+        return i
+
+    ran.clear()
+    with pytest.raises(ValueError, match="^part 0 failed$"):
+        map_parts(first_fails, np.arange(6), mask)
+    assert threading.active_count() == before
+    assert set(ran) <= {0, 1}
+
+    # fit still puts the step number in front
+    with pytest.raises(ValueError, match="^step 1: part 1 failed$"):
+        fit(lambda idx: (map_parts(part_fn, np.arange(6), mask), {}), {}, None,
+            step_fn=lambda *args: None, schedule=Schedule(1e-3, 1, 10), seed=0,
+            num_examples=6, batch_size=2, num_steps=1, out_dir=tmp_path, first=0,
+            log_lines=lambda loss, lr: (), hook=lambda done: ())
+    assert threading.active_count() == before
+
+
+def test_first_map_parts_pins_blas_to_one_thread(monkeypatch):
+    blas = model._find_openblas()
+    if blas is None:
+        pytest.skip("numpy carries no scipy-openblas library")
+    get, set_ = blas
+    mask = one_row_parts(monkeypatch, 3)
+    monkeypatch.setattr(model, "_lanes_at_once", None)
+    try:
+        set_(2)  # as --threads 2 or a 2-core machine configures it
+        map_parts(lambda part, t, lane: None, np.arange(3), mask)
+        assert get() == 1
+        assert model._lanes_at_once == 2
+        set_(2)
+        map_parts(lambda part, t, lane: None, np.arange(3), mask)
+        assert get() == 2  # the second call did not pin again
+    finally:
+        set_(1)
+
+
+def test_lanes_run_one_after_the_other_without_openblas_with_the_same_bits(
+        two_lanes, small_parts, monkeypatch):
+    from nanoalbert import ner, pretrain
+
+    config = synthdata.tiny_config(max_positions=32)
+    pretrain_params = init_parameters(config, RngStream(71).child("init"))
+    examples = mixed_length_pretrain_examples(72)
+    ner_params = init_parameters(config, RngStream(73).child("init"), heads=("ner",),
+                                 num_labels=2)
+    batch = mixed_length_ner_batch(74, LabelSet(["B"]))
+    assert len(length_parts(examples["input"]["attention_mask"])) >= 3
+    assert len(length_parts(batch["attention_mask"])) >= 3
+    threads = set()
+    for module, name in ((pretrain, "pretrain_loss_and_grads"), (ner, "ner_loss_and_grads")):
+        def on_thread(*args, _fn=getattr(module, name), **kwargs):
+            threads.add(threading.get_ident())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, on_thread)
+
+    def steps():
+        return (pretrain_step(pretrain_params, config, examples),
+                ner_step(ner_params, config, batch))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the lanes trade the interpreter often
+    try:
+        at_once = steps()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 2
+    threads.clear()
+    monkeypatch.setattr(model, "_lanes_at_once", None)
+    monkeypatch.setattr(model, "_find_openblas", lambda: None)
+    in_turn = steps()
+    assert model._lanes_at_once == 1
+    assert threads == {threading.get_ident()}
+    for (loss, grads), (want_loss, want_grads) in zip(in_turn, at_once):
+        assert loss == want_loss
+        assert list(grads) == list(want_grads)
+        for name, want in want_grads.items():
+            assert np.array_equal(grads[name], want), name
 
 
 def mixed_length_pretrain_examples(seed, count=12):

@@ -6,6 +6,7 @@ run bit for bit, because batch selection depends only on (seed, step).
 """
 
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ def test_fit_hook_cadence(tmp_path):
     assert _hook_steps(tmp_path, 10, 0) == [10]
     assert _hook_steps(tmp_path, 10, 4, first=5) == [8, 10]
     assert _hook_steps(tmp_path, 5, 4, first=5) == []
+
+
+def test_fit_frees_each_steps_gradients_before_the_next_loss_fn(tmp_path):
+    refs = []
+
+    def loss_fn(idx):
+        assert all(ref() is None for ref in refs), "a finished step's gradients are alive"
+        grads = {"w": np.zeros(3)}
+        refs.append(weakref.ref(grads["w"]))
+        return 0.0, grads
+
+    fit(loss_fn, {}, None, step_fn=lambda state, params, grads, lr, wd: None,
+        schedule=SCHED, seed=0, num_examples=20, batch_size=4, num_steps=3, out_dir=tmp_path,
+        first=0, log_lines=lambda loss, lr: (), hook=lambda done: ())
+    assert len(refs) == 3
 
 
 def test_fit_feeds_batches_and_lr_by_step(tmp_path):
