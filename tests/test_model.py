@@ -553,7 +553,7 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
     with pytest.raises(ValueError, match="^part 1 failed$"):
         map_parts(part_fn, np.arange(6), mask)
     assert threading.active_count() == before
-    assert sorted(ran) == [0, 1, 2]  # each lane stops at its first failure
+    assert {0, 1} <= set(ran) <= {0, 1, 2}  # each lane stops at its first failure
 
     # a lane skips its parts after the other lane's lower-numbered failure
     def first_fails(part, t, lane):
@@ -586,6 +586,7 @@ def test_first_map_parts_pins_blas_to_one_thread(monkeypatch):
     get, set_ = blas
     mask = one_row_parts(monkeypatch, 3)
     monkeypatch.setattr(model, "_lanes_at_once", None)
+    configured = get()
     try:
         set_(2)  # as --threads 2 or a 2-core machine configures it
         map_parts(lambda part, t, lane: None, np.arange(3), mask)
@@ -595,7 +596,7 @@ def test_first_map_parts_pins_blas_to_one_thread(monkeypatch):
         map_parts(lambda part, t, lane: None, np.arange(3), mask)
         assert get() == 2  # the second call did not pin again
     finally:
-        set_(1)
+        set_(configured)  # as the process had it, with _lanes_at_once
 
 
 def test_lanes_run_one_after_the_other_without_openblas_with_the_same_bits(
