@@ -346,7 +346,8 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
                 for scores, keep in zip(logits, first)]
 
     out: list[list[str]] = [[] for _ in range(len(packed))]
-    for rows, tags in map_parts(part_tags, packed, packed["attention_mask"], batch_size):
+    for rows, tags in map_parts(part_tags, packed, packed["attention_mask"], batch_size,
+                                config.hidden_size):
         for i, row in zip(rows, tags):
             out[i] = row + ["O"] * (int(packed["words"][i]) - len(row))
     return out
@@ -364,7 +365,8 @@ def ner_step(params, config, batch):
         return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),
                                   count=count, grads=lane_grads[lane])[0]
 
-    total = sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"]))
+    total = sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"],
+                                              hidden_size=config.hidden_size))
     return total, add_lanes(lane_grads)
 
 

@@ -502,9 +502,10 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
 
 @pytest.fixture
 def two_lanes(monkeypatch):
-    """map_parts runs its two lanes at once, on any machine."""
+    """map_parts runs its two lanes at once, on any machine and at any width."""
     model._pin_blas()  # the first call pins; the override below then holds
     monkeypatch.setattr(model, "_lanes_at_once", 2)
+    monkeypatch.setattr(model, "LANE_MIN_HIDDEN", 0)
 
 
 def one_row_parts(monkeypatch, rows):
@@ -519,18 +520,22 @@ def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes,
     for row, length in enumerate((3, 1, 4, 2, 4, 1, 3)):
         mask[row, :length] = 1
     parts = length_parts(mask)
-    assert len(parts) >= 5
-    threads = {0: set(), 1: set()}
+    assert len(parts) == 6
+    number = {tuple(rows.tolist()): i for i, (rows, _) in enumerate(parts)}
+    threads, calls = {0: set(), 1: set()}, {0: [], 1: []}
 
     def part_fn(part, t, lane):
         threads[lane].add(threading.get_ident())
+        calls[lane].append(number[tuple((part // 10).tolist())])
         time.sleep(0.001)  # lets the lanes interleave
         return part.tolist(), t, lane
 
     got = map_parts(part_fn, np.arange(7) * 10, mask)
     assert [(rows.tolist(), result) for rows, result in got] == [
         (rows.tolist(), ((rows * 10).tolist(), t, i % 2)) for i, (rows, t) in enumerate(parts)]
-    # lane 0 is the calling thread; lane 1 is one other thread
+    # lane 0 is the calling thread, in part order; lane 1 is one other
+    # thread, longest part first
+    assert calls == {0: [0, 2, 4], 1: [5, 3, 1]}
     assert threads[0] == {threading.get_ident()}
     assert len(threads[1]) == 1 and threads[1] != threads[0]
 
@@ -553,9 +558,10 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
     with pytest.raises(ValueError, match="^part 1 failed$"):
         map_parts(part_fn, np.arange(6), mask)
     assert threading.active_count() == before
-    assert {0, 1} <= set(ran) <= {0, 1, 2}  # each lane stops at its first failure
+    # lane 0 skips part 4 after its own failure; lane 1 still runs part 1
+    assert {0, 1, 2} <= set(ran) and 4 not in ran
 
-    # a lane skips its parts after the other lane's lower-numbered failure
+    # lane 1 skips its parts numbered above lane 0's failure
     def first_fails(part, t, lane):
         i = int(part[0])
         ran.append(i)
@@ -568,7 +574,7 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
     with pytest.raises(ValueError, match="^part 0 failed$"):
         map_parts(first_fails, np.arange(6), mask)
     assert threading.active_count() == before
-    assert set(ran) <= {0, 1}
+    assert set(ran) <= {0, 5}
 
     # fit still puts the step number in front
     with pytest.raises(ValueError, match="^step 1: part 1 failed$"):
