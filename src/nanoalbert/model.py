@@ -53,7 +53,7 @@ PART_POSITIONS = 96  # rows x trimmed length per part: bounds its activations
 LANES = 2  # map_parts runs part i on lane i % LANES; lane 1 runs longest first
 # Narrower models run their lanes one after the other: their small arrays
 # keep numpy on the interpreter lock, so a second thread only takes turns
-# with the first (6 layers, B=32: 5% faster at H=64, 30% at H=128 and 256).
+# with the first (6 layers, B=32, 2 cores: 5% faster at H=64, 30% at 128 and 256).
 LANE_MIN_HIDDEN = 128
 
 
