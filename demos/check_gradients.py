@@ -6,7 +6,7 @@ slope to the analytic one, then do the same through the entire pretraining
 loss with a dollhouse-sized model. Relative errors land around 1e-8; the
 loop fails loudly above 1e-4 (1e-3 for the composite loss).
 
-Training cuts each step into length-sorted parts of at most
+Training cuts each step into length-sorted parts of at most half of
 model.PART_POSITIONS positions (rows x trimmed length), each trimmed to its
 longest row. The last check shrinks that budget so its 8 short rows make
 several parts, and compares such a step with one padded pass over the

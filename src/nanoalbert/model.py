@@ -20,21 +20,24 @@ ops, so they have the forward's bits. Inference keeps no cache and
 computes no GELU slope.
 
 One rule cuts every batch (length_parts) and one runner walks it
-(map_parts): length-sorted parts of at most PART_POSITIONS = 96 positions
-(and, in inference, an eval batch of rows), each trimmed to its longest row,
-so padding is never computed and activations do not grow with the batch.
-map_parts runs part i on lane i % LANES, two fixed lanes: lane 0 on the
-calling thread takes its parts shortest first and lane 1 on one worker
-thread longest first, so two parts are in flight, the budget bounds each
-one, and the two longest are not in flight together. The first
-run reads OpenBLAS's configured thread count (--threads, the environment or
-the core count), runs that many lanes at once (at most 2; at 1, or for a
-model narrower than LANE_MIN_HIDDEN, they run one after the other), and pins
-BLAS to one thread for the rest of the process, so no result depends on the
-core count. A training step's parts, each
-divided by the whole step's count, add into one gradient dict per lane, and
-lane 1's dict is then added into lane 0's (add_lanes). The pretraining pass
-also counts its SOP hits, so held-out SOP accuracy needs no second forward.
+(map_parts): length-sorted parts, each trimmed to its longest row, so
+padding is never computed and activations do not grow with the batch.
+map_parts runs part i on lane i % 2: lane 0 on the calling thread takes
+its parts shortest first, and lane 1 on one worker thread takes part 1 and
+then its others longest first, so the two longest are not in flight
+together. PART_POSITIONS = 192 bounds the positions of the two parts in
+flight: each part holds at most half (and, in inference, an eval batch of
+rows). A training part holds at its forward's end until the other lane's
+first part has finished its forward too (Lane.hold), so a step of any size
+reaches the same two-part peak. The first run that has parts for both lanes
+reads OpenBLAS's configured thread count (--threads, the environment or the
+core count); at 2 or more the lanes run at once and BLAS is pinned to one
+thread for the rest of the process, at 1 they run one after the other.
+Either way BLAS runs on one thread, so no result depends on the core count.
+A training step's parts, each divided by the whole step's count, add into
+one gradient dict per lane, and lane 1's dict is then added into lane 0's
+(add_lanes). The pretraining pass also counts its SOP hits, so held-out SOP
+accuracy needs no second forward.
 """
 
 from __future__ import annotations
@@ -49,12 +52,8 @@ from .rng import RngStream
 NEG_INF = -1e9
 INIT_STD = 0.02
 INIT_CLIP_SIGMA = 2.0
-PART_POSITIONS = 96  # rows x trimmed length per part: bounds its activations
-LANES = 2  # map_parts runs part i on lane i % LANES; lane 1 runs longest first
-# Narrower models run their lanes one after the other: their small arrays
-# keep numpy on the interpreter lock, so a second thread only takes turns
-# with the first (6 layers, B=32, 2 cores: 5% faster at H=64, 30% at 128 and 256).
-LANE_MIN_HIDDEN = 128
+PART_POSITIONS = 192  # rows x trimmed length of the parts in flight: bounds their activations
+LANES = 2  # map_parts: lane 0 on the calling thread, lane 1 on one worker thread
 
 
 @dataclass
@@ -407,20 +406,22 @@ def _check_inputs(config, token_ids, attention_mask):
 def length_parts(attention_mask, max_rows=None) -> list[tuple[np.ndarray, int]]:
     """(row indices, trimmed length) of each part of a batch. Rows are
     stable-sorted by real length (one past the last real position, at least
-    1); a part closes before a row that would take it past PART_POSITIONS
-    positions (rows x its last, longest row's length) or past max_rows rows.
-    A row longer than the budget makes a part alone. Trimming cuts only
-    padding every row of the part masks out: results move by round-off."""
+    1); a part closes before a row that would take it past its share of
+    PART_POSITIONS (a half: rows x its last, longest row's length) or past
+    max_rows rows. A row longer than the share makes a part alone. Trimming
+    cuts only padding every row of the part masks out: results move by
+    round-off."""
     mask = np.asarray(attention_mask) != 0
     if len(mask) == 0:
         return []
     lengths = np.where(mask.any(axis=1), mask.shape[1] - mask[:, ::-1].argmax(axis=1), 1)
     order = np.argsort(lengths, kind="stable")
+    share = PART_POSITIONS // LANES
     parts, start = [], 0
     for end in range(1, len(order)):
         rows = end + 1 - start
         too_many = max_rows is not None and rows > max_rows
-        if too_many or rows * lengths[order[end]] > PART_POSITIONS:
+        if too_many or rows * lengths[order[end]] > share:
             parts.append((order[start:end], int(lengths[order[end - 1]])))
             start = end
     parts.append((order[start:], int(lengths[order[-1]])))
@@ -447,75 +448,99 @@ def _find_openblas():
     return None
 
 
-_lanes_at_once = None  # set by the first map_parts call, which pins BLAS
+_lanes_at_once = None  # set by the first map_parts call with parts for both lanes
 
 
 def _pin_blas() -> int:
     """How many lanes run at once: OpenBLAS's configured thread count, read
-    once and capped at LANES, before BLAS is pinned to one thread for the
-    rest of the process. 1 where no OpenBLAS is found."""
+    once and capped at LANES; 1 where no OpenBLAS is found. At 2, BLAS is
+    pinned to one thread for the rest of the process: the optimizers' norms
+    run between the steps' lanes, and their bits too would otherwise depend
+    on the thread count."""
     global _lanes_at_once
     if _lanes_at_once is None:
         blas = _find_openblas()
-        if blas is None:
-            _lanes_at_once = 1
-        else:
-            get, set_ = blas
-            _lanes_at_once = min(LANES, get())
-            set_(1)
+        _lanes_at_once = 1 if blas is None else min(LANES, blas[0]())
+        if _lanes_at_once > 1:
+            blas[1](1)
     return _lanes_at_once
 
 
-def map_parts(part_fn, records, attention_mask, max_rows=None, hidden_size=None) -> list:
+class Lane(int):
+    """The lane number map_parts hands part_fn. A training part calls hold()
+    between its forward and its backward: on the lanes' first parts, run at
+    once, it waits until the other lane has finished its forward (or its
+    part), so both first parts' caches are in flight together, and later it
+    returns at once."""
+
+    def __new__(cls, number, hold=None):
+        lane = super().__new__(cls, number)
+        lane.hold = hold or (lambda: None)
+        return lane
+
+
+def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
     """(rows, part_fn(records[rows], t, lane)) for each part length_parts cuts
     attention_mask into, in part order; t is the part's trimmed length. Part
-    i runs on lane i % LANES: lane 0 on the calling thread takes its parts in
-    order and lane 1 on a worker thread in reverse order, longest first,
-    both at once (_pin_blas) or, for a model whose hidden_size is under
-    LANE_MIN_HIDDEN, one after the other. A part_fn that writes only its
-    lane's state gives the same bits either way. When parts raise,
-    the lowest-numbered part's error is raised once the worker is joined;
-    a lane skips the parts numbered above a failure."""
+    i runs on lane i % 2: lane 0 on the calling thread takes its parts in
+    order and lane 1 on a worker thread takes part 1 and then its others
+    longest first, both at once or, where BLAS is configured for one thread
+    (_pin_blas), one after the other. A part_fn that writes only its lane's
+    state gives the same bits either way. When parts raise, the
+    lowest-numbered part's error is raised once the worker is joined; a lane
+    skips the parts numbered above a failure."""
     parts = length_parts(attention_mask, max_rows)
     results = [None] * len(parts)
     failures = []  # (part index, exception), appended by both lanes
+    at_once = len(parts) > 1 and _pin_blas() > 1
+    if at_once:
+        import threading
 
-    def run_lane(lane):
-        mine = range(lane, len(parts), LANES)
-        for i in mine if lane == 0 else reversed(mine):
+        finished = [threading.Event(), threading.Event()]  # a lane's forward or part is done
+
+        def hold(number):
+            finished[number].set()
+            finished[1 - number].wait()
+
+    def run_lane(number):
+        lane = Lane(number, (lambda: hold(number)) if at_once else None)
+        mine = range(number, len(parts), 2)
+        for i in mine if number == 0 else [*mine[:1], *reversed(mine[1:])]:
             if failures and i > min(failures)[0]:
                 continue
             rows, t = parts[i]
             try:
                 results[i] = (rows, part_fn(records[rows], t, lane))
-            except BaseException as exc:  # raised again below, on the calling thread
+            except Exception as exc:  # raised again below, on the calling thread
                 failures.append((i, exc))
+            finally:
+                if at_once:
+                    finished[number].set()
 
-    wide = hidden_size is None or hidden_size >= LANE_MIN_HIDDEN
-    if _pin_blas() > 1 and len(parts) > 1 and wide:
-        import threading
-
+    if at_once:
         worker = threading.Thread(target=run_lane, args=(1,), name="map_parts lane 1")
         worker.start()
         try:
             run_lane(0)
-        finally:
             worker.join()
+        except BaseException:  # an interrupt: lane 1 stops after its part in flight
+            failures.append((-1, None))
+            finished[0].set()
+            worker.join()
+            raise
     else:
-        for lane in range(LANES):
-            run_lane(lane)
+        run_lane(0)
+        run_lane(1)
     if failures:
         raise min(failures)[1]
     return results
 
 
 def add_lanes(lane_grads):
-    """Lane 0's gradient dict, with each later lane's added into it in lane
-    order."""
-    total = lane_grads[0]
-    for grads in lane_grads[1:]:
-        for name, grad in grads.items():
-            total[name] += grad
+    """Lane 0's gradient dict, with lane 1's added into it."""
+    total, other = lane_grads
+    for name, grad in other.items():
+        total[name] += grad
     return total
 
 
@@ -632,14 +657,15 @@ def pretrain_loss(params, config, batch, counts=None) -> PretrainLosses:
     return _pretrain_pass(params, config, batch, None, counts=counts)
 
 
-def pretrain_loss_and_grads(params, config, batch, counts=None, grads=None):
+def pretrain_loss_and_grads(params, config, batch, counts=None, grads=None, hold=None):
     """pretrain_loss and its gradients, added into `grads` (zero_grads(params)
-    when None); returns (losses, grads)."""
+    when None); returns (losses, grads). `hold`, a map_parts Lane's, is
+    called between the forward and the backward."""
     grads = zero_grads(params) if grads is None else grads
-    return _pretrain_pass(params, config, batch, grads, counts), grads
+    return _pretrain_pass(params, config, batch, grads, counts, hold), grads
 
 
-def _pretrain_pass(params, config, batch, grads, counts=None):
+def _pretrain_pass(params, config, batch, grads, counts=None, hold=None):
     if batch["sop_labels"].size == 0:
         raise ValueError("empty batch")
     mlm_count, sop_count = counts or (batch["mlm_rows"].size, batch["sop_labels"].size)
@@ -667,6 +693,8 @@ def _pretrain_pass(params, config, batch, grads, counts=None):
     losses = PretrainLosses(mlm_loss=mlm_loss, sop_loss=sop_loss, sop_hits=sop_hits)
     if grads is None:
         return losses
+    if hold is not None:
+        hold()
 
     d_hidden_flat = np.zeros_like(hidden_flat)
     _mlm_head_backward(params, mlm_cache, d_mlm_logits, grads, d_hidden_flat)
@@ -690,11 +718,12 @@ def token_logits(params, config, token_ids, type_ids, attention_mask):
 
 
 def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
-                       label_ids, count=None, grads=None):
+                       label_ids, count=None, grads=None, hold=None):
     """Cross-entropy over word-initial positions (others carry IGNORE_INDEX):
     the mean over them, or with `count` their summed loss over the count of
     a larger batch this one is part of. Gradients are added into `grads`
-    (zero_grads(params) when None); returns (loss, grads)."""
+    (zero_grads(params) when None); returns (loss, grads). `hold`, a
+    map_parts Lane's, is called between the forward and the backward."""
     if "ner_weight" not in params:
         raise ValueError("model has no ner head")
     caches = []
@@ -706,6 +735,8 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
         logits, np.asarray(label_ids).reshape(-1), count=count
     )
     grads = zero_grads(params) if grads is None else grads
+    if hold is not None:
+        hold()
     d_flat = _linear_back(grads, lin_cache, d_logits)
     _encode_backward(params, config, caches, d_flat.reshape(b, t, h), grads)
     return loss, grads

@@ -19,7 +19,6 @@ from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, check_labels, save_checkpoint
 from .config import RunConfig, format_pairs
 from .model import (
-    LANES,
     ModelConfig,
     add_lanes,
     map_parts,
@@ -346,8 +345,7 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
                 for scores, keep in zip(logits, first)]
 
     out: list[list[str]] = [[] for _ in range(len(packed))]
-    for rows, tags in map_parts(part_tags, packed, packed["attention_mask"], batch_size,
-                                config.hidden_size):
+    for rows, tags in map_parts(part_tags, packed, packed["attention_mask"], batch_size):
         for i, row in zip(rows, tags):
             out[i] = row + ["O"] * (int(packed["words"][i]) - len(row))
     return out
@@ -359,14 +357,13 @@ def ner_step(params, config, batch):
     trimmed parts of map_parts, whose losses and gradients add up to the
     step's: each lane adds into its own dict."""
     count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
-    lane_grads = [zero_grads(params) for _ in range(LANES)]
+    lane_grads = [zero_grads(params), zero_grads(params)]
 
     def part_loss(records, t, lane):
         return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),
-                                  count=count, grads=lane_grads[lane])[0]
+                                  count=count, grads=lane_grads[lane], hold=lane.hold)[0]
 
-    total = sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"],
-                                              hidden_size=config.hidden_size))
+    total = sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"]))
     return total, add_lanes(lane_grads)
 
 

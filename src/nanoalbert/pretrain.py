@@ -16,7 +16,6 @@ from pathlib import Path
 from . import checkpoint, ops
 from .checkpoint import save_checkpoint
 from .model import (
-    LANES,
     ModelConfig,
     PretrainLosses,
     add_lanes,
@@ -198,7 +197,7 @@ def train(
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 
-def _summed_over_parts(config, examples, max_rows, part_loss) -> PretrainLosses:
+def _summed_over_parts(examples, max_rows, part_loss) -> PretrainLosses:
     """The mean losses and the SOP hits over example records, summed over
     the packed parts map_parts cuts them into: part_loss(batch, counts, lane)
     gets each part, the whole set's counts (masked slots, rows) to divide by
@@ -208,7 +207,7 @@ def _summed_over_parts(config, examples, max_rows, part_loss) -> PretrainLosses:
     counts = (int((examples["mlm_labels"] != ops.IGNORE_INDEX).sum()), len(examples))
     parts = [losses for _, losses in map_parts(
         lambda records, t, lane: part_loss(pack_pretrain_batch(records, t), counts, lane),
-        examples, examples["input"]["attention_mask"], max_rows, config.hidden_size)]
+        examples, examples["input"]["attention_mask"], max_rows)]
     return PretrainLosses(mlm_loss=sum(p.mlm_loss for p in parts),
                           sop_loss=sum(p.sop_loss for p in parts),
                           sop_hits=sum(p.sop_hits for p in parts))
@@ -218,19 +217,19 @@ def pretrain_step(params, config, examples):
     """Losses and gradients of one training step over example records, run
     as the length-sorted, trimmed parts of map_parts, whose losses and
     gradients add up to the step's: each lane adds into its own dict."""
-    lane_grads = [zero_grads(params) for _ in range(LANES)]
+    lane_grads = [zero_grads(params), zero_grads(params)]
 
     def part_loss(batch, counts, lane):
         return pretrain_loss_and_grads(params, config, batch, counts=counts,
-                                       grads=lane_grads[lane])[0]
+                                       grads=lane_grads[lane], hold=lane.hold)[0]
 
-    return _summed_over_parts(config, examples, None, part_loss), add_lanes(lane_grads)
+    return _summed_over_parts(examples, None, part_loss), add_lanes(lane_grads)
 
 
 def evaluate_pretrain(params, config, examples, batch_size: int) -> PretrainLosses:
     """Per-prediction MLM loss, per-example SOP loss and SOP hits over a
     fixed set, in parts of at most batch_size rows."""
-    return _summed_over_parts(config, examples, batch_size,
+    return _summed_over_parts(examples, batch_size,
                               lambda batch, counts, lane: pretrain_loss(params, config, batch, counts))
 
 

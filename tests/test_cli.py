@@ -614,8 +614,7 @@ def test_threads_1_and_2_write_byte_identical_runs(pipeline, tmp_path):
     """--threads sets how many of a step's parts run at once; BLAS runs on
     one thread either way, so pretraining (resume included), fine-tuning and
     prediction write the same bytes at 1 and 2. The batches are large
-    enough to be cut into several parts, and the model is wide enough
-    (model.LANE_MIN_HIDDEN) for its lanes to run at once."""
+    enough to be cut into several parts."""
     words = ["aspirin", "lowers", "fever", "quickly", "in", "most", "adults", "today"]
     lines = [" ".join(words[(i + j) % 8] for j in range(3 + i % 4)) for i in range(12)]
     (tmp_path / "train.conll").write_text("\n\n".join(
@@ -635,7 +634,7 @@ def test_threads_1_and_2_write_byte_identical_runs(pipeline, tmp_path):
         run = tmp_path / f"threads{threads}"
         pt = run / "pt"
         pt_args = ["--corpus", pipeline / "prep" / "corpus.txt", "--vocab", pipeline / "vocab",
-                   *TINY_OVERRIDES, "hidden_size=128", "train_batch_size=16"]
+                   *TINY_OVERRIDES, "train_batch_size=16"]
         nanoalbert(threads, "pretrain", "--out", pt, *pt_args)
         os.replace(pt / "checkpoint-000004.ckpt", run / "uninterrupted.ckpt")
         nanoalbert(threads, "pretrain", "--out", pt, *pt_args)  # resumes from step 2

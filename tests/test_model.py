@@ -463,7 +463,7 @@ def test_token_logits_require_ner_head(tiny_model):
 # ---------------------------------------------------------------------------
 
 def test_length_parts_sort_split_and_trim(monkeypatch):
-    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 12)
+    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 24)  # 12 to a part
     mask = np.zeros((6, 16), dtype=np.int32)
     for row, length in enumerate((7, 3, 13, 3, 5, 2)):
         mask[row, :length] = 1
@@ -502,10 +502,9 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
 
 @pytest.fixture
 def two_lanes(monkeypatch):
-    """map_parts runs its two lanes at once, on any machine and at any width."""
+    """map_parts runs its two lanes at once, on any machine."""
     model._pin_blas()  # the first call pins; the override below then holds
     monkeypatch.setattr(model, "_lanes_at_once", 2)
-    monkeypatch.setattr(model, "LANE_MIN_HIDDEN", 0)
 
 
 def one_row_parts(monkeypatch, rows):
@@ -534,10 +533,41 @@ def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes,
     assert [(rows.tolist(), result) for rows, result in got] == [
         (rows.tolist(), ((rows * 10).tolist(), t, i % 2)) for i, (rows, t) in enumerate(parts)]
     # lane 0 is the calling thread, in part order; lane 1 is one other
-    # thread, longest part first
-    assert calls == {0: [0, 2, 4], 1: [5, 3, 1]}
+    # thread, part 1 first and then its others longest first
+    assert calls == {0: [0, 2, 4], 1: [1, 5, 3]}
     assert threads[0] == {threading.get_ident()}
     assert len(threads[1]) == 1 and threads[1] != threads[0]
+
+
+def test_hold_keeps_the_lanes_first_parts_in_flight_together(two_lanes, monkeypatch):
+    mask = one_row_parts(monkeypatch, 4)
+    events = []
+
+    def part_fn(part, t, lane):
+        i = int(part[0])
+        if i in (1, 3):
+            time.sleep(0.1 * i)  # lane 1's forwards end well after lane 0's
+        events.append(("forward", i))
+        lane.hold()
+        events.append(("backward", i))
+        return i
+
+    assert [i for _, i in map_parts(part_fn, np.arange(4), mask)] == [0, 1, 2, 3]
+    assert events.index(("backward", 0)) > events.index(("forward", 1))
+    assert events.index(("backward", 2)) < events.index(("forward", 3))  # only first parts wait
+
+    # a part that never holds, as in inference, releases the other lane when it ends
+    def lane_1_never_holds(part, t, lane):
+        if lane == 1:
+            time.sleep(0.1)
+            events.append(("end", int(part[0])))
+        else:
+            lane.hold()
+            events.append(("backward", int(part[0])))
+
+    events.clear()
+    map_parts(lane_1_never_holds, np.arange(2), mask[:2])
+    assert events == [("end", 1), ("backward", 0)]
 
 
 def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
@@ -574,7 +604,7 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
     with pytest.raises(ValueError, match="^part 0 failed$"):
         map_parts(first_fails, np.arange(6), mask)
     assert threading.active_count() == before
-    assert set(ran) <= {0, 5}
+    assert set(ran) <= {0, 1}
 
     # fit still puts the step number in front
     with pytest.raises(ValueError, match="^step 1: part 1 failed$"):
