@@ -9,7 +9,8 @@ removed on success — if a run dies, the marker stays behind.
 Heavy imports happen inside the command handlers so that --threads can set
 the BLAS/OpenMP thread variables before numpy loads. model.map_parts reads
 the count they set as how many of a step's parts run at once (at most 2)
-and, at 2, pins OpenBLAS to one thread, so the outputs do not depend on it.
+and, at 2, pins OpenBLAS to one thread while they run, so the outputs do
+not depend on it.
 """
 
 from __future__ import annotations

@@ -29,11 +29,11 @@ together. PART_POSITIONS = 192 bounds the positions of the two parts in
 flight: each part holds at most half (and, in inference, an eval batch of
 rows). A training part holds at its forward's end until the other lane's
 first part has finished its forward too (Lane.hold), so a step of any size
-reaches the same two-part peak. The first run that has parts for both lanes
-reads OpenBLAS's configured thread count (--threads, the environment or the
-core count); at 2 or more the lanes run at once and BLAS is pinned to one
-thread for the rest of the process, at 1 they run one after the other.
-Either way BLAS runs on one thread, so no result depends on the core count.
+reaches the same two-part peak. Each run reads OpenBLAS's thread count
+(--threads, the environment or the core count): at 2 or more the lanes run
+at once with BLAS pinned to one thread until they are done, at 1 they run
+one after the other. Either way BLAS runs on one thread, so no result
+depends on the core count.
 A training step's parts, each divided by the whole step's count, add into
 one gradient dict per lane, and lane 1's dict is then added into lane 0's
 (add_lanes). The pretraining pass also counts its SOP hits, so held-out SOP
@@ -42,6 +42,7 @@ accuracy needs no second forward.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -428,6 +429,7 @@ def length_parts(attention_mask, max_rows=None) -> list[tuple[np.ndarray, int]]:
     return parts
 
 
+@functools.cache
 def _find_openblas():
     """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
     where numpy carries no scipy-openblas library."""
@@ -448,24 +450,6 @@ def _find_openblas():
     return None
 
 
-_lanes_at_once = None  # set by the first map_parts call with parts for both lanes
-
-
-def _pin_blas() -> int:
-    """How many lanes run at once: OpenBLAS's configured thread count, read
-    once and capped at LANES; 1 where no OpenBLAS is found. At 2, BLAS is
-    pinned to one thread for the rest of the process: the optimizers' norms
-    run between the steps' lanes, and their bits too would otherwise depend
-    on the thread count."""
-    global _lanes_at_once
-    if _lanes_at_once is None:
-        blas = _find_openblas()
-        _lanes_at_once = 1 if blas is None else min(LANES, blas[0]())
-        if _lanes_at_once > 1:
-            blas[1](1)
-    return _lanes_at_once
-
-
 class Lane(int):
     """The lane number map_parts hands part_fn. A training part calls hold()
     between its forward and its backward: on the lanes' first parts, run at
@@ -484,15 +468,19 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
     attention_mask into, in part order; t is the part's trimmed length. Part
     i runs on lane i % 2: lane 0 on the calling thread takes its parts in
     order and lane 1 on a worker thread takes part 1 and then its others
-    longest first, both at once or, where BLAS is configured for one thread
-    (_pin_blas), one after the other. A part_fn that writes only its lane's
-    state gives the same bits either way. When parts raise, the
-    lowest-numbered part's error is raised once the worker is joined; a lane
-    skips the parts numbered above a failure."""
+    longest first. They run at once where numpy's OpenBLAS is configured
+    for 2 or more threads (--threads, the environment or the core count),
+    with BLAS pinned to one thread until they are done, and otherwise one
+    after the other. A part_fn that writes only its lane's state gives the
+    same bits either way. When parts raise, the lowest-numbered part's error
+    is raised once the worker is joined; a lane skips the parts numbered
+    above a failure."""
     parts = length_parts(attention_mask, max_rows)
     results = [None] * len(parts)
     failures = []  # (part index, exception), appended by both lanes
-    at_once = len(parts) > 1 and _pin_blas() > 1
+    blas = _find_openblas() if len(parts) > 1 else None
+    threads = blas[0]() if blas else 1  # the caller's BLAS thread count
+    at_once = threads > 1
     if at_once:
         import threading
 
@@ -518,16 +506,20 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
                     finished[number].set()
 
     if at_once:
-        worker = threading.Thread(target=run_lane, args=(1,), name="map_parts lane 1")
-        worker.start()
+        blas[1](1)
         try:
-            run_lane(0)
-            worker.join()
-        except BaseException:  # an interrupt: lane 1 stops after its part in flight
-            failures.append((-1, None))
-            finished[0].set()
-            worker.join()
-            raise
+            worker = threading.Thread(target=run_lane, args=(1,), name="map_parts lane 1")
+            worker.start()
+            try:
+                run_lane(0)
+                worker.join()
+            except BaseException:  # an interrupt: lane 1 stops after its part in flight
+                failures.append((-1, None))
+                finished[0].set()
+                worker.join()
+                raise
+        finally:
+            blas[1](threads)
     else:
         run_lane(0)
         run_lane(1)

@@ -503,8 +503,18 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
 @pytest.fixture
 def two_lanes(monkeypatch):
     """map_parts runs its two lanes at once, on any machine."""
-    model._pin_blas()  # the first call pins; the override below then holds
-    monkeypatch.setattr(model, "_lanes_at_once", 2)
+    blas = model._find_openblas()
+    if blas is None:
+        monkeypatch.setattr(model, "_find_openblas", lambda: (lambda: 2, lambda threads: None))
+        yield
+        return
+    get, set_ = blas
+    configured = get()
+    set_(2)  # as --threads 2 or a 2-core machine configures it
+    try:
+        yield
+    finally:
+        set_(configured)
 
 
 def one_row_parts(monkeypatch, rows):
@@ -615,24 +625,49 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
     assert threading.active_count() == before
 
 
-def test_first_map_parts_pins_blas_to_one_thread(monkeypatch):
+def test_map_parts_lets_an_interrupt_through_and_stops_lane_1(two_lanes, monkeypatch):
+    mask = one_row_parts(monkeypatch, 6)
+    before = threading.active_count()
+    for part_1_fails in (True, False):
+        ran = []
+
+        def part_fn(part, t, lane):
+            i = int(part[0])
+            ran.append(i)
+            if i == 1:
+                time.sleep(0.2)  # still running when part 2 is interrupted
+                if part_1_fails:
+                    raise ValueError("part 1 failed")
+            if i == 2:
+                raise KeyboardInterrupt
+            return i
+
+        with pytest.raises(KeyboardInterrupt):  # not part 1's lower-numbered error
+            map_parts(part_fn, np.arange(6), mask)
+        assert threading.active_count() == before
+        assert sorted(ran) == [0, 1, 2]  # lane 1 ran no part after the interrupt
+
+
+def test_map_parts_pins_blas_to_one_thread_while_its_lanes_run(monkeypatch):
     blas = model._find_openblas()
     if blas is None:
         pytest.skip("numpy carries no scipy-openblas library")
     get, set_ = blas
     mask = one_row_parts(monkeypatch, 3)
-    monkeypatch.setattr(model, "_lanes_at_once", None)
     configured = get()
     try:
         set_(2)  # as --threads 2 or a 2-core machine configures it
-        map_parts(lambda part, t, lane: None, np.arange(3), mask)
+        seen = {}
+        map_parts(lambda part, t, lane: seen.setdefault(int(lane), get()), np.arange(3), mask)
+        assert seen == {0: 1, 1: 1}
+        assert get() == 2  # the caller's count is back
+        set_(1)  # as --threads 1 configures it: the lanes run in turn
+        threads = set()
+        map_parts(lambda part, t, lane: threads.add(threading.get_ident()), np.arange(3), mask)
+        assert threads == {threading.get_ident()}
         assert get() == 1
-        assert model._lanes_at_once == 2
-        set_(2)
-        map_parts(lambda part, t, lane: None, np.arange(3), mask)
-        assert get() == 2  # the second call did not pin again
     finally:
-        set_(configured)  # as the process had it, with _lanes_at_once
+        set_(configured)
 
 
 def test_lanes_run_one_after_the_other_without_openblas_with_the_same_bits(
@@ -666,10 +701,11 @@ def test_lanes_run_one_after_the_other_without_openblas_with_the_same_bits(
         sys.setswitchinterval(interval)
     assert len(threads) == 2
     threads.clear()
-    monkeypatch.setattr(model, "_lanes_at_once", None)
+    blas = model._find_openblas()
     monkeypatch.setattr(model, "_find_openblas", lambda: None)
+    if blas is not None:
+        blas[1](1)  # BLAS on one thread, as the lanes had it; two_lanes restores the count
     in_turn = steps()
-    assert model._lanes_at_once == 1
     assert threads == {threading.get_ident()}
     for (loss, grads), (want_loss, want_grads) in zip(in_turn, at_once):
         assert loss == want_loss
