@@ -450,6 +450,19 @@ def _find_openblas():
     return None
 
 
+@functools.cache
+def _malloc_trim():
+    """The C library's malloc_trim, or None where it has none (not glibc)."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 class Lane(int):
     """The lane number map_parts hands part_fn. A training part calls hold()
     between its forward and its backward: on the lanes' first parts, run at
@@ -520,6 +533,11 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
                 raise
         finally:
             blas[1](threads)
+            # glibc keeps what lane 1 freed in its thread's arena, where the
+            # calling thread cannot reuse it: give it back to the system
+            trim = _malloc_trim()
+            if trim is not None:
+                trim(0)
     else:
         run_lane(0)
         run_lane(1)

@@ -654,6 +654,8 @@ def test_map_parts_pins_blas_to_one_thread_while_its_lanes_run(monkeypatch):
         pytest.skip("numpy carries no scipy-openblas library")
     get, set_ = blas
     mask = one_row_parts(monkeypatch, 3)
+    trims = []
+    monkeypatch.setattr(model, "_malloc_trim", lambda: trims.append)
     configured = get()
     try:
         set_(2)  # as --threads 2 or a 2-core machine configures it
@@ -661,11 +663,12 @@ def test_map_parts_pins_blas_to_one_thread_while_its_lanes_run(monkeypatch):
         map_parts(lambda part, t, lane: seen.setdefault(int(lane), get()), np.arange(3), mask)
         assert seen == {0: 1, 1: 1}
         assert get() == 2  # the caller's count is back
+        assert trims == [0]  # lane 1's freed memory went back to the system
         set_(1)  # as --threads 1 configures it: the lanes run in turn
         threads = set()
         map_parts(lambda part, t, lane: threads.add(threading.get_ident()), np.arange(3), mask)
         assert threads == {threading.get_ident()}
-        assert get() == 1
+        assert get() == 1 and trims == [0]
     finally:
         set_(configured)
 
