@@ -33,7 +33,9 @@ reaches the same two-part peak. Each run reads OpenBLAS's thread count
 (--threads, the environment or the core count): at 2 or more the lanes run
 at once with BLAS pinned to one thread until they are done, at 1 they run
 one after the other. Either way BLAS runs on one thread, so no result
-depends on the core count.
+depends on the core count. After lanes that ran at once, what lane 1 freed
+goes back to the system (malloc_trim), since the calling thread cannot
+reuse its thread's arena.
 A training step's parts, each divided by the whole step's count, add into
 one gradient dict per lane, and lane 1's dict is then added into lane 0's
 (add_lanes). The pretraining pass also counts its SOP hits, so held-out SOP
