@@ -20,6 +20,8 @@ from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
+from .rundir import write_file
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -255,14 +257,10 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
 # ---------------------------------------------------------------------------
 
 def save_vocab(vocab: Vocab, vocab_path, merges_path) -> None:
-    with open(vocab_path, "w", encoding="utf-8", newline="\n") as f:
-        for i, name in enumerate(SPECIAL_NAMES):
-            f.write(f"{name}\t{i}\n")
-        for i, piece in enumerate(vocab._id_pieces):
-            f.write(f"{piece_to_text(piece)}\t{NUM_SPECIALS + i}\n")
-    with open(merges_path, "w", encoding="utf-8", newline="\n") as f:
-        for left, right in vocab.merges:
-            f.write(f"{piece_to_text(left)}\t{piece_to_text(right)}\n")
+    names = [*SPECIAL_NAMES, *map(piece_to_text, vocab._id_pieces)]
+    write_file(vocab_path, "".join(f"{name}\t{i}\n" for i, name in enumerate(names)))
+    write_file(merges_path, "".join(f"{piece_to_text(left)}\t{piece_to_text(right)}\n"
+                                    for left, right in vocab.merges))
 
 
 def _piece_at(path, lineno: int, text: str) -> bytes:

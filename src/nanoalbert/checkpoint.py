@@ -29,6 +29,7 @@ import numpy as np
 from .config import ConfigError, format_pairs, parse_pairs
 from .model import ModelConfig, parameter_shapes
 from .optim import OptimizerState
+from .rundir import write_file
 
 MAGIC = b"ABCK0001"
 _U32 = struct.Struct("<I")
@@ -99,16 +100,18 @@ def _header_text(config, step, labels, optim_t) -> str:
     return format_pairs(pairs)
 
 
-def _write_tensor(fh, name: str, values: np.ndarray) -> None:
-    name_b = name.encode("utf-8")
-    arr = np.ascontiguousarray(values, dtype="<f4")
-    fh.write(b"".join([_U32.pack(len(name_b)), name_b, _U32.pack(arr.ndim),
-                       *(_U32.pack(d) for d in arr.shape)]))
-    fh.write(arr.data)
+def _write(fh, header: bytes, tensors) -> None:
+    fh.write(b"".join([MAGIC, _U32.pack(len(header)), header, _U32.pack(len(tensors))]))
+    for name in sorted(tensors):
+        name_b = name.encode("utf-8")
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        fh.write(b"".join([_U32.pack(len(name_b)), name_b, _U32.pack(arr.ndim),
+                           *(_U32.pack(d) for d in arr.shape)]))
+        fh.write(arr.data)
 
 
 def save_checkpoint(path, config, params, step=0, labels=None, optim=None) -> None:
-    """Write atomically (temp file + rename); tensors stored as float32.
+    """Write atomically and durably (rundir.write_file); tensors as float32.
 
     Each tensor's values go from its array straight to the file, so saving
     holds no copy of the checkpoint in memory.
@@ -124,12 +127,7 @@ def save_checkpoint(path, config, params, step=0, labels=None, optim=None) -> No
             tensors[f"optim/v/{name}"] = arr
 
     header = _header_text(config, step, labels, optim_t).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join([MAGIC, _U32.pack(len(header)), header, _U32.pack(len(tensors))]))
-        for name in sorted(tensors):
-            _write_tensor(fh, name, tensors[name])
-    os.replace(tmp, path)
+    write_file(path, lambda fh: _write(fh, header, tensors))
 
 
 class _Reader:

@@ -1,10 +1,9 @@
 """Command-line pipeline driver.
 
 Subcommands: prep-corpus, build-vocab, pretrain, finetune, evaluate,
-predict, stats. Every command writes only under its --out directory, which
-is guarded by an flock on its .lock file (one run at a time; the lock dies
-with its process, and the empty file stays) and an INCOMPLETE marker that is
-removed on success — if a run dies, the marker stays behind.
+predict, stats. Each writes only under its --out directory, every file
+through rundir.write_file; an flock on .lock admits one run at a time, and
+an INCOMPLETE marker, removed on success, stays behind if a run dies.
 
 Heavy imports happen inside the command handlers so that --threads can set
 the BLAS/OpenMP thread variables before numpy loads. model.map_parts reads
@@ -24,6 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .config import ConfigError, effective_text, format_pairs, model_config_from, parse_config
+from .rundir import write_file
 
 
 class CliError(Exception):
@@ -110,15 +110,14 @@ def _run_dir(out, config_text: str):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     fd = _lock(out / ".lock")
-    marker = out / "INCOMPLETE"
     effective = out / "effective.cfg"
     try:
-        marker.write_text("run started; this marker is removed on success\n")
+        write_file(out / "INCOMPLETE", "run started; this marker is removed on success\n")
         if not effective.exists():
-            effective.write_text(config_text)
+            write_file(effective, config_text)
         yield out
-        effective.write_text(config_text)
-        marker.unlink()
+        write_file(effective, config_text)
+        (out / "INCOMPLETE").unlink()
     finally:
         os.close(fd)
 
@@ -147,7 +146,7 @@ def _cmd_prep_corpus(args, cfg, out: Path) -> None:
     from .corpus import corpus_stats, preprocess_files
 
     text = preprocess_files(args.inputs)
-    (out / "corpus.txt").write_text(text, encoding="utf-8")
+    write_file(out / "corpus.txt", text)
     stats = corpus_stats(text)
     print(f"documents={stats.documents} sentences={stats.sentences} words={stats.words}")
 
@@ -239,8 +238,8 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
                       out_dir=out)
     print(f"best_step={result.best_step} dev_f1={result.best_dev_f1:.4f}")
     if result.test_metrics is not None:
-        (out / "metrics.txt").write_text(metrics_report(result.test_metrics))
-        (out / "metrics.kv").write_text(metrics_keyvalues(result.test_metrics))
+        write_file(out / "metrics.txt", metrics_report(result.test_metrics))
+        write_file(out / "metrics.kv", metrics_keyvalues(result.test_metrics))
         print(f"test_f1={result.test_metrics.overall.f1:.4f}")
 
 
@@ -261,8 +260,8 @@ def _cmd_evaluate(args, cfg, out: Path) -> None:
                                      f"pred {pred_word!r}")
     except ValueError as exc:
         raise CliError(f"--gold {args.gold} and --pred {args.pred} disagree: {exc}") from None
-    (out / "metrics.txt").write_text(metrics_report(metrics))
-    (out / "metrics.kv").write_text(metrics_keyvalues(metrics))
+    write_file(out / "metrics.txt", metrics_report(metrics))
+    write_file(out / "metrics.kv", metrics_keyvalues(metrics))
     overall = metrics.overall
     print(f"precision={overall.precision:.4f} recall={overall.recall:.4f} "
           f"f1={overall.f1:.4f}")
@@ -300,7 +299,7 @@ def _cmd_predict(args, cfg, out: Path) -> None:
         "\n".join(f"{word}\t{label}" for word, label in zip(example.words, labels))
         for example, labels in zip(examples, predictions)
     ]
-    (out / "predictions.conll").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    write_file(out / "predictions.conll", "\n\n".join(blocks) + "\n")
     print(f"sentences={len(examples)}")
 
 
@@ -316,7 +315,7 @@ def _cmd_stats(args, cfg, out: Path) -> None:
 
         stats = dataset_stats(args.conll)
     text = format_pairs(dataclasses.asdict(stats).items())
-    (out / "stats.txt").write_text(text)
+    write_file(out / "stats.txt", text)
     print(" ".join(text.splitlines()))
 
 

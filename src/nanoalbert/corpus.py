@@ -12,7 +12,6 @@ Pretraining examples pair adjacent sentences for sentence-order prediction
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .bpe import MASK_ID, NUM_SPECIALS, Vocab, build_input_pair
 from .ops import IGNORE_INDEX
 from .rng import RngStream
+from .rundir import write_file
 
 MIN_SENTENCE_CHARS = 20
 SOP_IN_ORDER = 0
@@ -216,15 +216,12 @@ _HEADER_BYTES = len(EXAMPLES_MAGIC) + 12
 
 
 def write_examples(path, examples) -> None:
-    """Write atomically (temp file + rename), so a killed write leaves no cache."""
+    """Write atomically and durably (rundir.write_file): a killed write leaves no cache."""
     max_len = examples.dtype["input"]["token_ids"].shape[0]
     max_predictions = examples.dtype["mlm_positions"].shape[0]
     header = np.array([len(examples), max_len, max_predictions], dtype="<u4")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(EXAMPLES_MAGIC + header.tobytes())
-        f.write(np.ascontiguousarray(examples).tobytes())
-    os.replace(tmp, path)
+    chunks = (EXAMPLES_MAGIC + header.tobytes(), np.ascontiguousarray(examples).tobytes())
+    write_file(path, lambda f: f.writelines(chunks))
 
 
 def read_examples(path) -> np.recarray:

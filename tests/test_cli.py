@@ -298,7 +298,7 @@ def test_pretrain_refuses_to_resume_a_checkpoint_of_another_architecture(pipelin
 
 
 def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, monkeypatch, capsys):
-    from nanoalbert import corpus as corpus_module
+    from nanoalbert import rundir
 
     class FailingFile:
         """Writes its first chunk, half of the second, then fails."""
@@ -314,6 +314,10 @@ def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, 
                 raise OSError("No space left on device")
             return self.file.write(data)
 
+        def writelines(self, chunks):
+            for data in chunks:
+                self.write(data)
+
         def __enter__(self):
             return self
 
@@ -324,8 +328,13 @@ def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, 
     out = tmp_path / "pt"
     args = ["pretrain", "--out", out, "--corpus", corpus, "--vocab", pipeline / "vocab",
             *TINY_OVERRIDES]
-    monkeypatch.setattr(corpus_module, "open", lambda path, mode: FailingFile(path),
-                        raising=False)
+
+    def failing_open(path, *args, **kwargs):
+        if str(path).endswith("examples.bin.tmp"):
+            return FailingFile(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(rundir, "open", failing_open, raising=False)
     assert run_cli(*args) == 1
     assert "No space left" in capsys.readouterr().err
     assert not (out / "examples.bin").exists()
@@ -711,6 +720,28 @@ def test_evaluate_refuses_predictions_for_other_words(tmp_path, capsys):
         f"error: --gold {gold} and --pred {pred} disagree: "
         "sentence 1 word 1: gold 'sang', pred 'ran'\n")
     assert not (tmp_path / "e" / "metrics.kv").exists()
+
+
+def test_text_outputs_are_utf8_under_an_ascii_locale(pipeline, tmp_path):
+    """The CoNLL files are read as UTF-8, so the metrics that name their
+    labels are written as UTF-8 too, whatever the locale."""
+    conll = tmp_path / "protein.conll"
+    conll.write_text("kinase B-Protéine\nbinds O\n\nthe O\nkinase B-Protéine\n",
+                     encoding="utf-8")
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    for argv in (["evaluate", "--gold", conll, "--pred", conll],
+                 ["finetune", "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                  "--vocab", pipeline / "vocab", "--train", conll, "--dev", conll,
+                  "--test", conll, *FT_OVERRIDES]):
+        out = tmp_path / argv[0]
+        done = subprocess.run(
+            [sys.executable, "-m", "nanoalbert", *map(str, argv), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "type.Protéine.f1=" in read(out / "metrics.kv")
+        assert "Protéine" in read(out / "metrics.txt")
 
 
 def test_evaluate_leaves_inputs_untouched(pipeline, tmp_path):
