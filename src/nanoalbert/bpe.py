@@ -271,7 +271,8 @@ def _piece_at(path, lineno: int, text: str) -> bytes:
 
 
 def load_vocab(vocab_path, merges_path) -> Vocab:
-    """Read a saved vocabulary; each error names its file and line."""
+    """Read a saved vocabulary, refused unless vocab.txt holds the pieces
+    merges.txt implies; each error names its file and line."""
     pieces = []
     with open(vocab_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f):
@@ -309,6 +310,16 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
                 raise ValueError(f"{merges_path}:{lineno + 1}: merge "
                                  f"{piece_to_text(left + right)!r} holds a whitespace byte")
             merges.append((left, right))
+    # train_vocab's pieces are the 256 bytes, then one per merge in merge
+    # order: any other list means the two files come from different runs
+    implied = [bytes([b]) for b in range(256)] + [left + right for left, right in merges]
+    if pieces != implied:
+        i = next((i for i, (have, want) in enumerate(zip(pieces, implied)) if have != want),
+                 min(len(pieces), len(implied)))
+        have, want = (repr(piece_to_text(p[i])) if i < len(p) else "no piece"
+                      for p in (pieces, implied))
+        raise ValueError(f"{vocab_path}:{NUM_SPECIALS + i + 1}: {have} where {merges_path} "
+                         f"implies {want}; the two files are not one vocabulary")
     return Vocab(pieces, merges)
 
 

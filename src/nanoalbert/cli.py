@@ -1,9 +1,9 @@
 """Command-line pipeline driver.
 
 Subcommands: prep-corpus, build-vocab, pretrain, finetune, evaluate,
-predict, stats. Each writes only under its --out directory, every file
-through rundir.write_file; an flock on .lock admits one run at a time, and
-an INCOMPLETE marker, removed on success, stays behind if a run dies.
+predict, stats. Each runs in rundir.run_dir, which locks its --out directory
+and refuses a config other than the one its resumable state was made under;
+every file is written through rundir.write_file.
 
 Heavy imports happen inside the command handlers so that --threads can set
 the BLAS/OpenMP thread variables before numpy loads. model.map_parts reads
@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import fcntl
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
-from .config import ConfigError, effective_text, format_pairs, model_config_from, parse_config
-from .rundir import write_file
+from .config import format_pairs, model_config_from, parse_config
+from .rundir import EXAMPLES, run_dir, write_file
 
 
 class CliError(Exception):
@@ -89,39 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lock(lock: Path) -> int:
-    """Open and flock the lock file; a killed run's lock is released with
-    its process, so only a live run blocks."""
-    fd = os.open(lock, os.O_CREAT | os.O_WRONLY, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        os.close(fd)
-        raise CliError(f"output directory {lock.parent} is in use by another run "
-                       f"(it holds {lock})") from None
-    return fd
-
-
-@contextmanager
-def _run_dir(out, config_text: str):
-    """Lock the output directory and manage INCOMPLETE. effective.cfg is
-    written up front only where there is none (a refused rerun keeps the
-    old one) and again on success."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    fd = _lock(out / ".lock")
-    effective = out / "effective.cfg"
-    try:
-        write_file(out / "INCOMPLETE", "run started; this marker is removed on success\n")
-        if not effective.exists():
-            write_file(effective, config_text)
-        yield out
-        write_file(effective, config_text)
-        (out / "INCOMPLETE").unlink()
-    finally:
-        os.close(fd)
-
-
 def _load_vocab_dir(vocab_dir, vocab_size: int, expected_by):
     """The vocabulary in vocab_dir, refused unless it has the vocab_size
     pieces that `expected_by` (the config, or a checkpoint path) asks for."""
@@ -166,27 +131,14 @@ def _pretrain_examples(args, cfg, out: Path, vocab):
     from .corpus import build_pretrain_examples, read_examples, split_corpus, write_examples
     from .rng import RngStream
 
-    cache = out / "examples.bin"
-    if cache.exists():
-        examples = read_examples(cache)
-        have = (examples.dtype["input"]["token_ids"].shape[0],
-                examples.dtype["mlm_positions"].shape[0])
-        want = (cfg.max_seq_length, cfg.max_predictions_per_seq)
-        if have != want:
-            raise CliError(
-                f"{cache} holds examples for max_seq_length={have[0]} max_predictions_per_seq="
-                f"{have[1]}, but the config says {want[0]} and {want[1]}; delete it to rebuild"
-            )
-        return examples
-    text = Path(args.corpus).read_text(encoding="utf-8")
-    docs = split_corpus(text)
+    cache = out / EXAMPLES
+    if cache.exists():  # run_dir refused it unless the config that made it is this one
+        return read_examples(cache)
+    docs = split_corpus(Path(args.corpus).read_text(encoding="utf-8"))
     examples = build_pretrain_examples(
-        docs, vocab, RngStream(cfg.seed).child("examples"),
-        max_len=cfg.max_seq_length,
-        mask_rate=cfg.mask_rate,
-        max_predictions=cfg.max_predictions_per_seq,
-        dup_factor=cfg.dup_factor,
-    )
+        docs, vocab, RngStream(cfg.seed).child("examples"), max_len=cfg.max_seq_length,
+        mask_rate=cfg.mask_rate, max_predictions=cfg.max_predictions_per_seq,
+        dup_factor=cfg.dup_factor)
     write_examples(cache, examples)
     return examples
 
@@ -345,10 +297,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides.append(f"seed={args.seed}")
         cfg = parse_config(args.config, overrides)
-        with _run_dir(args.out, effective_text(cfg)) as out:
+        with run_dir(args.out, cfg) as out:
             _HANDLERS[args.command](args, cfg, out)
         return 0
-    except (CliError, ConfigError, ValueError, OSError, FloatingPointError) as exc:
+    except (CliError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ run would have seen. Loss logs are line-oriented "step<TAB>metric<TAB>value".
 from __future__ import annotations
 
 import dataclasses
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,9 +34,7 @@ from .optim import (
 )
 from .optim import adamw_step  # unused here; perfbench traces it at pretrain.adamw_step
 from .rng import RngStream
-from .rundir import open_log
-
-_CHECKPOINT_RE = re.compile(r"^checkpoint-(\d+)\.ckpt$")
+from .rundir import checkpoint_path, latest_checkpoint, open_log
 
 
 @dataclass
@@ -55,21 +52,6 @@ def batch_indices(seed: int, step: int, num_examples: int, batch_size: int) -> l
     if batch_size <= num_examples:
         return r.sample(num_examples, batch_size)
     return [r.randint(num_examples) for _ in range(batch_size)]
-
-
-def checkpoint_path(directory, step: int) -> Path:
-    return Path(directory) / f"checkpoint-{step:06d}.ckpt"
-
-
-def latest_checkpoint(directory) -> Path | None:
-    best = None
-    best_step = -1
-    for entry in Path(directory).iterdir():
-        match = _CHECKPOINT_RE.match(entry.name)
-        if match and int(match.group(1)) > best_step:
-            best_step = int(match.group(1))
-            best = entry
-    return best
 
 
 def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Schedule,
@@ -107,9 +89,9 @@ def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Sche
 
 
 def _resume_point(out_dir: Path, config: ModelConfig, num_steps: int):
-    """The newest checkpoint in out_dir, or None; refused if it was trained
-    with another architecture or, with steps left to run, holds no optimizer
-    state."""
+    """The newest checkpoint in out_dir, or None; refused, for callers that
+    lack run_dir's whole-config check, if it was trained with another
+    architecture or, with steps left to run, holds no optimizer state."""
     path = latest_checkpoint(out_dir)
     if path is None:
         return None

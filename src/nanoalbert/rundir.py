@@ -1,16 +1,82 @@
-"""How a run's files reach disk.
+"""The run directory: its lock, its one config rule, how its files reach disk.
 
-Every file a run writes whole goes through write_file: its bytes go to a
-temp file beside the target, which is fsynced and renamed over the target,
-and then the directory is fsynced. After a crash the target holds its old
-bytes or its new ones, never a mix, and a write that returned survives a
-power loss. The one other run file is train.log, which open_log appends to
-line by line.
+run_dir locks a command's output directory (.lock) and keeps INCOMPLETE
+there until the command succeeds. A directory holding resumable state (a
+checkpoint-NNNNNN.ckpt or examples.bin) runs only under the config its
+effective.cfg records, written before any state and again only if it differs.
+
+write_file writes every whole file: a temp file beside the target is
+fsynced and renamed over it, and the directory is fsynced. After a crash the
+target holds its old bytes or its new ones, never a mix, and a write that
+returned survives a power loss. open_log appends train.log line by line.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
+import re
+from contextlib import contextmanager
+from pathlib import Path
+
+from .config import ConfigError, effective_text, parse_config
+
+_CHECKPOINT_RE = re.compile(r"^checkpoint-(\d+)\.ckpt$")
+EXAMPLES = "examples.bin"  # the pretraining example cache
+
+
+def checkpoint_path(directory, step: int) -> Path:
+    return Path(directory) / f"checkpoint-{step:06d}.ckpt"
+
+
+def latest_checkpoint(directory) -> Path | None:
+    found = [(int(match.group(1)), entry) for entry in Path(directory).iterdir()
+             if (match := _CHECKPOINT_RE.match(entry.name))]
+    return max(found)[1] if found else None
+
+
+def _refuse_other_config(out: Path, effective: Path, config) -> None:
+    """Refuse `config` if `out` holds resumable state (its newest checkpoint,
+    else examples.bin) and effective.cfg is missing or records another
+    config, naming the first differing key in sorted order."""
+    state = latest_checkpoint(out) or out / EXAMPLES
+    if not state.exists():
+        return
+    if not effective.exists():
+        raise ConfigError(f"{state} has no {effective} to say which config made it; "
+                          "cannot continue that run")
+    have = effective_text(parse_config(effective)).splitlines()
+    for recorded, wanted in zip(have, effective_text(config).splitlines()):
+        if recorded != wanted:
+            raise ConfigError(f"{state} was made with {recorded}, as {effective} records, "
+                              f"but the config says {wanted}; cannot continue that run")
+
+
+@contextmanager
+def run_dir(out, config):
+    """Lock `out` (created if missing) for a command run under `config` and
+    refuse it if its state was made under another; only a live run blocks."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    lock = out / ".lock"
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"output directory {out} is in use by another run "
+                          f"(it holds {lock})") from None
+        effective, text = out / "effective.cfg", effective_text(config)
+        stale = not effective.exists() or effective.read_text(encoding="utf-8") != text
+        if stale:
+            _refuse_other_config(out, effective, config)
+        write_file(out / "INCOMPLETE", "run started; this marker is removed on success\n")
+        if stale:
+            write_file(effective, text)
+        yield out
+        (out / "INCOMPLETE").unlink()
+    finally:
+        os.close(fd)
 
 
 def write_file(path, content) -> None:

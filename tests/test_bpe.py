@@ -435,6 +435,34 @@ def test_load_names_line_of_undecodable_piece(tmp_path):
         load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
 
 
+def test_load_refuses_vocab_and_merges_from_two_runs(tmp_path, monkeypatch):
+    # a bigger vocabulary saved over a smaller one, with the merges.txt
+    # write failing: the old merges are a prefix of the new ones and the new
+    # vocab.txt holds all their pieces, so every per-line check passes
+    corpus = "receptor receptors reception recess " * 3
+    small, big = train_vocab(corpus, 264), train_vocab(corpus, 270)
+    assert big.merges[: len(small.merges)] == small.merges != big.merges
+    vocab_path, merges_path = tmp_path / "vocab.txt", tmp_path / "merges.txt"
+    save_vocab(small, vocab_path, merges_path)
+    real = bpe.write_file
+
+    def failing(path, content):
+        if path == merges_path:
+            raise OSError(f"cannot write {path}: [Errno 28] No space left on device")
+        real(path, content)
+
+    monkeypatch.setattr(bpe, "write_file", failing)
+    with pytest.raises(OSError, match="No space left"):
+        save_vocab(big, vocab_path, merges_path)
+    first_extra = 256 + len(small.merges)
+    with pytest.raises(ValueError) as refused:
+        load_vocab(vocab_path, merges_path)
+    assert str(refused.value) == (
+        f"{vocab_path}:{NUM_SPECIALS + first_extra + 1}: "
+        f"{piece_to_text(big._id_pieces[first_extra])!r} where {merges_path} implies no piece; "
+        "the two files are not one vocabulary")
+
+
 # ---------------------------------------------------------------------------
 # input-pair assembly
 # ---------------------------------------------------------------------------

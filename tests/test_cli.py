@@ -215,9 +215,10 @@ def test_pretrain_resumes_after_simulated_crash(pipeline, tmp_path, capsys):
     corpus = pipeline / "prep" / "corpus.txt"
     crash = tmp_path / "crash"
     crash.mkdir()
-    # reconstruct the state a killed run leaves behind: an intermediate
-    # checkpoint, a partial log, the INCOMPLETE marker, and its unlocked
-    # .lock file
+    # reconstruct the state a killed run leaves behind: the config it
+    # recorded, an intermediate checkpoint, a partial log, the INCOMPLETE
+    # marker, and its unlocked .lock file
+    shutil.copy(pipeline / "pt" / "effective.cfg", crash)
     shutil.copy(pipeline / "pt" / "checkpoint-000002.ckpt", crash)
     full_log = read(pipeline / "pt" / "train.log").splitlines(keepends=True)
     (crash / "train.log").write_text("".join(full_log[:8]))
@@ -280,7 +281,7 @@ def test_pretrain_resume_cuts_log_back_to_checkpoint_step(pipeline, tmp_path, ca
 
 def test_pretrain_refuses_to_resume_a_checkpoint_of_another_architecture(pipeline, tmp_path, capsys):
     # the shared block's shapes do not depend on num_layers, so only the
-    # checkpoint header can tell a 1-layer run from a 5-layer one
+    # recorded config can tell a 1-layer run from a 5-layer one
     corpus = pipeline / "prep" / "corpus.txt"
     run = tmp_path / "run"
     shutil.copytree(pipeline / "pt", run)
@@ -290,8 +291,9 @@ def test_pretrain_refuses_to_resume_a_checkpoint_of_another_architecture(pipelin
     assert run_cli("pretrain", "--out", run, "--corpus", corpus, "--vocab", pipeline / "vocab",
                    *TINY_OVERRIDES, "num_layers=5") == 1
     assert capsys.readouterr().err == (
-        f"error: {run / 'checkpoint-000002.ckpt'} was trained with num_layers=1, "
-        "but the config says num_layers=5; cannot resume\n")
+        f"error: {run / 'checkpoint-000002.ckpt'} was made with num_layers=1, as "
+        f"{run / 'effective.cfg'} records, but the config says num_layers=5; "
+        "cannot continue that run\n")
     assert not (run / "checkpoint-000004.ckpt").exists()
     assert read(run / "train.log") == log
     assert (run / "effective.cfg").read_bytes() == effective
@@ -346,19 +348,155 @@ def test_pretrain_rebuilds_example_cache_after_failed_write(pipeline, tmp_path, 
 
 
 def test_pretrain_refuses_example_cache_of_other_shape(pipeline, tmp_path, capsys):
-    # the shared run cached T=24 P=20 records
+    # the shared run cached T=24 P=20 records, as its effective.cfg records
     corpus = pipeline / "prep" / "corpus.txt"
-    for override, message in (("max_seq_length=16", "max_seq_length=24"),
-                              ("max_predictions_per_seq=10", "max_predictions_per_seq=20")):
+    for override, recorded in (("max_seq_length=16", "max_seq_length=24"),
+                               ("max_predictions_per_seq=10", "max_predictions_per_seq=20")):
         out = tmp_path / override.split("=")[0]
         out.mkdir()
         shutil.copy(pipeline / "pt" / "examples.bin", out)
+        shutil.copy(pipeline / "pt" / "effective.cfg", out)
         assert run_cli("pretrain", "--out", out, "--corpus", corpus,
                        "--vocab", pipeline / "vocab", *TINY_OVERRIDES, override) == 1
-        err = capsys.readouterr().err
-        assert str(out / "examples.bin") in err and message in err
-        assert len(err.strip().splitlines()) == 1
-        assert not list(out.glob("checkpoint-*"))
+        assert capsys.readouterr().err == (
+            f"error: {out / 'examples.bin'} was made with {recorded}, as "
+            f"{out / 'effective.cfg'} records, but the config says {override}; "
+            "cannot continue that run\n")
+        assert not list(out.glob("checkpoint-*")) and not (out / "train.log").exists()
+
+
+@pytest.mark.parametrize("override, recorded", [
+    ("learning_rate=0.5", "learning_rate=0.001"), ("seed=9", "seed=3"),
+    ("train_batch_size=3", "train_batch_size=4"), ("mask_rate=0.3", "mask_rate=0.15"),
+])
+def test_pretrain_refuses_to_resume_under_another_config(pipeline, tmp_path, capsys,
+                                                         override, recorded):
+    # keys the checkpoint header does not hold: only effective.cfg knows them
+    run = shutil.copytree(pipeline / "pt", tmp_path / "run")
+    (run / "checkpoint-000004.ckpt").unlink()
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert run_cli("pretrain", "--out", run, "--corpus", pipeline / "prep" / "corpus.txt",
+                   "--vocab", pipeline / "vocab", *TINY_OVERRIDES, override) == 1
+    assert capsys.readouterr().err == (
+        f"error: {run / 'checkpoint-000002.ckpt'} was made with {recorded}, as "
+        f"{run / 'effective.cfg'} records, but the config says {override}; "
+        "cannot continue that run\n")
+    assert not (run / "INCOMPLETE").exists()
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+def test_pretrain_refuses_state_without_effective_cfg(pipeline, tmp_path, capsys):
+    # every command writes effective.cfg before any state, so only a
+    # directory built by hand holds a checkpoint without one
+    out = tmp_path / "bare"
+    out.mkdir()
+    shutil.copy(pipeline / "pt" / "checkpoint-000002.ckpt", out)
+    assert run_cli("pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+                   "--vocab", pipeline / "vocab", *TINY_OVERRIDES) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'checkpoint-000002.ckpt'} has no {out / 'effective.cfg'} to say "
+        "which config made it; cannot continue that run\n")
+    assert sorted(path.name for path in out.iterdir()) == [".lock", "checkpoint-000002.ckpt"]
+
+
+def test_pretrain_that_failed_before_any_state_reruns_under_another_config(pipeline, tmp_path):
+    out = tmp_path / "pt"
+    args = ["pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+            "--vocab", pipeline / "vocab", *TINY_OVERRIDES]
+    assert run_cli(*args, "max_seq_length=40") == 1  # past max_positions: refused
+    assert "max_seq_length=40" in read(out / "effective.cfg")
+    assert run_cli(*args) == 0
+    for name in ("effective.cfg", "checkpoint-000004.ckpt", "train.log"):
+        assert (out / name).read_bytes() == (pipeline / "pt" / name).read_bytes(), name
+
+
+def test_effective_cfg_is_written_once_and_not_again_by_an_identical_rerun(tmp_path, monkeypatch):
+    from nanoalbert import cli, rundir
+
+    written = []
+    real = rundir.write_file
+
+    def recording(path, content):
+        written.append(Path(path).name)
+        real(path, content)
+
+    monkeypatch.setattr(rundir, "write_file", recording)
+    monkeypatch.setattr(cli, "write_file", recording)
+    for expected in (["INCOMPLETE", "effective.cfg", "corpus.txt"], ["INCOMPLETE", "corpus.txt"]):
+        written.clear()
+        assert run_cli("prep-corpus", "--out", tmp_path / "p", "--inputs", *RAW) == 0
+        assert written == expected
+
+
+def test_pretrain_killed_at_any_boundary_reruns_to_the_uninterrupted_bytes(pipeline, tmp_path):
+    """A kill -9 wherever a pretrain run can stop, then a plain rerun, gives
+    the files of a run that never stopped. The points where a crash can
+    land are before and after each write_file rename and after each
+    train.log line. For each one a forked child runs the command from the
+    start and SIGKILLs itself there; the test forks only between runs, when
+    no lane thread is alive."""
+    from nanoalbert import pretrain, rundir
+
+    argv = ["pretrain", "--corpus", pipeline / "prep" / "corpus.txt",
+            "--vocab", pipeline / "vocab", *TINY_OVERRIDES]  # checkpoints at steps 2 and 4
+
+    def run(out, kill_at=None) -> int:
+        """Run the command into `out`; the process kills itself when it
+        reaches boundary number kill_at. Returns the boundaries passed."""
+        passed = 0
+
+        def boundary():
+            nonlocal passed
+            if passed == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            passed += 1
+
+        class Log:
+            def __init__(self, log):
+                self.log = log
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.log.close()
+
+            def write(self, text):
+                self.log.write(text)
+                if text.endswith("\n"):
+                    boundary()
+
+        def replace(src, dst):
+            boundary()
+            real_replace(src, dst)
+            boundary()
+
+        real_replace, real_open_log = os.replace, pretrain.open_log
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rundir.os, "replace", replace)
+            patch.setattr(pretrain, "open_log", lambda path, step: Log(real_open_log(path, step)))
+            assert run_cli(argv[0], "--out", out, *argv[1:]) == 0
+        return passed
+
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir() if path.name != ".lock"}
+
+    boundaries = run(tmp_path / "straight")
+    # INCOMPLETE, effective.cfg, examples.bin and two checkpoints, then 4 x 4 log lines
+    assert boundaries == 5 * 2 + 16
+    expected = files(tmp_path / "straight")
+    for kill_at in range(boundaries):
+        out = tmp_path / f"killed{kill_at}"
+        pid = os.fork()
+        if pid == 0:
+            try:
+                run(out, kill_at)
+            finally:
+                os._exit(1)  # only if the boundary was never reached
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == -signal.SIGKILL, kill_at
+        assert run_cli(argv[0], "--out", out, *argv[1:]) == 0, kill_at
+        assert not list(out.glob("*.tmp")), kill_at
+        assert files(out) == expected, kill_at
 
 
 def test_pretrain_rejects_vocab_size_mismatch(pipeline, tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""The one writer of run files: atomic, durable, and the only write path.
+"""The run directory's one owner and the one writer of run files.
 
 write_file replaces a file through a fsynced temp file and a rename. A
 failed write, at the rename or at the fsync, must leave the old file and no
-temp file, and say which file it was writing.
+temp file, and say which file it was writing. Only rundir names the files
+that decide how a run directory may be reused.
 """
 
 import ast
@@ -154,3 +155,42 @@ def test_no_module_but_rundir_writes_files():
     found = {path.name: _writes(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py")) if path.name != "rundir.py"}
     assert {name: writes for name, writes in found.items() if writes} == {}
+
+
+_OWNED = ("effective.cfg", "INCOMPLETE", ".lock", "examples.bin", "checkpoint-")
+
+
+def _owned_names(source: str) -> list[str]:
+    """Each string literal in `source`, docstrings aside, that names a file
+    rundir owns: effective.cfg, INCOMPLETE, .lock, examples.bin, or a
+    checkpoint-NNNNNN.ckpt name or pattern (an f-string's literal parts
+    count)."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings and any(name in node.value for name in _OWNED)]
+
+
+@pytest.mark.parametrize("source", [
+    "out / 'effective.cfg'", "f'{out}/INCOMPLETE'", "os.open(out / '.lock', flags)",
+    "Path(d, 'examples.bin')", "f'checkpoint-{step:06d}.ckpt'",
+    "re.compile(r'^checkpoint-(\\d+)\\.ckpt$')",
+])
+def test_the_ownership_guard_finds_each_name(source):
+    assert len(_owned_names(source)) == 1
+
+
+def test_only_rundir_names_the_files_that_decide_reuse():
+    """The lock, INCOMPLETE, effective.cfg, the example cache and the
+    checkpoint names appear, outside docstrings, only in rundir.py."""
+    assert _owned_names('"""Writes effective.cfg."""\ndef f():\n    "INCOMPLETE stays"\n'
+                        'x = "best.ckpt"') == []
+    package = Path(rundir.__file__).parent
+    assert len(_owned_names(Path(rundir.__file__).read_text(encoding="utf-8"))) >= 5
+    found = {path.name: _owned_names(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) if path.name != "rundir.py"}
+    assert {name: names for name, names in found.items() if names} == {}
