@@ -16,9 +16,7 @@ printable characters for serialization so the files stay valid UTF-8.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 
 from .rundir import write_file
 
@@ -141,19 +139,22 @@ def _merge_pair(symbols: list[bytes], left: bytes, right: bytes) -> list[bytes]:
     return out
 
 
-def _add_count(counts: dict, pair: tuple[bytes, bytes], freq: int) -> None:
-    """Add freq to the count of pair; a count of 0 is deleted."""
+def _add_count(counts: dict, where: dict, pair: int, freq: int, word: int) -> None:
+    """Add freq, the count change of one site in `word`, to the count of
+    pair. A gain lists the word under the pair unless it is listed last
+    already; a count of 0 is deleted with the pair's word list."""
     count = counts.get(pair, 0) + freq
-    if count:
-        counts[pair] = count
-    else:
+    if not count:
         del counts[pair]
-
-
-def _add_pairs(counts: dict, symbols: list[bytes], freq: int) -> None:
-    """Add freq to the count of each adjacent pair."""
-    for pair in zip(symbols, symbols[1:]):
-        counts[pair] = counts.get(pair, 0) + freq
+        where.pop(pair, None)
+        return
+    counts[pair] = count
+    if freq > 0:
+        held = where.get(pair)
+        if held is None:
+            where[pair] = [word]
+        elif held[-1] != word:
+            held.append(word)
 
 
 def train_vocab(corpus: str, vocab_size: int) -> Vocab:
@@ -165,14 +166,25 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
     the 256-byte base alphabet, so the smallest legal value is 261 (zero
     merges).
 
-    Pair counts are taken once. A merge edits in place only the words that
-    hold its bytes, and at each merge site moves the word's count off the
-    pairs it breaks and onto the two it makes (Sennrich et al., arXiv
-    1508.07909), so each round sees exactly the counts a full recount would
-    give, and the merges are the same. The best pair is popped from a lazy
-    max-heap of (-count, pair) entries, in which every pair counted at least
-    twice has an entry storing at least its count; an entry storing another
-    count is stale, and is pushed again at the pair's count or dropped.
+    Words are lists of piece ids (the 256 bytes, then one per merge), and
+    the pair (left, right) is keyed left * vocab_size + right, unique since
+    every id is below vocab_size. Pair counts are taken once. A merge edits
+    in place only the words that hold its pair, and at each merge site moves
+    the word's count off the pairs it breaks and onto the two it makes
+    (Sennrich et al., arXiv 1508.07909), so each round sees exactly the
+    counts a full recount would give, and the merges are the same.
+
+    The words that hold a pair are listed under its key: a word is listed
+    when the first count or a merge site gives it the pair, so a listed word
+    may since have lost it, and the walk then finds no site there. A pair's
+    count grows only in the first count or in the merge that makes its newer
+    piece, so a pair then left below 2 is never merged and its list is
+    dropped, as is the list of a pair whose count reaches 0.
+
+    The best pair is popped from a lazy max-heap of (-count, left, right)
+    entries over piece bytes, in which every pair counted at least twice has
+    an entry storing at least its count; an entry storing another count is
+    stale, and is pushed again at the pair's count or dropped.
     """
     if vocab_size < MIN_VOCAB_SIZE:
         raise ValueError(f"vocab_size must be >= {MIN_VOCAB_SIZE}")
@@ -183,42 +195,47 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
     if not word_freqs:
         raise ValueError("empty corpus")
 
-    distinct = sorted(word_freqs)
-    freqs = [word_freqs[w] for w in distinct]
+    words = [list(w) for w in word_freqs]
+    freqs = list(word_freqs.values())
     del word_freqs
-    words = [[w[i : i + 1] for i in range(len(w))] for w in distinct]
-    # Words hold no space byte, so a match in the joined text lies in one word.
-    text = b" ".join(distinct)
-    starts = list(accumulate((len(w) + 1 for w in distinct[:-1]), initial=0))
-    counts: dict[tuple[bytes, bytes], int] = {}
-    for symbols, freq in zip(words, freqs):
-        _add_pairs(counts, symbols, freq)
+    counts: dict[int, int] = {}
+    where: dict[int, list[int]] = {}
+    for i, (symbols, freq) in enumerate(zip(words, freqs)):
+        for left, right in zip(symbols, symbols[1:]):
+            _add_count(counts, where, left * vocab_size + right, freq, i)
     pieces = [bytes([b]) for b in range(256)]
+    ids = {piece: i for i, piece in enumerate(pieces)}
     merges: list[tuple[bytes, bytes]] = []
-    heap = [(-count, pair) for pair, count in counts.items() if count > 1]
+    heap = []
+    for pair, count in counts.items():
+        if count > 1:
+            heap.append((-count, pieces[pair // vocab_size], pieces[pair % vocab_size]))
+        else:  # its count only falls from here on, so it is never merged
+            del where[pair]
     heapify(heap)
 
     while heap and len(pieces) + NUM_SPECIALS < vocab_size:
-        stored, best = heappop(heap)
+        stored, left_piece, right_piece = heappop(heap)
+        left, right = ids[left_piece], ids[right_piece]
+        best = left * vocab_size + right
         count = counts.get(best, 0)
         if count != -stored:
             if count > 1:
-                heappush(heap, (-count, best))
+                heappush(heap, (-count, left_piece, right_piece))
             continue
-        merges.append(best)
-        left, right = best
-        merged = left + right
+        merges.append((left_piece, right_piece))
         # Always new: symbols [left, right] in a word are the encoding of
         # their bytes alone, and a known piece's bytes encode to that piece.
+        new = len(pieces)
+        merged = left_piece + right_piece
         pieces.append(merged)
+        ids[merged] = new
         grown = set()
-        pos = text.find(merged)
-        while pos >= 0:
-            i = bisect_right(starts, pos) - 1
+        for i in where.pop(best):
             symbols, freq = words[i], freqs[i]
-            # A site is `left` followed by `right`; a match that straddles
-            # symbols has none. The walk edits the list as it goes, so a
-            # site's neighbours are those left by the sites before it.
+            # A site is `left` followed by `right`. The walk edits the list
+            # as it goes, so a site's neighbours are those left by the sites
+            # before it.
             j = 0
             while True:
                 try:
@@ -228,27 +245,30 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
                 if symbols[j + 1] != right:
                     j += 1
                     continue
-                _add_count(counts, best, -freq)
+                _add_count(counts, where, best, -freq, i)
                 if j:
                     prev = symbols[j - 1]
-                    _add_count(counts, (prev, left), -freq)
-                    _add_count(counts, (prev, merged), freq)
-                    grown.add((prev, merged))
+                    _add_count(counts, where, prev * vocab_size + left, -freq, i)
+                    pair = prev * vocab_size + new
+                    _add_count(counts, where, pair, freq, i)
+                    grown.add(pair)
                 if j + 2 < len(symbols):
                     after = symbols[j + 2]
-                    _add_count(counts, (right, after), -freq)
-                    _add_count(counts, (merged, after), freq)
-                    grown.add((merged, after))
-                symbols[j : j + 2] = [merged]
+                    _add_count(counts, where, right * vocab_size + after, -freq, i)
+                    pair = new * vocab_size + after
+                    _add_count(counts, where, pair, freq, i)
+                    grown.add(pair)
+                symbols[j : j + 2] = [new]
                 j += 1
-            pos = text.find(merged, starts[i] + len(distinct[i]))
         if best in counts:  # left in, it would be picked again forever
-            raise RuntimeError(f"pair {best!r} is still counted after its merge: "
-                               "the pair counts are out of step with the words")
+            raise RuntimeError(f"pair {(left_piece, right_piece)!r} is still counted after "
+                               "its merge: the pair counts are out of step with the words")
         for pair in grown:  # a pair made at one site may be gone at the next
             count = counts.get(pair, 0)
             if count > 1:
-                heappush(heap, (-count, pair))
+                heappush(heap, (-count, pieces[pair // vocab_size], pieces[pair % vocab_size]))
+            else:  # its count only falls from here on, so it is never merged
+                where.pop(pair, None)
     return Vocab(pieces, merges)
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: prep-corpus, build-vocab, pretrain, finetune, evaluate,
 predict, stats. Each runs in rundir.run_dir, which locks its --out directory
-and refuses a config other than the one its resumable state was made under;
+and refuses a config other than the one its resumable state was made under,
+and finetune wherever there is such state;
 every file is written through rundir.write_file.
 
 Heavy imports happen inside the command handlers so that --threads can set
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides.append(f"seed={args.seed}")
         cfg = parse_config(args.config, overrides)
-        with run_dir(args.out, cfg) as out:
+        with run_dir(args.out, cfg, fresh=args.command == "finetune") as out:
             _HANDLERS[args.command](args, cfg, out)
         return 0
     except (CliError, ValueError, OSError, FloatingPointError) as exc:

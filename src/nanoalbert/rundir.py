@@ -2,8 +2,9 @@
 
 run_dir locks a command's output directory (.lock) and keeps INCOMPLETE
 there until the command succeeds. A directory holding resumable state (a
-checkpoint-NNNNNN.ckpt or examples.bin) runs only under the config its
-effective.cfg records, written before any state and again only if it differs.
+checkpoint-NNNNNN.ckpt or examples.bin) runs a command only under the config
+its effective.cfg records, written before any state and again only if it
+differs, and never a fresh one (finetune), which does not continue the state.
 
 write_file writes every whole file: a temp file beside the target is
 fsynced and renamed over it, and the directory is fsynced. After a crash the
@@ -35,13 +36,16 @@ def latest_checkpoint(directory) -> Path | None:
     return max(found)[1] if found else None
 
 
-def _refuse_other_config(out: Path, effective: Path, config) -> None:
-    """Refuse `config` if `out` holds resumable state (its newest checkpoint,
-    else examples.bin) and effective.cfg is missing or records another
-    config, naming the first differing key in sorted order."""
+def _resumable_state(out: Path) -> Path | None:
+    """The newest checkpoint in `out`, else its examples.bin, if either exists."""
     state = latest_checkpoint(out) or out / EXAMPLES
-    if not state.exists():
-        return
+    return state if state.exists() else None
+
+
+def _refuse_other_config(state: Path, effective: Path, config) -> None:
+    """Refuse `config` if effective.cfg, which should record the config that
+    made `state`, is missing or records another config, naming the first
+    differing key in sorted order."""
     if not effective.exists():
         raise ConfigError(f"{state} has no {effective} to say which config made it; "
                           "cannot continue that run")
@@ -53,9 +57,12 @@ def _refuse_other_config(out: Path, effective: Path, config) -> None:
 
 
 @contextmanager
-def run_dir(out, config):
+def run_dir(out, config, fresh: bool = False):
     """Lock `out` (created if missing) for a command run under `config` and
-    refuse it if its state was made under another; only a live run blocks."""
+    refuse it if its state was made under another, or if there is state at
+    all and the command is `fresh`: it starts a run of its own that would
+    write over the files of the run it does not continue (finetune's
+    train.log). Only a live run blocks."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
@@ -66,10 +73,14 @@ def run_dir(out, config):
         except BlockingIOError:
             raise OSError(f"output directory {out} is in use by another run "
                           f"(it holds {lock})") from None
+        state = _resumable_state(out)
+        if state and fresh:
+            raise ConfigError(f"{state} belongs to a run this command does not continue; "
+                              "give it another --out")
         effective, text = out / "effective.cfg", effective_text(config)
         stale = not effective.exists() or effective.read_text(encoding="utf-8") != text
-        if stale:
-            _refuse_other_config(out, effective, config)
+        if stale and state:
+            _refuse_other_config(state, effective, config)
         write_file(out / "INCOMPLETE", "run started; this marker is removed on success\n")
         if stale:
             write_file(effective, text)

@@ -191,11 +191,11 @@ def test_pair_counts_out_of_step_with_the_words_raise(monkeypatch):
     # the trainer picks it again forever, so an alarm bounds the run.
     add_count, dropped = bpe._add_count, []
 
-    def dropping_first_decrement(counts, pair, freq):
+    def dropping_first_decrement(counts, where, pair, freq, word):
         if freq < 0 and not dropped:
             dropped.append(pair)
         else:
-            add_count(counts, pair, freq)
+            add_count(counts, where, pair, freq, word)
 
     def out_of_time(signum, frame):
         raise TimeoutError("train_vocab did not end within 10 s")
@@ -210,7 +210,7 @@ def test_pair_counts_out_of_step_with_the_words_raise(monkeypatch):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert dropped == [(b"a", b"b")]
+    assert dropped == [ord("a") * 263 + ord("b")]  # the key of (a, b) at vocab_size 263
 
 
 # Repeat-prone symbols give ties and overlapping runs such as "aaaa"; the
@@ -255,18 +255,26 @@ def benchmark_scale_corpus() -> str:
 # sha256 of merges.txt for benchmark_scale_corpus at 1,000 pieces, as the
 # trainer that found the top count by rescanning every pair count wrote it.
 BENCHMARK_SCALE_MERGES_SHA256 = "87040e05c6e5698a4790396146771d6e2ffeb5a1ee2d4dae0a00fce73ff4aace"
+# The same at 3,000 pieces, as the trainer that found each merge's words by
+# a substring search over the space-joined words wrote it: late merges are
+# where stale and dropped pair -> word index entries would show.
+BENCHMARK_SCALE_DEEP_MERGES_SHA256 = (
+    "aa0b2df61b66cf74add470587e2c2375b08776cb9071d5576006a746d3255046")
 # tracemalloc peak of train_vocab(benchmark_scale_corpus, 1000) under that
 # trainer: 2,419,378 B (Python 3.11.7). The lazy heap of pair counts took it
-# to 3,129,730 B (1.29x); a pair -> word index would pass 1.5x.
+# to 3,129,730 B (1.29x). A pair -> word index that keeps each pair's list
+# only while the pair can still be merged reads 3,083,042 B (1.27x).
 BENCHMARK_SCALE_PEAK_BOUND = 1.5 * 2_419_378
 
 
 def test_merges_pinned_at_benchmark_scale(benchmark_scale_corpus, tmp_path):
-    vocab = train_vocab(benchmark_scale_corpus, 1000)
-    assert len(vocab.merges) == 739
-    save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")
-    digest = hashlib.sha256((tmp_path / "merges.txt").read_bytes()).hexdigest()
-    assert digest == BENCHMARK_SCALE_MERGES_SHA256
+    for size, merges, pinned in [(1000, 739, BENCHMARK_SCALE_MERGES_SHA256),
+                                 (3000, 2739, BENCHMARK_SCALE_DEEP_MERGES_SHA256)]:
+        vocab = train_vocab(benchmark_scale_corpus, size)
+        assert len(vocab.merges) == merges
+        save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")
+        digest = hashlib.sha256((tmp_path / "merges.txt").read_bytes()).hexdigest()
+        assert digest == pinned, size
 
 
 def test_training_memory_at_benchmark_scale(benchmark_scale_corpus):

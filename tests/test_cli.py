@@ -428,75 +428,122 @@ def test_effective_cfg_is_written_once_and_not_again_by_an_identical_rerun(tmp_p
         assert written == expected
 
 
-def test_pretrain_killed_at_any_boundary_reruns_to_the_uninterrupted_bytes(pipeline, tmp_path):
-    """A kill -9 wherever a pretrain run can stop, then a plain rerun, gives
-    the files of a run that never stopped. The points where a crash can
-    land are before and after each write_file rename and after each
-    train.log line. For each one a forked child runs the command from the
-    start and SIGKILLs itself there; the test forks only between runs, when
-    no lane thread is alive."""
+def run_until(argv, out, kill_at=None) -> int:
+    """Run the command argv[0] with --out `out` and the rest of argv. The
+    points where a crash can land are before and after each write_file
+    rename and after each train.log line; the process SIGKILLs itself when
+    it reaches point number kill_at. Returns the points passed."""
     from nanoalbert import pretrain, rundir
 
-    argv = ["pretrain", "--corpus", pipeline / "prep" / "corpus.txt",
-            "--vocab", pipeline / "vocab", *TINY_OVERRIDES]  # checkpoints at steps 2 and 4
+    passed = 0
 
-    def run(out, kill_at=None) -> int:
-        """Run the command into `out`; the process kills itself when it
-        reaches boundary number kill_at. Returns the boundaries passed."""
-        passed = 0
+    def boundary():
+        nonlocal passed
+        if passed == kill_at:
+            os.kill(os.getpid(), signal.SIGKILL)
+        passed += 1
 
-        def boundary():
-            nonlocal passed
-            if passed == kill_at:
-                os.kill(os.getpid(), signal.SIGKILL)
-            passed += 1
+    class Log:
+        def __init__(self, log):
+            self.log = log
 
-        class Log:
-            def __init__(self, log):
-                self.log = log
+        def __enter__(self):
+            return self
 
-            def __enter__(self):
-                return self
+        def __exit__(self, *exc):
+            self.log.close()
 
-            def __exit__(self, *exc):
-                self.log.close()
+        def write(self, text):
+            self.log.write(text)
+            if text.endswith("\n"):
+                boundary()
 
-            def write(self, text):
-                self.log.write(text)
-                if text.endswith("\n"):
-                    boundary()
+    def replace(src, dst):
+        boundary()
+        real_replace(src, dst)
+        boundary()
 
-        def replace(src, dst):
-            boundary()
-            real_replace(src, dst)
-            boundary()
+    real_replace, real_open_log = os.replace, pretrain.open_log
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rundir.os, "replace", replace)
+        patch.setattr(pretrain, "open_log", lambda path, step: Log(real_open_log(path, step)))
+        assert run_cli(argv[0], "--out", out, *argv[1:]) == 0
+    return passed
 
-        real_replace, real_open_log = os.replace, pretrain.open_log
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rundir.os, "replace", replace)
-            patch.setattr(pretrain, "open_log", lambda path, step: Log(real_open_log(path, step)))
-            assert run_cli(argv[0], "--out", out, *argv[1:]) == 0
-        return passed
 
-    def files(out):
-        return {path.name: path.read_bytes() for path in out.iterdir() if path.name != ".lock"}
-
-    boundaries = run(tmp_path / "straight")
-    # INCOMPLETE, effective.cfg, examples.bin and two checkpoints, then 4 x 4 log lines
-    assert boundaries == 5 * 2 + 16
-    expected = files(tmp_path / "straight")
-    for kill_at in range(boundaries):
-        out = tmp_path / f"killed{kill_at}"
+def killed_at_each_point(argv, outs, points):
+    """For each crash point k below `points`, a forked child runs argv into
+    outs(k) from the start and SIGKILLs itself at k; yields (k, outs(k))
+    once it is dead. Tests fork only between runs, when no lane thread is
+    alive."""
+    for kill_at in range(points):
+        out = outs(kill_at)
         pid = os.fork()
         if pid == 0:
             try:
-                run(out, kill_at)
+                run_until(argv, out, kill_at)
             finally:
-                os._exit(1)  # only if the boundary was never reached
+                os._exit(1)  # only if the point was never reached
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == -signal.SIGKILL, kill_at
+        yield kill_at, out
+
+
+def run_files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir() if path.name != ".lock"}
+
+
+def test_pretrain_killed_at_any_boundary_reruns_to_the_uninterrupted_bytes(pipeline, tmp_path):
+    """A kill -9 wherever a pretrain run can stop, then a plain rerun, gives
+    the files of a run that never stopped."""
+    argv = ["pretrain", "--corpus", pipeline / "prep" / "corpus.txt",
+            "--vocab", pipeline / "vocab", *TINY_OVERRIDES]  # checkpoints at steps 2 and 4
+    points = run_until(argv, tmp_path / "straight")
+    # INCOMPLETE, effective.cfg, examples.bin and two checkpoints, then 4 x 4 log lines
+    assert points == 5 * 2 + 16
+    expected = run_files(tmp_path / "straight")
+    for kill_at, out in killed_at_each_point(argv, lambda k: tmp_path / f"killed{k}", points):
         assert run_cli(argv[0], "--out", out, *argv[1:]) == 0, kill_at
         assert not list(out.glob("*.tmp")), kill_at
-        assert files(out) == expected, kill_at
+        assert run_files(out) == expected, kill_at
+
+
+def test_prep_corpus_and_build_vocab_killed_at_any_boundary_rerun_to_the_uninterrupted_bytes(
+        pipeline, tmp_path):
+    from nanoalbert.bpe import load_vocab
+
+    prep = ["prep-corpus", "--inputs", *RAW]
+    points = run_until(prep, tmp_path / "prep")
+    assert points == 3 * 2  # INCOMPLETE, effective.cfg, corpus.txt
+    expected = run_files(tmp_path / "prep")
+    for kill_at, out in killed_at_each_point(prep, lambda k: tmp_path / f"prep{k}", points):
+        assert run_cli(prep[0], "--out", out, *prep[1:]) == 0, kill_at
+        assert not list(out.glob("*.tmp")), kill_at
+        assert run_files(out) == expected, kill_at
+
+    # a 280-piece rebuild over a 270-piece vocabulary, killed anywhere
+    build = ["build-vocab", "--corpus", pipeline / "prep" / "corpus.txt"]
+    old, new = tmp_path / "vocab270", tmp_path / "vocab280"
+    assert run_cli(build[0], "--out", old, *build[1:], "vocab_size=270") == 0
+    build.append("vocab_size=280")
+    # INCOMPLETE, effective.cfg (the config changed), vocab.txt, merges.txt
+    assert run_until(build, new) == 4 * 2
+    expected = run_files(new)
+    pairs = [load_vocab(vocab / "vocab.txt", vocab / "merges.txt").merges
+             for vocab in (old, new)]
+    assert pairs[0] != pairs[1]
+
+    def over_old(k):
+        return shutil.copytree(old, tmp_path / f"build{k}")
+
+    for kill_at, out in killed_at_each_point(build, over_old, 4 * 2):
+        if kill_at in (5, 6):  # between the vocab.txt and merges.txt renames
+            with pytest.raises(ValueError, match="the two files are not one vocabulary"):
+                load_vocab(out / "vocab.txt", out / "merges.txt")
+        else:
+            assert load_vocab(out / "vocab.txt", out / "merges.txt").merges in pairs, kill_at
+        assert run_cli(build[0], "--out", out, *build[1:]) == 0, kill_at
+        assert not list(out.glob("*.tmp")), kill_at
+        assert run_files(out) == expected, kill_at
 
 
 def test_pretrain_rejects_vocab_size_mismatch(pipeline, tmp_path, capsys):
@@ -600,6 +647,27 @@ def test_finetune_rerun_into_same_out_logs_each_step_once(pipeline, finetuned, t
                        "--train", pipeline / "train.conll", "--dev", pipeline / "dev.conll",
                        "--test", pipeline / "dev.conll", *FT_OVERRIDES) == 0
     assert read(out / "train.log") == read(finetuned / "train.log")
+
+
+def test_finetune_refuses_an_out_holding_pretraining_state(pipeline, tmp_path, capsys):
+    # one config for both commands, so only the state tells them apart
+    overrides = [*TINY_OVERRIDES, *FT_OVERRIDES]
+    out = tmp_path / "pt"
+    assert run_cli("pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+                   "--vocab", pipeline / "vocab", *overrides) == 0
+    capsys.readouterr()
+    for state in ("checkpoint-000004.ckpt", "examples.bin"):
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run_cli("finetune", "--out", out,
+                       "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                       "--vocab", pipeline / "vocab", "--train", pipeline / "train.conll",
+                       "--dev", pipeline / "dev.conll", *overrides) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / state} belongs to a run this command does not continue; "
+            "give it another --out\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        for checkpoint in out.glob("checkpoint-*.ckpt"):
+            checkpoint.unlink()  # examples.bin alone is state too
 
 
 def test_finetune_without_periodic_eval_scores_dev_at_last_step(pipeline, tmp_path):
