@@ -6,18 +6,14 @@ and refuses a config other than the one its resumable state was made under,
 and finetune wherever there is such state;
 every file is written through rundir.write_file.
 
-Heavy imports happen inside the command handlers so that --threads can set
-the BLAS/OpenMP thread variables before numpy loads. model.map_parts reads
-the count they set as how many of a step's parts run at once (at most 2)
-and, at 2, pins OpenBLAS to one thread while they run, so the outputs do
-not depend on it.
+Heavy imports happen inside the command handlers, so build-vocab, which
+needs no numpy, never loads it and starts that much sooner.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -43,10 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", required=True, help="output directory (created)")
         p.add_argument("--seed", type=int, help="override the seed key")
-        p.add_argument("--threads", type=int,
-                       help="how many of a step's parts run at once, at most 2 "
-                            "(set as the BLAS/OpenMP thread count before numpy loads; "
-                            "BLAS itself then runs on 1 thread)")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="config overrides, highest precedence")
         return p
@@ -285,14 +277,6 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 1
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     try:
         overrides = list(args.overrides)
         if args.seed is not None:

@@ -8,8 +8,8 @@ files and on the command line; RunConfig's annotations fix each key's type.
 parse_pairs and format_pairs read and write all typed key=value text,
 checkpoint headers included.
 
-This module deliberately avoids importing numpy so the CLI can configure
-thread-count environment variables before any numeric code loads.
+This module deliberately avoids importing numpy, so a CLI command that
+needs none (build-vocab) starts without loading it.
 """
 
 from __future__ import annotations

@@ -19,27 +19,27 @@ its GELU output and slope are recomputed there, with the forward's own
 ops, so they have the forward's bits. Inference keeps no cache and
 computes no GELU slope.
 
-One rule cuts every batch (length_parts) and one runner walks it
-(map_parts): length-sorted parts, each trimmed to its longest row, so
-padding is never computed and activations do not grow with the batch.
-map_parts runs part i on lane i % 2: lane 0 on the calling thread takes
-its parts shortest first, and lane 1 on one worker thread takes part 1 and
-then its others longest first, so the two longest are not in flight
-together. PART_POSITIONS = 192 bounds the positions of the two parts in
-flight: each part holds at most half (and, in inference, an eval batch of
-rows). A training part holds at its forward's end until the other lane's
-first part has finished its forward too (Lane.hold), so a step of any size
-reaches the same two-part peak. Each run reads OpenBLAS's thread count
-(--threads, the environment or the core count): at 2 or more the lanes run
-at once with BLAS pinned to one thread until they are done, at 1 they run
-one after the other. Either way BLAS runs on one thread, so no result
-depends on the core count. After lanes that ran at once, what lane 1 freed
-goes back to the system (malloc_trim), since the calling thread cannot
-reuse its thread's arena.
-A training step's parts, each divided by the whole step's count, add into
-one gradient dict per lane, and lane 1's dict is then added into lane 0's
-(add_lanes). The pretraining pass also counts its SOP hits, so held-out SOP
-accuracy needs no second forward.
+One rule cuts every batch (length_parts) and one lane loop walks it:
+length-sorted parts, each trimmed to its longest row, so padding is never
+computed and activations do not grow with the batch. Part i runs on lane
+i % 2: lane 0 on the calling thread takes its parts shortest first, and
+lane 1 on one worker thread takes part 1 and then its others longest first,
+so the two longest are not in flight together. PART_POSITIONS = 192 bounds
+the positions of the two parts in flight: each part holds at most half
+(and, in inference, an eval batch of rows). Inference runs its parts
+through map_parts, a training step through step_parts: each part's
+gradients, divided by the whole step's count, add into its lane's own
+gradient dict, and lane 1's dict is then added into lane 0's. A training
+part holds at its forward's end until the other lane's first part has
+finished its forward too, so a step of any size reaches the same two-part
+peak. Each run reads OpenBLAS's thread count (OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS, else the core count): at 2 or more the lanes run at once
+with BLAS pinned to one thread until they are done, at 1 they run one
+after the other. Either way BLAS runs on one thread, so no result depends
+on the core count. After lanes that ran at once, what lane 1 freed goes
+back to the system (malloc_trim), since the calling thread cannot reuse
+its thread's arena. The pretraining pass also counts its SOP hits, so
+held-out SOP accuracy needs no second forward.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ NEG_INF = -1e9
 INIT_STD = 0.02
 INIT_CLIP_SIGMA = 2.0
 PART_POSITIONS = 192  # rows x trimmed length of the parts in flight: bounds their activations
-LANES = 2  # map_parts: lane 0 on the calling thread, lane 1 on one worker thread
+LANES = 2  # _run_parts: lane 0 on the calling thread, lane 1 on one worker thread
 
 
 @dataclass
@@ -395,13 +395,18 @@ def _block_backward(params, config, cache, x, d_out, grads):
     return d_x
 
 
-def _check_inputs(config, token_ids, attention_mask):
+def _check_inputs(config, token_ids, type_ids, attention_mask):
     if token_ids.shape[1] > config.max_positions:
         raise ValueError(
             f"sequence length {token_ids.shape[1]} exceeds max_positions {config.max_positions}"
         )
-    if token_ids.max(initial=0) >= config.vocab_size:
-        raise ValueError("token id out of vocabulary range")
+    # numpy indexing would wrap a negative id to a row from the end
+    for what, ids, size in (("token", token_ids, config.vocab_size),
+                            ("type", type_ids, config.type_vocab_size)):
+        low, high = ids.min(initial=0), ids.max(initial=0)
+        if low < 0 or high >= size:
+            raise ValueError(f"{what} id {low if low < 0 else high} is outside the "
+                             f"{what} vocabulary [0, {size})")
     if attention_mask.shape != token_ids.shape:
         raise ValueError("attention_mask shape mismatch")
 
@@ -465,31 +470,22 @@ def _malloc_trim():
     return trim
 
 
-class Lane(int):
-    """The lane number map_parts hands part_fn. A training part calls hold()
+def _run_parts(part_fn, records, attention_mask, max_rows=None) -> list:
+    """(rows, part_fn(records[rows], t, lane, hold)) for each part
+    length_parts cuts attention_mask into, in part order; t is the part's
+    trimmed length. Part i runs on lane i % 2: lane 0 on the calling thread
+    takes its parts in order and lane 1 on a worker thread takes part 1 and
+    then its others longest first. They run at once where numpy's OpenBLAS
+    is configured for 2 or more threads (the environment or the core
+    count), with BLAS pinned to one thread until they are done, and
+    otherwise one after the other. A part_fn that writes only its lane's
+    state gives the same bits either way. A training part calls hold()
     between its forward and its backward: on the lanes' first parts, run at
     once, it waits until the other lane has finished its forward (or its
     part), so both first parts' caches are in flight together, and later it
-    returns at once."""
-
-    def __new__(cls, number, hold=None):
-        lane = super().__new__(cls, number)
-        lane.hold = hold or (lambda: None)
-        return lane
-
-
-def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
-    """(rows, part_fn(records[rows], t, lane)) for each part length_parts cuts
-    attention_mask into, in part order; t is the part's trimmed length. Part
-    i runs on lane i % 2: lane 0 on the calling thread takes its parts in
-    order and lane 1 on a worker thread takes part 1 and then its others
-    longest first. They run at once where numpy's OpenBLAS is configured
-    for 2 or more threads (--threads, the environment or the core count),
-    with BLAS pinned to one thread until they are done, and otherwise one
-    after the other. A part_fn that writes only its lane's state gives the
-    same bits either way. When parts raise, the lowest-numbered part's error
-    is raised once the worker is joined; a lane skips the parts numbered
-    above a failure."""
+    returns at once. When parts raise, the lowest-numbered part's error is
+    raised once the worker is joined; a lane skips the parts numbered above
+    a failure."""
     parts = length_parts(attention_mask, max_rows)
     results = [None] * len(parts)
     failures = []  # (part index, exception), appended by both lanes
@@ -501,19 +497,19 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
 
         finished = [threading.Event(), threading.Event()]  # a lane's forward or part is done
 
-        def hold(number):
-            finished[number].set()
-            finished[1 - number].wait()
-
     def run_lane(number):
-        lane = Lane(number, (lambda: hold(number)) if at_once else None)
+        def hold():
+            if at_once:
+                finished[number].set()
+                finished[1 - number].wait()
+
         mine = range(number, len(parts), 2)
         for i in mine if number == 0 else [*mine[:1], *reversed(mine[1:])]:
             if failures and i > min(failures)[0]:
                 continue
             rows, t = parts[i]
             try:
-                results[i] = (rows, part_fn(records[rows], t, lane))
+                results[i] = (rows, part_fn(records[rows], t, number, hold))
             except Exception as exc:  # raised again below, on the calling thread
                 failures.append((i, exc))
             finally:
@@ -523,7 +519,7 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
     if at_once:
         blas[1](1)
         try:
-            worker = threading.Thread(target=run_lane, args=(1,), name="map_parts lane 1")
+            worker = threading.Thread(target=run_lane, args=(1,), name="lane 1")
             worker.start()
             try:
                 run_lane(0)
@@ -548,12 +544,26 @@ def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
     return results
 
 
-def add_lanes(lane_grads):
-    """Lane 0's gradient dict, with lane 1's added into it."""
-    total, other = lane_grads
+def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
+    """(rows, part_fn(records[rows], t)) for each part length_parts cuts
+    attention_mask into, at most max_rows rows to a part, in part order; t
+    is the part's trimmed length. The parts run on _run_parts's two lanes."""
+    return _run_parts(lambda part, t, lane, hold: part_fn(part, t),
+                      records, attention_mask, max_rows)
+
+
+def step_parts(part_fn, params, records, attention_mask):
+    """([(rows, part_fn(records[rows], t, grads, hold)), ...] in part order,
+    the step's gradient) for one training step's parts, run on _run_parts's
+    two lanes. part_fn adds its part's gradients into grads, its lane's own
+    zero_grads(params) dict, and calls hold() between its forward and its
+    backward; lane 1's dict is then added into lane 0's, the step's."""
+    total, other = lane_grads = [zero_grads(params), zero_grads(params)]
+    results = _run_parts(lambda part, t, lane, hold: part_fn(part, t, lane_grads[lane], hold),
+                         records, attention_mask)
     for name, grad in other.items():
         total[name] += grad
-    return total
+    return results, total
 
 
 def encode_forward(params, config, token_ids, type_ids, attention_mask, caches=None):
@@ -565,7 +575,7 @@ def encode_forward(params, config, token_ids, type_ids, attention_mask, caches=N
     token_ids = np.asarray(token_ids)
     type_ids = np.asarray(type_ids)
     attention_mask = np.asarray(attention_mask)
-    _check_inputs(config, token_ids, attention_mask)
+    _check_inputs(config, token_ids, type_ids, attention_mask)
 
     dtype = params["token_embedding"].dtype
     neg_mask = ((1 - attention_mask) * NEG_INF).astype(dtype)[:, None, None, :]
@@ -671,8 +681,8 @@ def pretrain_loss(params, config, batch, counts=None) -> PretrainLosses:
 
 def pretrain_loss_and_grads(params, config, batch, counts=None, grads=None, hold=None):
     """pretrain_loss and its gradients, added into `grads` (zero_grads(params)
-    when None); returns (losses, grads). `hold`, a map_parts Lane's, is
-    called between the forward and the backward."""
+    when None); returns (losses, grads). `hold`, step_parts's, is called
+    between the forward and the backward."""
     grads = zero_grads(params) if grads is None else grads
     return _pretrain_pass(params, config, batch, grads, counts, hold), grads
 
@@ -734,8 +744,8 @@ def ner_loss_and_grads(params, config, token_ids, type_ids, attention_mask,
     """Cross-entropy over word-initial positions (others carry IGNORE_INDEX):
     the mean over them, or with `count` their summed loss over the count of
     a larger batch this one is part of. Gradients are added into `grads`
-    (zero_grads(params) when None); returns (loss, grads). `hold`, a
-    map_parts Lane's, is called between the forward and the backward."""
+    (zero_grads(params) when None); returns (loss, grads). `hold`,
+    step_parts's, is called between the forward and the backward."""
     if "ner_weight" not in params:
         raise ValueError("model has no ner head")
     caches = []

@@ -20,13 +20,12 @@ from .checkpoint import Checkpoint, check_labels, save_checkpoint
 from .config import RunConfig, format_pairs
 from .model import (
     ModelConfig,
-    add_lanes,
     map_parts,
     ner_loss_and_grads,
     parameter_shapes,
+    step_parts,
     token_logits,
     truncated_normal,
-    zero_grads,
 )
 from .optim import OptimizerState, Schedule, adamw_step
 from .pretrain import batch_indices  # unused here; perfbench traces it at ner.batch_indices
@@ -337,7 +336,7 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
     tagged "O". Sentences run in the length-sorted, trimmed parts of
     map_parts, at most batch_size to a part."""
 
-    def part_tags(records, t, lane):
+    def part_tags(records, t):
         token_ids, type_ids, mask, label_ids = (records[name][:, :t] for name in ROW_FIELDS)
         logits = token_logits(params, config, token_ids, type_ids, mask)
         first = label_ids != ops.IGNORE_INDEX
@@ -354,17 +353,16 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
 def ner_step(params, config, batch):
     """Loss and gradients of one fine-tuning step over tagged-sentence
     records: the mean over their labelled words, run as the length-sorted,
-    trimmed parts of map_parts, whose losses and gradients add up to the
-    step's: each lane adds into its own dict."""
+    trimmed parts of step_parts, whose losses and gradients add up to the
+    step's."""
     count = int((batch["label_ids"] != ops.IGNORE_INDEX).sum())
-    lane_grads = [zero_grads(params), zero_grads(params)]
 
-    def part_loss(records, t, lane):
+    def part_loss(records, t, grads, hold):
         return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),
-                                  count=count, grads=lane_grads[lane], hold=lane.hold)[0]
+                                  count=count, grads=grads, hold=hold)[0]
 
-    total = sum(loss for _, loss in map_parts(part_loss, batch, batch["attention_mask"]))
-    return total, add_lanes(lane_grads)
+    parts, grads = step_parts(part_loss, params, batch, batch["attention_mask"])
+    return sum(loss for _, loss in parts), grads
 
 
 def evaluate_split(params, config, label_set, packed, examples,

@@ -17,13 +17,12 @@ from .checkpoint import save_checkpoint
 from .model import (
     ModelConfig,
     PretrainLosses,
-    add_lanes,
     init_parameters,
     map_parts,
     pack_pretrain_batch,
     pretrain_loss,
     pretrain_loss_and_grads,
-    zero_grads,
+    step_parts,
 )
 from .optim import (
     DEFAULT_WEIGHT_DECAY,
@@ -162,40 +161,42 @@ def train(
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 
-def _summed_over_parts(examples, max_rows, part_loss) -> PretrainLosses:
-    """The mean losses and the SOP hits over example records, summed over
-    the packed parts map_parts cuts them into: part_loss(batch, counts, lane)
-    gets each part, the whole set's counts (masked slots, rows) to divide by
-    and the part's lane."""
+def _counts(examples) -> tuple[int, int]:
+    """(masked slots, rows) of a nonempty set of example records: what each
+    part's losses are divided by, so that they add up to the set's means."""
     if len(examples) == 0:
         raise ValueError("empty batch")
-    counts = (int((examples["mlm_labels"] != ops.IGNORE_INDEX).sum()), len(examples))
-    parts = [losses for _, losses in map_parts(
-        lambda records, t, lane: part_loss(pack_pretrain_batch(records, t), counts, lane),
-        examples, examples["input"]["attention_mask"], max_rows)]
-    return PretrainLosses(mlm_loss=sum(p.mlm_loss for p in parts),
-                          sop_loss=sum(p.sop_loss for p in parts),
-                          sop_hits=sum(p.sop_hits for p in parts))
+    return int((examples["mlm_labels"] != ops.IGNORE_INDEX).sum()), len(examples)
+
+
+def _summed(parts) -> PretrainLosses:
+    """The losses and SOP hits of (rows, losses) parts, summed."""
+    return PretrainLosses(mlm_loss=sum(p.mlm_loss for _, p in parts),
+                          sop_loss=sum(p.sop_loss for _, p in parts),
+                          sop_hits=sum(p.sop_hits for _, p in parts))
 
 
 def pretrain_step(params, config, examples):
     """Losses and gradients of one training step over example records, run
-    as the length-sorted, trimmed parts of map_parts, whose losses and
-    gradients add up to the step's: each lane adds into its own dict."""
-    lane_grads = [zero_grads(params), zero_grads(params)]
+    as the length-sorted, trimmed parts of step_parts, whose losses and
+    gradients add up to the step's."""
+    counts = _counts(examples)
 
-    def part_loss(batch, counts, lane):
-        return pretrain_loss_and_grads(params, config, batch, counts=counts,
-                                       grads=lane_grads[lane], hold=lane.hold)[0]
+    def part_loss(records, t, grads, hold):
+        return pretrain_loss_and_grads(params, config, pack_pretrain_batch(records, t),
+                                       counts=counts, grads=grads, hold=hold)[0]
 
-    return _summed_over_parts(examples, None, part_loss), add_lanes(lane_grads)
+    parts, grads = step_parts(part_loss, params, examples, examples["input"]["attention_mask"])
+    return _summed(parts), grads
 
 
 def evaluate_pretrain(params, config, examples, batch_size: int) -> PretrainLosses:
     """Per-prediction MLM loss, per-example SOP loss and SOP hits over a
     fixed set, in parts of at most batch_size rows."""
-    return _summed_over_parts(examples, batch_size,
-                              lambda batch, counts, lane: pretrain_loss(params, config, batch, counts))
+    counts = _counts(examples)
+    return _summed(map_parts(
+        lambda records, t: pretrain_loss(params, config, pack_pretrain_batch(records, t), counts),
+        examples, examples["input"]["attention_mask"], batch_size))
 
 
 def sop_accuracy(params, config, examples, batch_size: int) -> float:

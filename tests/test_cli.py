@@ -146,12 +146,6 @@ def test_seed_flag_lands_in_effective_config(tmp_path):
     assert "seed=42" in read(tmp_path / "s" / "effective.cfg")
 
 
-def test_threads_flag_validated(tmp_path, capsys):
-    assert run_cli("prep-corpus", "--out", tmp_path / "t", "--inputs", RAW[0],
-                   "--threads", "0") == 1
-    assert "--threads" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # build-vocab
 # ---------------------------------------------------------------------------
@@ -649,6 +643,39 @@ def test_finetune_rerun_into_same_out_logs_each_step_once(pipeline, finetuned, t
     assert read(out / "train.log") == read(finetuned / "train.log")
 
 
+def test_finetune_predict_and_evaluate_killed_at_any_boundary_rerun_to_the_uninterrupted_bytes(
+        pipeline, tmp_path):
+    """A kill -9 wherever finetune --test, predict or evaluate can stop, then
+    a plain rerun, gives the files of a run that never stopped. finetune has
+    no resume, so its rerun starts over."""
+    source = tmp_path / "input.txt"
+    source.write_text("aspirin helps\nnothing here\n")  # dev.conll's words
+    commands = [
+        # INCOMPLETE, effective.cfg, best.ckpt, metrics.txt, metrics.kv;
+        # 6 ner_loss and 2 dev_f1 lines
+        (["finetune", "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+          "--vocab", pipeline / "vocab", "--train", pipeline / "train.conll",
+          "--dev", pipeline / "dev.conll", "--test", pipeline / "dev.conll", *FT_OVERRIDES],
+         5 * 2 + 8),
+        # INCOMPLETE, effective.cfg, predictions.conll
+        (["predict", "--checkpoint", tmp_path / "finetune" / "best.ckpt",
+          "--vocab", pipeline / "vocab", "--input", source, "finetune_max_seq_length=32"],
+         3 * 2),
+        # INCOMPLETE, effective.cfg, metrics.txt, metrics.kv
+        (["evaluate", "--gold", pipeline / "dev.conll",
+          "--pred", tmp_path / "predict" / "predictions.conll"], 4 * 2),
+    ]
+    for argv, want_points in commands:
+        points = run_until(argv, tmp_path / argv[0])
+        assert points == want_points, argv[0]
+        expected = run_files(tmp_path / argv[0])
+        for kill_at, out in killed_at_each_point(
+                argv, lambda k: tmp_path / f"{argv[0]}{k}", points):
+            assert run_cli(argv[0], "--out", out, *argv[1:]) == 0, (argv[0], kill_at)
+            assert not list(out.glob("*.tmp")), (argv[0], kill_at)
+            assert run_files(out) == expected, (argv[0], kill_at)
+
+
 def test_finetune_refuses_an_out_holding_pretraining_state(pipeline, tmp_path, capsys):
     # one config for both commands, so only the state tells them apart
     overrides = [*TINY_OVERRIDES, *FT_OVERRIDES]
@@ -826,10 +853,10 @@ def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):
 
 
 def test_threads_1_and_2_write_byte_identical_runs(pipeline, tmp_path):
-    """--threads sets how many of a step's parts run at once; BLAS runs on
-    one thread either way, so pretraining (resume included), fine-tuning and
-    prediction write the same bytes at 1 and 2. The batches are large
-    enough to be cut into several parts."""
+    """The BLAS thread count the environment sets is how many of a step's
+    parts run at once; BLAS runs on one thread either way, so pretraining
+    (resume included), fine-tuning and prediction write the same bytes at 1
+    and 2. The batches are large enough to be cut into several parts."""
     words = ["aspirin", "lowers", "fever", "quickly", "in", "most", "adults", "today"]
     lines = [" ".join(words[(i + j) % 8] for j in range(3 + i % 4)) for i in range(12)]
     (tmp_path / "train.conll").write_text("\n\n".join(
@@ -840,9 +867,10 @@ def test_threads_1_and_2_write_byte_identical_runs(pipeline, tmp_path):
 
     def nanoalbert(threads, *argv):
         done = subprocess.run(
-            [sys.executable, "-m", "nanoalbert", *map(str, argv), "--threads", str(threads)],
-            env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
-            timeout=300)
+            [sys.executable, "-m", "nanoalbert", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": str(threads),
+                 "OMP_NUM_THREADS": str(threads)},
+            capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 
     for threads in (1, 2):

@@ -175,9 +175,8 @@ def test_pairs_codec_round_trips_typed_values():
 
 
 def test_cli_and_config_leave_numpy_unloaded():
-    # --threads sets the BLAS thread variables, which only count before
-    # numpy loads; model.map_parts reads the count they set as how many
-    # parts run at once
+    # build-vocab needs no numpy, so loading it would only add to its
+    # set-up time
     code = (
         "import sys\n"
         "import nanoalbert.cli\n"

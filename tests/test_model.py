@@ -13,10 +13,13 @@ The production-shape config (V=30000, E=128, H=768, L=12, A=12, I=3072,
 P=512) comes to 11,813,810 by the same accounting.
 """
 
+import ast
+import re
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,7 @@ from nanoalbert.model import (
     parameter_shapes,
     pretrain_loss,
     pretrain_loss_and_grads,
+    step_parts,
     token_logits,
     truncated_normal,
     zero_grads,
@@ -253,6 +257,16 @@ def test_encode_rejects_bad_inputs(tiny_model):
         encode_forward(params, config, long_ids, np.zeros_like(long_ids), np.ones_like(long_ids))
     with pytest.raises(ValueError, match="vocabulary"):
         encode_forward(params, config, ids + config.vocab_size, types, mask)
+    # numpy would wrap a negative id to the last rows, or raise IndexError
+    # for a type id past the table, which the CLI does not report
+    v = config.vocab_size
+    for token, typ, message in ((-1, 0, f"token id -1 is outside the token vocabulary [0, {v})"),
+                                (5, -1, "type id -1 is outside the type vocabulary [0, 2)"),
+                                (5, 2, "type id 2 is outside the type vocabulary [0, 2)")):
+        bad_ids, bad_types = ids.copy(), types.copy()
+        bad_ids[1, 3], bad_types[1, 3] = token, typ
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode_forward(params, config, bad_ids, bad_types, mask)
     with pytest.raises(ValueError, match="mask"):
         encode_forward(params, config, ids, types, mask[:, :4])
 
@@ -481,11 +495,11 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
     # records and trimmed length, so it visits every record exactly once
     records = np.arange(6) * 10
     for max_rows in (None, 2):
-        got = map_parts(lambda part, t, lane: (part.tolist(), t), records, mask, max_rows)
+        got = map_parts(lambda part, t: (part.tolist(), t), records, mask, max_rows)
         assert [(rows.tolist(), part) for rows, part in got] == [
             (rows, ([10 * row for row in rows], t)) for rows, t in cut(mask, max_rows)]
         assert sorted(row for rows, _ in got for row in rows.tolist()) == list(range(6))
-    assert map_parts(lambda part, t, lane: pytest.fail("no part to run"),
+    assert map_parts(lambda part, t: pytest.fail("no part to run"),
                      records[:0], mask[:0]) == []
     monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 1000)
     assert cut(mask) == [([5, 1, 3, 4, 0, 2], 13)]
@@ -502,7 +516,7 @@ def test_length_parts_sort_split_and_trim(monkeypatch):
 
 @pytest.fixture
 def two_lanes(monkeypatch):
-    """map_parts runs its two lanes at once, on any machine."""
+    """The runners run their two lanes at once, on any machine."""
     blas = model._find_openblas()
     if blas is None:
         monkeypatch.setattr(model, "_find_openblas", lambda: (lambda: 2, lambda threads: None))
@@ -510,7 +524,7 @@ def two_lanes(monkeypatch):
         return
     get, set_ = blas
     configured = get()
-    set_(2)  # as --threads 2 or a 2-core machine configures it
+    set_(2)  # as OPENBLAS_NUM_THREADS=2 or a 2-core machine configures it
     try:
         yield
     finally:
@@ -523,6 +537,12 @@ def one_row_parts(monkeypatch, rows):
     return np.ones((rows, 4), dtype=np.int32)
 
 
+def lane_of_this_thread():
+    """0 on the test's own thread, which calls the runner and so runs lane
+    0; 1 on lane 1's worker thread."""
+    return int(threading.get_ident() != threading.main_thread().ident)
+
+
 def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes, monkeypatch):
     monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 4)
     mask = np.zeros((7, 8), dtype=np.int32)
@@ -533,15 +553,16 @@ def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes,
     number = {tuple(rows.tolist()): i for i, (rows, _) in enumerate(parts)}
     threads, calls = {0: set(), 1: set()}, {0: [], 1: []}
 
-    def part_fn(part, t, lane):
+    def part_fn(part, t):
+        lane = lane_of_this_thread()
         threads[lane].add(threading.get_ident())
         calls[lane].append(number[tuple((part // 10).tolist())])
         time.sleep(0.001)  # lets the lanes interleave
-        return part.tolist(), t, lane
+        return part.tolist(), t
 
     got = map_parts(part_fn, np.arange(7) * 10, mask)
     assert [(rows.tolist(), result) for rows, result in got] == [
-        (rows.tolist(), ((rows * 10).tolist(), t, i % 2)) for i, (rows, t) in enumerate(parts)]
+        (rows.tolist(), ((rows * 10).tolist(), t)) for rows, t in parts]
     # lane 0 is the calling thread, in part order; lane 1 is one other
     # thread, part 1 first and then its others longest first
     assert calls == {0: [0, 2, 4], 1: [1, 5, 3]}
@@ -549,34 +570,62 @@ def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes,
     assert len(threads[1]) == 1 and threads[1] != threads[0]
 
 
+def test_step_parts_gives_each_lane_its_own_grads_and_returns_their_sum(
+        two_lanes, monkeypatch):
+    mask = one_row_parts(monkeypatch, 5)
+    params = {"w": np.zeros(3), "b": np.zeros(2)}
+    dicts = {0: set(), 1: set()}  # by the thread that ran the part
+    dict_of = {}  # part -> its grads
+
+    def part_fn(part, t, grads, hold):
+        i = int(part[0])
+        dicts[lane_of_this_thread()].add(id(grads))
+        dict_of[i] = id(grads)
+        assert grads.keys() == params.keys()
+        grads["w"][i % 3] += 10.0 ** i
+        grads["b"] += i
+        return i
+
+    results, grads = step_parts(part_fn, params, np.arange(5), mask)
+    assert [(rows.tolist(), i) for rows, i in results] == [([i], i) for i in range(5)]
+    # one dict per lane, part i's that of lane i % 2; lane 1's is added into lane 0's
+    assert dicts == {0: {dict_of[0], dict_of[2], dict_of[4]}, 1: {dict_of[1], dict_of[3]}}
+    assert dict_of[0] != dict_of[1] and id(grads) == dict_of[0]
+    assert grads["w"].tolist() == [1.0 + 1000.0, 10.0 + 10000.0, 100.0]
+    assert grads["b"].tolist() == [10.0, 10.0]
+    assert not params["w"].any() and not params["b"].any()
+
+
 def test_hold_keeps_the_lanes_first_parts_in_flight_together(two_lanes, monkeypatch):
     mask = one_row_parts(monkeypatch, 4)
+    params = {"w": np.zeros(1)}
     events = []
 
-    def part_fn(part, t, lane):
+    def part_fn(part, t, grads, hold):
         i = int(part[0])
         if i in (1, 3):
             time.sleep(0.1 * i)  # lane 1's forwards end well after lane 0's
         events.append(("forward", i))
-        lane.hold()
+        hold()
         events.append(("backward", i))
         return i
 
-    assert [i for _, i in map_parts(part_fn, np.arange(4), mask)] == [0, 1, 2, 3]
+    results, _ = step_parts(part_fn, params, np.arange(4), mask)
+    assert [i for _, i in results] == [0, 1, 2, 3]
     assert events.index(("backward", 0)) > events.index(("forward", 1))
     assert events.index(("backward", 2)) < events.index(("forward", 3))  # only first parts wait
 
     # a part that never holds, as in inference, releases the other lane when it ends
-    def lane_1_never_holds(part, t, lane):
-        if lane == 1:
+    def lane_1_never_holds(part, t, grads, hold):
+        if lane_of_this_thread() == 1:
             time.sleep(0.1)
             events.append(("end", int(part[0])))
         else:
-            lane.hold()
+            hold()
             events.append(("backward", int(part[0])))
 
     events.clear()
-    map_parts(lane_1_never_holds, np.arange(2), mask[:2])
+    step_parts(lane_1_never_holds, params, np.arange(2), mask[:2])
     assert events == [("end", 1), ("backward", 0)]
 
 
@@ -585,7 +634,7 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
     mask = one_row_parts(monkeypatch, 6)
     ran = []
 
-    def part_fn(part, t, lane):
+    def part_fn(part, t):
         i = int(part[0])
         ran.append(i)
         if i == 1:
@@ -601,8 +650,8 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
     # lane 0 skips part 4 after its own failure; lane 1 still runs part 1
     assert {0, 1, 2} <= set(ran) and 4 not in ran
 
-    # lane 1 skips its parts numbered above lane 0's failure
-    def first_fails(part, t, lane):
+    # lane 1 skips its parts numbered above lane 0's failure, in a training step too
+    def first_fails(part, t, *grads_and_hold):
         i = int(part[0])
         ran.append(i)
         if i == 0:
@@ -610,11 +659,13 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
         time.sleep(0.2)
         return i
 
-    ran.clear()
-    with pytest.raises(ValueError, match="^part 0 failed$"):
-        map_parts(first_fails, np.arange(6), mask)
-    assert threading.active_count() == before
-    assert set(ran) <= {0, 1}
+    for run in (lambda: map_parts(first_fails, np.arange(6), mask),
+                lambda: step_parts(first_fails, {}, np.arange(6), mask)):
+        ran.clear()
+        with pytest.raises(ValueError, match="^part 0 failed$"):
+            run()
+        assert threading.active_count() == before
+        assert set(ran) <= {0, 1}
 
     # fit still puts the step number in front
     with pytest.raises(ValueError, match="^step 1: part 1 failed$"):
@@ -631,7 +682,7 @@ def test_map_parts_lets_an_interrupt_through_and_stops_lane_1(two_lanes, monkeyp
     for part_1_fails in (True, False):
         ran = []
 
-        def part_fn(part, t, lane):
+        def part_fn(part, t):
             i = int(part[0])
             ran.append(i)
             if i == 1:
@@ -658,19 +709,66 @@ def test_map_parts_pins_blas_to_one_thread_while_its_lanes_run(monkeypatch):
     monkeypatch.setattr(model, "_malloc_trim", lambda: trims.append)
     configured = get()
     try:
-        set_(2)  # as --threads 2 or a 2-core machine configures it
+        set_(2)  # as OPENBLAS_NUM_THREADS=2 or a 2-core machine configures it
         seen = {}
-        map_parts(lambda part, t, lane: seen.setdefault(int(lane), get()), np.arange(3), mask)
+        map_parts(lambda part, t: seen.setdefault(lane_of_this_thread(), get()),
+                  np.arange(3), mask)
         assert seen == {0: 1, 1: 1}
         assert get() == 2  # the caller's count is back
         assert trims == [0]  # lane 1's freed memory went back to the system
-        set_(1)  # as --threads 1 configures it: the lanes run in turn
+        set_(1)  # as OPENBLAS_NUM_THREADS=1 configures it: the lanes run in turn
         threads = set()
-        map_parts(lambda part, t, lane: threads.add(threading.get_ident()), np.arange(3), mask)
+        map_parts(lambda part, t: threads.add(threading.get_ident()), np.arange(3), mask)
         assert threads == {threading.get_ident()}
         assert get() == 1 and trims == [0]
     finally:
         set_(configured)
+
+
+def _lane_code(source: str) -> list[str]:
+    """Each place in `source` that knows how a step's parts run: an import
+    of threading or ctypes, a call of zero_grads, or the name add_lanes or
+    Lane (imported, read or an attribute)."""
+    modules, names = ("threading", "ctypes"), ("add_lanes", "Lane")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] in modules]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] in modules:
+                found.append(f"line {node.lineno}: from {node.module}")
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name in names]
+        elif isinstance(node, ast.Call) and "zero_grads" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(f"line {node.lineno}: zero_grads()")
+        elif (isinstance(node, ast.Name) and node.id in names
+              or isinstance(node, ast.Attribute) and node.attr in names):
+            found.append(f"line {node.lineno}: {getattr(node, 'id', None) or node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "import threading", "import ctypes.util", "from threading import Thread",
+    "from ctypes import CDLL", "zero_grads(params)", "model.zero_grads(params)",
+    "add_lanes(grads)", "from .model import add_lanes", "model.Lane(0)",
+    "from .model import Lane as L",
+])
+def test_the_lane_guard_finds_each_form(source):
+    assert len(_lane_code(source)) == 1
+
+
+def test_no_module_but_model_knows_about_the_lanes():
+    """Threads, BLAS pinning, each lane's gradient dict and the hold stay
+    in model.py: training code hands step_parts a part_fn and gets the
+    step's gradient back."""
+    assert _lane_code("from .model import zero_grads, step_parts\nlanes = 2\nx.lane") == []
+    package = Path(model.__file__).parent
+    assert len(_lane_code(Path(model.__file__).read_text(encoding="utf-8"))) >= 3
+    found = {path.name: _lane_code(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) if path.name != "model.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_lanes_run_one_after_the_other_without_openblas_with_the_same_bits(
@@ -941,6 +1039,42 @@ def test_each_loss_returns_a_gradient_for_exactly_its_parameters():
         assert grads.keys() == params.keys()
         for name, p in params.items():
             assert grads[name].shape == p.shape and grads[name].dtype == p.dtype, name
+
+
+def test_float32_steps_match_a_float64_reference():
+    """One pretrain_step and one ner_step on float32 params against the same
+    params cast to float64, at seeds 71, 81 and 91. The bounds are about 3x
+    the worst case over seeds 200, 205, ..., 1000: a relative loss error of
+    1.8e-7; a relative L2 gradient error of 1.1e-6 for most tensors and
+    2.9e-4 for the pooler and SOP head, whose gradients sum terms that
+    nearly cancel over the rows; and 1.1e-12 absolute for block_key_bias,
+    whose float64 gradient is ~1e-21 because softmax ignores a per-row
+    constant."""
+    config = synthdata.tiny_config(max_positions=32)
+    for seed in (71, 81, 91):
+        examples = mixed_length_pretrain_examples(seed + 1)
+        batch = mixed_length_ner_batch(seed + 1, LabelSet(["B"]))
+
+        def pretrain_total(params):
+            losses, grads = pretrain_step(params, config, examples)
+            return losses.total, grads
+
+        for step, params in (
+                (pretrain_total, init_parameters(config, RngStream(seed).child("init"))),
+                (lambda ps: ner_step(ps, config, batch),
+                 init_parameters(config, RngStream(seed).child("init"), heads=("ner",),
+                                 num_labels=2))):
+            loss, grads = step(params)
+            want_loss, want_grads = step({n: p.astype(np.float64) for n, p in params.items()})
+            assert abs(loss - want_loss) < 1e-6 * abs(want_loss), seed
+            for name, want in want_grads.items():
+                assert want.dtype == np.float64, name
+                err, norm = np.linalg.norm(grads[name] - want), np.linalg.norm(want)
+                if norm < 1e-12:
+                    assert name == "block_key_bias" and err < 1e-11, (seed, name, err)
+                else:
+                    bound = 1e-3 if name.startswith(("pooler_", "sop_")) else 3e-6
+                    assert err < bound * norm, (seed, name, err / norm)
 
 
 # ---------------------------------------------------------------------------
