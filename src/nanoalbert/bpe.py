@@ -16,6 +16,7 @@ printable characters for serialization so the files stay valid UTF-8.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from heapq import heapify, heappop, heappush
 
 from .rundir import write_file
@@ -139,22 +140,22 @@ def _merge_pair(symbols: list[bytes], left: bytes, right: bytes) -> list[bytes]:
     return out
 
 
-def _add_count(counts: dict, where: dict, pair: int, freq: int, word: int) -> None:
-    """Add freq, the count change of one site in `word`, to the count of
-    pair. A gain lists the word under the pair unless it is listed last
-    already; a count of 0 is deleted with the pair's word list."""
-    count = counts.get(pair, 0) + freq
-    if not count:
-        del counts[pair]
-        where.pop(pair, None)
-        return
-    counts[pair] = count
-    if freq > 0:
-        held = where.get(pair)
-        if held is None:
-            where[pair] = [word]
-        elif held[-1] != word:
-            held.append(word)
+def _count_pairs(words: list[list[int]], freqs: list[int],
+                 vocab_size: int) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Count every adjacent pair over the words, and list under each pair
+    the indices of the words that hold it, once each, in word order."""
+    counts: dict[int, int] = {}
+    where: dict[int, list[int]] = {}
+    for i, (symbols, freq) in enumerate(zip(words, freqs)):
+        for left, right in zip(symbols, symbols[1:]):
+            pair = left * vocab_size + right
+            counts[pair] = counts.get(pair, 0) + freq
+            held = where.get(pair)
+            if held is None:
+                where[pair] = [i]
+            elif held[-1] != i:
+                held.append(i)
+    return counts, where
 
 
 def train_vocab(corpus: str, vocab_size: int) -> Vocab:
@@ -179,7 +180,9 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
     may since have lost it, and the walk then finds no site there. A pair's
     count grows only in the first count or in the merge that makes its newer
     piece, so a pair then left below 2 is never merged and its list is
-    dropped, as is the list of a pair whose count reaches 0.
+    dropped, as is the list of a pair whose count reaches 0. A visited word
+    is searched for no more `left`s than `list.count` finds in it, so no
+    search fails and a word without `left` costs one count.
 
     The best pair is popped from a lazy max-heap of (-count, left, right)
     entries over piece bytes, in which every pair counted at least twice has
@@ -188,21 +191,14 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
     """
     if vocab_size < MIN_VOCAB_SIZE:
         raise ValueError(f"vocab_size must be >= {MIN_VOCAB_SIZE}")
-    word_freqs: dict[bytes, int] = {}
-    for word in corpus.split():
-        w = word.encode("utf-8")
-        word_freqs[w] = word_freqs.get(w, 0) + 1
+    word_freqs = Counter(corpus.split())
     if not word_freqs:
         raise ValueError("empty corpus")
 
-    words = [list(w) for w in word_freqs]
+    words = [list(w.encode("utf-8")) for w in word_freqs]
     freqs = list(word_freqs.values())
     del word_freqs
-    counts: dict[int, int] = {}
-    where: dict[int, list[int]] = {}
-    for i, (symbols, freq) in enumerate(zip(words, freqs)):
-        for left, right in zip(symbols, symbols[1:]):
-            _add_count(counts, where, left * vocab_size + right, freq, i)
+    counts, where = _count_pairs(words, freqs, vocab_size)
     pieces = [bytes([b]) for b in range(256)]
     ids = {piece: i for i, piece in enumerate(pieces)}
     merges: list[tuple[bytes, bytes]] = []
@@ -213,12 +209,13 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
         else:  # its count only falls from here on, so it is never merged
             del where[pair]
     heapify(heap)
+    get_count, get_words = counts.get, where.get
 
     while heap and len(pieces) + NUM_SPECIALS < vocab_size:
         stored, left_piece, right_piece = heappop(heap)
         left, right = ids[left_piece], ids[right_piece]
         best = left * vocab_size + right
-        count = counts.get(best, 0)
+        count = get_count(best, 0)
         if count != -stored:
             if count > 1:
                 heappush(heap, (-count, left_piece, right_piece))
@@ -230,41 +227,75 @@ def train_vocab(corpus: str, vocab_size: int) -> Vocab:
         merged = left_piece + right_piece
         pieces.append(merged)
         ids[merged] = new
+        new_left = new * vocab_size
+        # when left == right, a site's `right` is one of the word's `left`s too
+        per_site = 2 if left == right else 1
         grown = set()
+        grow = grown.add
         for i in where.pop(best):
             symbols, freq = words[i], freqs[i]
             # A site is `left` followed by `right`. The walk edits the list
             # as it goes, so a site's neighbours are those left by the sites
-            # before it.
+            # before it. Moving a count off a pair deletes the pair (and its
+            # word list) at 0; moving one onto a pair lists the word under
+            # it unless it is listed last already.
+            lefts = symbols.count(left)
+            last = len(symbols) - 1
             j = 0
-            while True:
-                try:
-                    j = symbols.index(left, j, len(symbols) - 1)
-                except ValueError:  # no `left` before the last symbol
-                    break
-                if symbols[j + 1] != right:
+            while lefts:
+                j = symbols.index(left, j)
+                if j == last or symbols[j + 1] != right:
+                    lefts -= 1
                     j += 1
                     continue
-                _add_count(counts, where, best, -freq, i)
+                lefts -= per_site
+                count = get_count(best, 0) - freq
+                if count:
+                    counts[best] = count
+                else:
+                    del counts[best]
                 if j:
                     prev = symbols[j - 1]
-                    _add_count(counts, where, prev * vocab_size + left, -freq, i)
+                    pair = prev * vocab_size + left
+                    count = get_count(pair, 0) - freq
+                    if count:
+                        counts[pair] = count
+                    else:
+                        del counts[pair]
+                        where.pop(pair, None)
                     pair = prev * vocab_size + new
-                    _add_count(counts, where, pair, freq, i)
-                    grown.add(pair)
-                if j + 2 < len(symbols):
+                    counts[pair] = get_count(pair, 0) + freq
+                    held = get_words(pair)
+                    if held is None:
+                        where[pair] = [i]
+                    elif held[-1] != i:
+                        held.append(i)
+                    grow(pair)
+                if j < last - 1:
                     after = symbols[j + 2]
-                    _add_count(counts, where, right * vocab_size + after, -freq, i)
-                    pair = new * vocab_size + after
-                    _add_count(counts, where, pair, freq, i)
-                    grown.add(pair)
+                    pair = right * vocab_size + after
+                    count = get_count(pair, 0) - freq
+                    if count:
+                        counts[pair] = count
+                    else:
+                        del counts[pair]
+                        where.pop(pair, None)
+                    pair = new_left + after
+                    counts[pair] = get_count(pair, 0) + freq
+                    held = get_words(pair)
+                    if held is None:
+                        where[pair] = [i]
+                    elif held[-1] != i:
+                        held.append(i)
+                    grow(pair)
                 symbols[j : j + 2] = [new]
+                last -= 1
                 j += 1
         if best in counts:  # left in, it would be picked again forever
             raise RuntimeError(f"pair {(left_piece, right_piece)!r} is still counted after "
                                "its merge: the pair counts are out of step with the words")
         for pair in grown:  # a pair made at one site may be gone at the next
-            count = counts.get(pair, 0)
+            count = get_count(pair, 0)
             if count > 1:
                 heappush(heap, (-count, pieces[pair // vocab_size], pieces[pair % vocab_size]))
             else:  # its count only falls from here on, so it is never merged

@@ -174,21 +174,26 @@ def test_pairs_codec_round_trips_typed_values():
         parse_pairs([("line 9", "n=x")], types)
 
 
-def test_cli_and_config_leave_numpy_unloaded():
+def test_cli_and_config_leave_numpy_unloaded(tmp_path):
     # build-vocab needs no numpy, so loading it would only add to its
     # set-up time
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the theme thermal there\nthe theme\n", encoding="utf-8")
     code = (
         "import sys\n"
         "import nanoalbert.cli\n"
         "from nanoalbert.config import effective_text, format_pairs, parse_config\n"
         "effective_text(parse_config(overrides=['seed=1', 'lowercase=true']))\n"
         "format_pairs([('a', 1), ('b', 0.5)])\n"
+        f"assert nanoalbert.cli.main(['build-vocab', '--out', {str(tmp_path / 'vocab')!r},\n"
+        f"                            '--corpus', {str(corpus)!r}, 'vocab_size=270']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert done.returncode == 0, done.stderr
+    assert (tmp_path / "vocab" / "merges.txt").read_text(encoding="utf-8")
 
 
 def test_cli_ner_and_pretrain_leave_scipy_unloaded():
