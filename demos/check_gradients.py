@@ -7,8 +7,8 @@ loss with a dollhouse-sized model. Relative errors land around 1e-8; the
 loop fails loudly above 1e-4 (1e-3 for the composite loss).
 
 Training cuts each step into length-sorted parts of at most half of
-model.PART_POSITIONS positions (rows x trimmed length), each trimmed to its
-longest row. The last check shrinks that budget so its 8 short rows make
+model.PART_ACTIVATIONS positions (rows x trimmed length) x hidden width,
+each trimmed to its longest row. The last check shrinks that budget so its 8 short rows make
 several parts, and compares such a step with one padded pass over the
 whole batch, for MLM+SOP pretraining and for NER, in float32: it prints the
 part count and the largest loss and gradient differences, and fails above
@@ -170,9 +170,10 @@ padded_batch = {
     "mlm_labels": records["mlm_labels"].ravel().astype(np.int64),
     "sop_labels": records["sop_label"].astype(np.int64),
 }
-# at the default budget these 8 rows of at most 17 positions make 2 parts, one per lane
-model.PART_POSITIONS = 48
-parts = len(length_parts(tagged["attention_mask"]))
+# at the default budget (3,072 positions to a part at H=8) these 8 rows of
+# at most 17 positions make one part; 24 to a part makes 2+, on both lanes
+model.PART_ACTIVATIONS = 48 * config.hidden_size
+parts = len(length_parts(tagged["attention_mask"], config.hidden_size))
 assert parts >= 2, parts
 pretrain_params = init_parameters(config, RngStream(6).child("init"))
 split_losses, split_grads = pretrain_step(pretrain_params, config, records)

@@ -77,5 +77,5 @@ sample = NerExample(
     labels=["O"] * 8,
 )
 packed = pack_ner_examples([sample], vocab, result.label_set, max_len=48)
-tags = predict_labels(result.params, result.config, result.label_set, packed, 16)[0]
+tags = predict_labels(result.params, result.config, result.label_set, packed)[0]
 print("sample:", " ".join(f"{w}/{t}" for w, t in zip(sample.words, tags)))

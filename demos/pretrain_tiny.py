@@ -78,8 +78,8 @@ for line in log.splitlines():
     if key == "total_loss" and int(step) % 100 == 0:
         milestones.append(f"  step {step:>3}  total {value}")
 
-final = evaluate_pretrain(result.params, config, examples, batch_size=32)
-acc = sop_accuracy(result.params, config, examples, batch_size=32)
+final = evaluate_pretrain(result.params, config, examples)
+acc = sop_accuracy(result.params, config, examples)
 
 print("loss trajectory:")
 print("\n".join(milestones))

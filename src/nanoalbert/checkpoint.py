@@ -33,6 +33,7 @@ from .rundir import write_file
 
 MAGIC = b"ABCK0001"
 _U32 = struct.Struct("<I")
+_MAX_RANK = 32  # the most dimensions numpy 1.x allocates (numpy 2: 64)
 
 
 class CorruptCheckpointError(ValueError):
@@ -209,6 +210,8 @@ def _decode(reader: _Reader) -> Checkpoint:
     for _ in range(reader.u32()):
         name = reader.take(reader.u32()).decode("utf-8")
         rank = reader.u32()
+        if rank > _MAX_RANK:  # np.empty would refuse it without the file's name
+            raise CorruptCheckpointError(f"tensor {name} has rank {rank}, above {_MAX_RANK}")
         dims = tuple(reader.u32() for _ in range(rank))
         arr = reader.floats(dims)
         if name in tensors:

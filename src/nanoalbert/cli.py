@@ -126,7 +126,14 @@ def _pretrain_examples(args, cfg, out: Path, vocab):
 
     cache = out / EXAMPLES
     if cache.exists():  # run_dir refused it unless the config that made it is this one
-        return read_examples(cache)
+        examples = read_examples(cache)
+        ids, labels = examples["input"]["token_ids"], examples["mlm_labels"]
+        for what, bad in (("a token id", (ids < 0) | (ids >= vocab.size)),
+                          ("an MLM label", labels >= vocab.size)):  # read_examples refused < 0
+            if bad.any():
+                raise CliError(f"{cache}: example {int(bad.any(axis=1).argmax())} has {what} "
+                               f"outside the vocabulary [0, {vocab.size})")
+        return examples
     docs = split_corpus(Path(args.corpus).read_text(encoding="utf-8"))
     examples = build_pretrain_examples(
         docs, vocab, RngStream(cfg.seed).child("examples"), max_len=cfg.max_seq_length,
@@ -236,10 +243,7 @@ def _cmd_predict(args, cfg, out: Path) -> None:
         examples, vocab, label_set, cfg.finetune_max_seq_length,
         lowercase=cfg.lowercase,
     )
-    predictions = predict_labels(
-        snapshot.params, snapshot.config, label_set, packed,
-        cfg.finetune_eval_batch_size,
-    )
+    predictions = predict_labels(snapshot.params, snapshot.config, label_set, packed)
     blocks = [
         "\n".join(f"{word}\t{label}" for word, label in zip(example.words, labels))
         for example, labels in zip(examples, predictions)

@@ -50,7 +50,6 @@ class RunConfig:
     # fine-tuning
     finetune_learning_rate: float = 1e-5
     finetune_batch_size: int = 32
-    finetune_eval_batch_size: int = 16
     finetune_steps: int = 5336
     finetune_warmup_steps: int = 320
     finetune_max_seq_length: int = 512
@@ -62,9 +61,11 @@ class RunConfig:
 _BOOL_WORDS = {"true": True, "false": False}
 
 # retired keys that older files may still hold, with the only values they
-# may take: ALBERT trains without dropout, so an old rate must be 0, and
-# pretraining always steps with LAMB
-_RETIRED = {"dropout_rate": Literal["0", "0.0"], "optimizer": Literal["lamb"]}
+# may take: ALBERT trains without dropout, so an old rate must be 0,
+# pretraining always steps with LAMB, and an eval batch size of any value
+# means the same, since the part budget alone cuts every batch
+_RETIRED = {"dropout_rate": Literal["0", "0.0"], "optimizer": Literal["lamb"],
+            "finetune_eval_batch_size": int}
 
 
 def parse_pairs(lines, types: dict) -> dict:

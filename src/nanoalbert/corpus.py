@@ -243,4 +243,24 @@ def read_examples(path) -> np.recarray:
             f"(N={count} T={max_len} P={max_predictions}) needs {want}"
         )
     dtype = example_dtype(max_len, max_predictions)
-    return np.frombuffer(data, dtype, count, _HEADER_BYTES).view(np.recarray)
+    examples = np.frombuffer(data, dtype, count, _HEADER_BYTES).view(np.recarray)
+    _check_values(path, examples)
+    return examples
+
+
+def _check_values(path, examples) -> None:
+    """Refuse a value no example builder writes, naming the first example
+    holding one; the caller checks ids against its vocabulary. x & ~1 is
+    nonzero for x outside {0, 1}."""
+    inputs, labels, at = examples["input"], examples["mlm_labels"], examples["mlm_positions"]
+    mask, used = inputs["attention_mask"], labels != IGNORE_INDEX
+    for what, bad in (
+            ("a type id outside {0, 1}", (inputs["type_ids"] & ~1).any(axis=1)),
+            ("an attention mask that is not a prefix of ones",
+             (mask & ~1).any(axis=1) | (np.diff(mask) > 0).any(axis=1)),
+            ("an MLM position outside its real length",
+             (used & ((at < 0) | (at >= mask.sum(axis=1)[:, None]))).any(axis=1)),
+            (f"an MLM label below 0 other than {IGNORE_INDEX}", (used & (labels < 0)).any(axis=1)),
+            ("a sop_label outside {0, 1}", (examples["sop_label"] & ~1) != 0)):
+        if bad.any():
+            raise CorpusError(f"{path}: example {int(bad.argmax())} has {what}")

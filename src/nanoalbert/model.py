@@ -19,27 +19,17 @@ its GELU output and slope are recomputed there, with the forward's own
 ops, so they have the forward's bits. Inference keeps no cache and
 computes no GELU slope.
 
-One rule cuts every batch (length_parts) and one lane loop walks it:
-length-sorted parts, each trimmed to its longest row, so padding is never
-computed and activations do not grow with the batch. Part i runs on lane
-i % 2: lane 0 on the calling thread takes its parts shortest first, and
-lane 1 on one worker thread takes part 1 and then its others longest first,
-so the two longest are not in flight together. PART_POSITIONS = 192 bounds
-the positions of the two parts in flight: each part holds at most half
-(and, in inference, an eval batch of rows). Inference runs its parts
-through map_parts, a training step through step_parts: each part's
-gradients, divided by the whole step's count, add into its lane's own
-gradient dict, and lane 1's dict is then added into lane 0's. A training
-part holds at its forward's end until the other lane's first part has
-finished its forward too, so a step of any size reaches the same two-part
-peak. Each run reads OpenBLAS's thread count (OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS, else the core count): at 2 or more the lanes run at once
-with BLAS pinned to one thread until they are done, at 1 they run one
-after the other. Either way BLAS runs on one thread, so no result depends
-on the core count. After lanes that ran at once, what lane 1 freed goes
-back to the system (malloc_trim), since the calling thread cannot reuse
-its thread's arena. The pretraining pass also counts its SOP hits, so
-held-out SOP accuracy needs no second forward.
+One rule cuts every batch (length_parts) and one lane loop walks it
+(_run_parts, whose docstring gives the lanes' order, the hold and the BLAS
+pinning): length-sorted parts, each trimmed to its longest row, so padding
+is never computed. PART_ACTIVATIONS bounds the positions x hidden width of
+the two parts in flight, each part at most half (96 positions at H=256, 768
+at H=32), so a step of any size reaches the same two-part peak. Inference
+runs its parts through map_parts, a training step through step_parts, whose
+lanes add each part's gradients, divided by the whole step's count, into
+their own dicts and then into one. BLAS runs on one thread either way, so
+no result depends on the core count. The pretraining pass also counts its
+SOP hits, so held-out SOP accuracy needs no second forward.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ from .rng import RngStream
 NEG_INF = -1e9
 INIT_STD = 0.02
 INIT_CLIP_SIGMA = 2.0
-PART_POSITIONS = 192  # rows x trimmed length of the parts in flight: bounds their activations
+PART_ACTIVATIONS = 192 * 256  # positions x hidden width of the parts in flight
 LANES = 2  # _run_parts: lane 0 on the calling thread, lane 1 on one worker thread
 
 
@@ -411,25 +401,23 @@ def _check_inputs(config, token_ids, type_ids, attention_mask):
         raise ValueError("attention_mask shape mismatch")
 
 
-def length_parts(attention_mask, max_rows=None) -> list[tuple[np.ndarray, int]]:
-    """(row indices, trimmed length) of each part of a batch. Rows are
-    stable-sorted by real length (one past the last real position, at least
-    1); a part closes before a row that would take it past its share of
-    PART_POSITIONS (a half: rows x its last, longest row's length) or past
-    max_rows rows. A row longer than the share makes a part alone. Trimming
-    cuts only padding every row of the part masks out: results move by
-    round-off."""
+def length_parts(attention_mask, width: int) -> list[tuple[np.ndarray, int]]:
+    """(row indices, trimmed length) of each part of a batch through an
+    encoder of hidden width `width`. Rows are stable-sorted by real length
+    (one past the last real position, at least 1); a part closes before a
+    row that would take its positions (rows x that row's length) times
+    width past its share of PART_ACTIVATIONS, a half. A row past the share
+    makes a part alone. Trimming cuts only padding every row of the part
+    masks out: results move by round-off."""
     mask = np.asarray(attention_mask) != 0
     if len(mask) == 0:
         return []
     lengths = np.where(mask.any(axis=1), mask.shape[1] - mask[:, ::-1].argmax(axis=1), 1)
     order = np.argsort(lengths, kind="stable")
-    share = PART_POSITIONS // LANES
+    share = PART_ACTIVATIONS // LANES
     parts, start = [], 0
     for end in range(1, len(order)):
-        rows = end + 1 - start
-        too_many = max_rows is not None and rows > max_rows
-        if too_many or rows * lengths[order[end]] > share:
+        if (end + 1 - start) * lengths[order[end]] * width > share:
             parts.append((order[start:end], int(lengths[order[end - 1]])))
             start = end
     parts.append((order[start:], int(lengths[order[-1]])))
@@ -470,23 +458,22 @@ def _malloc_trim():
     return trim
 
 
-def _run_parts(part_fn, records, attention_mask, max_rows=None) -> list:
+def _run_parts(part_fn, records, attention_mask, width) -> list:
     """(rows, part_fn(records[rows], t, lane, hold)) for each part
-    length_parts cuts attention_mask into, in part order; t is the part's
-    trimmed length. Part i runs on lane i % 2: lane 0 on the calling thread
-    takes its parts in order and lane 1 on a worker thread takes part 1 and
-    then its others longest first. They run at once where numpy's OpenBLAS
-    is configured for 2 or more threads (the environment or the core
-    count), with BLAS pinned to one thread until they are done, and
-    otherwise one after the other. A part_fn that writes only its lane's
-    state gives the same bits either way. A training part calls hold()
-    between its forward and its backward: on the lanes' first parts, run at
-    once, it waits until the other lane has finished its forward (or its
-    part), so both first parts' caches are in flight together, and later it
-    returns at once. When parts raise, the lowest-numbered part's error is
-    raised once the worker is joined; a lane skips the parts numbered above
-    a failure."""
-    parts = length_parts(attention_mask, max_rows)
+    length_parts cuts attention_mask into at hidden width `width`, in part
+    order; t is the part's trimmed length. Part i runs on lane i % 2: lane 0
+    on the calling thread takes its parts in order, lane 1 on a worker thread
+    takes part 1 and then its others longest first, so the two longest are
+    not in flight together. The lanes run at once, with BLAS pinned to one
+    thread, where numpy's OpenBLAS is configured for 2 or more threads (the
+    environment or the core count), and otherwise one after the other; a
+    part_fn that writes only its lane's state gives the same bits either
+    way. A training part calls hold() between its forward and its backward:
+    on the lanes' first parts, run at once, it waits until the other lane
+    has finished its forward (or its part), and later it returns at once.
+    When parts raise, the lowest-numbered part's error is raised once the
+    worker is joined; a lane skips the parts numbered above a failure."""
+    parts = length_parts(attention_mask, width)
     results = [None] * len(parts)
     failures = []  # (part index, exception), appended by both lanes
     blas = _find_openblas() if len(parts) > 1 else None
@@ -544,23 +531,23 @@ def _run_parts(part_fn, records, attention_mask, max_rows=None) -> list:
     return results
 
 
-def map_parts(part_fn, records, attention_mask, max_rows=None) -> list:
+def map_parts(part_fn, records, attention_mask, width) -> list:
     """(rows, part_fn(records[rows], t)) for each part length_parts cuts
-    attention_mask into, at most max_rows rows to a part, in part order; t
-    is the part's trimmed length. The parts run on _run_parts's two lanes."""
+    attention_mask into at hidden width `width`, in part order; t is the
+    part's trimmed length. The parts run on _run_parts's two lanes."""
     return _run_parts(lambda part, t, lane, hold: part_fn(part, t),
-                      records, attention_mask, max_rows)
+                      records, attention_mask, width)
 
 
-def step_parts(part_fn, params, records, attention_mask):
+def step_parts(part_fn, params, records, attention_mask, width):
     """([(rows, part_fn(records[rows], t, grads, hold)), ...] in part order,
-    the step's gradient) for one training step's parts, run on _run_parts's
-    two lanes. part_fn adds its part's gradients into grads, its lane's own
-    zero_grads(params) dict, and calls hold() between its forward and its
-    backward; lane 1's dict is then added into lane 0's, the step's."""
+    the step's gradient) for one training step's parts at hidden width
+    `width`, on _run_parts's two lanes. part_fn adds its part's gradients
+    into grads, its lane's own zero_grads(params) dict, and calls hold()
+    between its forward and backward; lane 1's dict then adds into lane 0's."""
     total, other = lane_grads = [zero_grads(params), zero_grads(params)]
     results = _run_parts(lambda part, t, lane, hold: part_fn(part, t, lane_grads[lane], hold),
-                         records, attention_mask)
+                         records, attention_mask, width)
     for name, grad in other.items():
         total[name] += grad
     return results, total

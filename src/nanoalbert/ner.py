@@ -330,11 +330,11 @@ def metrics_keyvalues(metrics: EntityMetrics) -> str:
 # prediction and fine-tuning
 # ---------------------------------------------------------------------------
 
-def predict_labels(params, config, label_set, packed, batch_size) -> list[list[str]]:
+def predict_labels(params, config, label_set, packed) -> list[list[str]]:
     """Argmax tags at word-initial positions, one tag per word of each
     sentence, in input order; words truncated away during alignment are
     tagged "O". Sentences run in the length-sorted, trimmed parts of
-    map_parts, at most batch_size to a part."""
+    map_parts."""
 
     def part_tags(records, t):
         token_ids, type_ids, mask, label_ids = (records[name][:, :t] for name in ROW_FIELDS)
@@ -344,7 +344,7 @@ def predict_labels(params, config, label_set, packed, batch_size) -> list[list[s
                 for scores, keep in zip(logits, first)]
 
     out: list[list[str]] = [[] for _ in range(len(packed))]
-    for rows, tags in map_parts(part_tags, packed, packed["attention_mask"], batch_size):
+    for rows, tags in map_parts(part_tags, packed, packed["attention_mask"], config.hidden_size):
         for i, row in zip(rows, tags):
             out[i] = row + ["O"] * (int(packed["words"][i]) - len(row))
     return out
@@ -361,15 +361,15 @@ def ner_step(params, config, batch):
         return ner_loss_and_grads(params, config, *(records[name][:, :t] for name in ROW_FIELDS),
                                   count=count, grads=grads, hold=hold)[0]
 
-    parts, grads = step_parts(part_loss, params, batch, batch["attention_mask"])
+    parts, grads = step_parts(part_loss, params, batch, batch["attention_mask"],
+                              config.hidden_size)
     return sum(loss for _, loss in parts), grads
 
 
-def evaluate_split(params, config, label_set, packed, examples,
-                   batch_size) -> EntityMetrics:
+def evaluate_split(params, config, label_set, packed, examples) -> EntityMetrics:
     """Predictions vs gold; words truncated away during alignment count as
     unpredicted ("O")."""
-    preds = predict_labels(params, config, label_set, packed, batch_size)
+    preds = predict_labels(params, config, label_set, packed)
     return evaluate_entities([example.labels for example in examples], preds)
 
 
@@ -446,9 +446,7 @@ def finetune(
 
     def evaluate_dev(done):
         nonlocal best_f1, best_step, best_params
-        f1 = evaluate_split(
-            params, config, label_set, dev_packed, dev_examples, cfg.finetune_eval_batch_size
-        ).overall.f1
+        f1 = evaluate_split(params, config, label_set, dev_packed, dev_examples).overall.f1
         history.append((done, f1))
         if f1 > best_f1:
             best_f1 = f1
@@ -470,10 +468,7 @@ def finetune(
     test_metrics = None
     if test_examples:
         test_packed = pack_ner_examples(test_examples, vocab, label_set, max_len, lowercase)
-        test_metrics = evaluate_split(
-            best_params, config, label_set, test_packed, test_examples,
-            cfg.finetune_eval_batch_size,
-        )
+        test_metrics = evaluate_split(best_params, config, label_set, test_packed, test_examples)
     save_checkpoint(out_dir / "best.ckpt", config, best_params,
                     step=best_step, labels=list(label_set.labels))
     return FinetuneResult(

@@ -186,20 +186,21 @@ def pretrain_step(params, config, examples):
         return pretrain_loss_and_grads(params, config, pack_pretrain_batch(records, t),
                                        counts=counts, grads=grads, hold=hold)[0]
 
-    parts, grads = step_parts(part_loss, params, examples, examples["input"]["attention_mask"])
+    parts, grads = step_parts(part_loss, params, examples, examples["input"]["attention_mask"],
+                              config.hidden_size)
     return _summed(parts), grads
 
 
-def evaluate_pretrain(params, config, examples, batch_size: int) -> PretrainLosses:
+def evaluate_pretrain(params, config, examples) -> PretrainLosses:
     """Per-prediction MLM loss, per-example SOP loss and SOP hits over a
-    fixed set, in parts of at most batch_size rows."""
+    fixed set, run as the length-sorted, trimmed parts of map_parts."""
     counts = _counts(examples)
     return _summed(map_parts(
         lambda records, t: pretrain_loss(params, config, pack_pretrain_batch(records, t), counts),
-        examples, examples["input"]["attention_mask"], batch_size))
+        examples, examples["input"]["attention_mask"], config.hidden_size))
 
 
-def sop_accuracy(params, config, examples, batch_size: int) -> float:
+def sop_accuracy(params, config, examples) -> float:
     """Fraction of examples whose order/swapped call matches the label,
     counted by evaluate_pretrain's pass."""
-    return evaluate_pretrain(params, config, examples, batch_size).sop_hits / len(examples)
+    return evaluate_pretrain(params, config, examples).sop_hits / len(examples)

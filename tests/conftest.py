@@ -39,8 +39,8 @@ def tiny_pretrained(tmp_path_factory):
         schedule=Schedule(peak_lr=0.03, warmup_steps=50, total_steps=800),
         out_dir=tmp_path_factory.mktemp("tiny_pretrained"),
     )
-    final_losses = evaluate_pretrain(result.params, config, examples, batch_size=64)
-    heldout_sop = sop_accuracy(result.params, config, heldout, batch_size=64)
+    final_losses = evaluate_pretrain(result.params, config, examples)
+    heldout_sop = sop_accuracy(result.params, config, heldout)
     elapsed = time.perf_counter() - started
 
     return SimpleNamespace(

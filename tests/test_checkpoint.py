@@ -166,6 +166,22 @@ def test_duplicate_tensor_detected(saved, tmp_path):
         load_checkpoint(dup)
 
 
+def test_rank_numpy_cannot_allocate_is_refused_naming_file_and_tensor(saved, tmp_path):
+    _, params, path = saved
+    raw = bytearray(path.read_bytes())
+    at = len(MAGIC) + 4 + struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])[0] + 4
+    name = min(params)  # tensors are stored sorted by name
+    assert raw[at:at + 4 + len(name)] == struct.pack("<I", len(name)) + name.encode()
+    at += 4 + len(name)
+    assert struct.unpack("<I", raw[at:at + 4])[0] == params[name].ndim == 1
+    raw[at] ^= 1 << 6  # rank 1 -> 65, more dimensions than numpy allocates
+    bad = tmp_path / "rank.ckpt"
+    bad.write_bytes(raw)
+    with pytest.raises(CorruptCheckpointError, match=rf"^{re.escape(str(bad))}: tensor {name} "
+                                                     r"has rank 65, above 32$"):
+        load_checkpoint(bad)
+
+
 def test_save_and_load_hold_no_copy_of_the_file(tmp_path):
     # tensors go between arrays and the file directly: saving allocates
     # little beside the parameters, and loading little beyond its result

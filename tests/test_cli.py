@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nanoalbert.cli import main
@@ -357,6 +358,50 @@ def test_pretrain_refuses_example_cache_of_other_shape(pipeline, tmp_path, capsy
             f"{out / 'effective.cfg'} records, but the config says {override}; "
             "cannot continue that run\n")
         assert not list(out.glob("checkpoint-*")) and not (out / "train.log").exists()
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("sop_label", 2, "a sop_label outside {0, 1}"),
+    ("mlm_labels", 100000, "an MLM label outside the vocabulary [0, 261)"),
+    ("mlm_labels", -5, "an MLM label below 0 other than -100"),
+    ("token_ids", 261, "a token id outside the vocabulary [0, 261)"),
+], ids=["sop_label_2", "mlm_label_100000", "mlm_label_-5", "token_id_261"])
+def test_pretrain_refuses_an_example_cache_value_in_one_line(pipeline, tmp_path, capsys,
+                                                             field, value, what):
+    from nanoalbert.corpus import read_examples, write_examples
+
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(pipeline / "pt" / "effective.cfg", out)
+    examples = np.array(read_examples(pipeline / "pt" / "examples.bin"))
+    if field == "token_ids":
+        examples["input"]["token_ids"][3, 1] = value
+    elif field == "mlm_labels":
+        examples["mlm_labels"][3, 0] = value  # a used slot: every example masks one
+    else:
+        examples["sop_label"][3] = value
+    write_examples(out / "examples.bin", examples)
+    assert run_cli("pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+                   "--vocab", pipeline / "vocab", *TINY_OVERRIDES) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'examples.bin'}: example 3 has {what}\n"
+    assert not list(out.glob("checkpoint-*")) and not (out / "train.log").exists()
+
+
+def test_pretrain_resumes_a_run_whose_effective_cfg_holds_a_retired_key(pipeline, tmp_path):
+    # effective.cfg as written while finetune_eval_batch_size was a key: the
+    # run resumes from its checkpoint to the bytes of one that never stopped
+    run = shutil.copytree(pipeline / "pt", tmp_path / "run")
+    (run / "checkpoint-000004.ckpt").unlink()
+    text = read(run / "effective.cfg")
+    old = "".join(sorted(text.splitlines(keepends=True) + ["finetune_eval_batch_size=16\n"]))
+    assert old.index("finetune_batch_size=") < old.index("finetune_eval_batch_size=16") \
+        < old.index("finetune_learning_rate=")
+    (run / "effective.cfg").write_text(old)
+    assert run_cli("pretrain", "--out", run, "--corpus", pipeline / "prep" / "corpus.txt",
+                   "--vocab", pipeline / "vocab", *TINY_OVERRIDES) == 0
+    for name in ("checkpoint-000004.ckpt", "train.log", "effective.cfg"):
+        assert (run / name).read_bytes() == (pipeline / "pt" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("override, recorded", [

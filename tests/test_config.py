@@ -131,6 +131,23 @@ def test_retired_dropout_rate_parses_only_as_off(tmp_path):
         parse_config(old)
 
 
+def test_retired_finetune_eval_batch_size_parses_as_any_integer(tmp_path):
+    # effective.cfg files written while the key sized inference parts hold it
+    old = tmp_path / "effective.cfg"
+    seed_3 = effective_text(parse_config(overrides=["seed=3"]))
+    old.write_text("finetune_eval_batch_size=16\n" + seed_3)
+    assert parse_config(old) == parse_config(overrides=["seed=3"])
+    assert "finetune_eval_batch_size" not in effective_text(parse_config(old))
+    assert parse_config(overrides=["finetune_eval_batch_size=32"]) == parse_config()
+    with pytest.raises(ConfigError, match=r"^override: invalid value 'many' for "
+                                          r"finetune_eval_batch_size \(expected int\)$"):
+        parse_config(overrides=["finetune_eval_batch_size=many"])
+    old.write_text("seed=3\nfinetune_eval_batch_size=1.5\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(old))}:2: invalid value '1.5' "
+                                          r"for finetune_eval_batch_size \(expected int\)$"):
+        parse_config(old)
+
+
 def test_effective_text_covers_every_key():
     text = effective_text(parse_config())
     keys = {line.split("=", 1)[0] for line in text.strip().split("\n")}

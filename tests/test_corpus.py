@@ -6,6 +6,7 @@ trailing newline at the end. Character counts in these fixtures were done by
 hand.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -326,3 +327,48 @@ def test_example_cache_rejects_corruption(tmp_path):
         message = str(err.value)
         assert message.startswith(f"{bad}: ") and reason in message, name
         assert "\n" not in message
+
+
+def test_example_cache_rejects_values_no_builder_writes(tmp_path):
+    examples = synthdata.ordered_examples(4, RngStream(43))
+    n = int(examples[2]["input"]["attention_mask"].sum())
+    assert examples[2]["mlm_labels"][0] != IGNORE_INDEX
+
+    def type_id(ex):
+        ex["input"]["type_ids"][0] = 2
+
+    def mask_gap(ex):
+        ex["input"]["attention_mask"][1] = 0  # a zero before the last real position
+
+    def mask_value(ex):
+        ex["input"]["attention_mask"][0] = 2
+
+    def position(ex):
+        ex["mlm_positions"][0] = n  # one past the real length
+
+    def label(ex):
+        ex["mlm_labels"][0] = -5
+
+    def sop(ex):
+        ex["sop_label"] = 2
+
+    cases = [(type_id, "a type id outside {0, 1}"),
+             (mask_gap, "an attention mask that is not a prefix of ones"),
+             (mask_value, "an attention mask that is not a prefix of ones"),
+             (position, "an MLM position outside its real length"),
+             (label, f"an MLM label below 0 other than {IGNORE_INDEX}"),
+             (sop, "a sop_label outside {0, 1}")]
+    for edit_example, what in cases:
+        bad = np.array(examples)
+        edit_example(bad[2])
+        path = tmp_path / f"{edit_example.__name__}.bin"
+        write_examples(path, bad)
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: example 2 has "
+                                              rf"{re.escape(what)}$"):
+            read_examples(path)
+    # an unused slot's position is never read, and IGNORE_INDEX is its label
+    fine = np.array(examples)
+    fine["mlm_positions"][fine["mlm_labels"] == IGNORE_INDEX] = 99
+    write_examples(tmp_path / "fine.bin", fine)
+    assert np.array_equal(read_examples(tmp_path / "fine.bin")["mlm_positions"],
+                          fine["mlm_positions"])

@@ -425,7 +425,7 @@ def test_empty_and_unmasked_batches_rejected(tiny_model):
         pretrain_loss(params, config, pack_pretrain_batch(examples))
 
 
-def test_sop_and_token_logit_shapes():
+def test_sop_and_token_logit_shapes(monkeypatch):
     config = synthdata.tiny_config(max_positions=32)
     params = init_parameters(config, RngStream(2).child("init"), heads=("mlm", "sop", "ner"),
                              num_labels=3)
@@ -440,8 +440,9 @@ def test_sop_and_token_logit_shapes():
     sop = ops.linear(_pooler_forward(params, hidden)[0], params["sop_weight"], params["sop_bias"])
     hits = int((sop.argmax(axis=1) == padded["sop_labels"]).sum())
     assert 0 < hits < len(examples)
-    for batch_size in (1, 64):
-        assert evaluate_pretrain(params, config, examples, batch_size).sop_hits == hits
+    for budget in (1, model.PART_ACTIVATIONS):  # one row a part, and the default budget
+        monkeypatch.setattr(model, "PART_ACTIVATIONS", budget)
+        assert evaluate_pretrain(params, config, examples).sop_hits == hits
     assert pretrain_step(params, config, examples)[0].sop_hits == hits
 
 
@@ -477,35 +478,36 @@ def test_token_logits_require_ner_head(tiny_model):
 # ---------------------------------------------------------------------------
 
 def test_length_parts_sort_split_and_trim(monkeypatch):
-    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 24)  # 12 to a part
+    # positions x width to the two parts in flight: 12 positions to a part at
+    # H=256, and twice as many at each halving of the width
+    monkeypatch.setattr("nanoalbert.model.PART_ACTIVATIONS", 24 * 256)
     mask = np.zeros((6, 16), dtype=np.int32)
     for row, length in enumerate((7, 3, 13, 3, 5, 2)):
         mask[row, :length] = 1
 
-    def cut(mask, max_rows=None):
-        return [(rows.tolist(), t) for rows, t in length_parts(mask, max_rows)]
+    def cut(mask, width=256):
+        return [(rows.tolist(), t) for rows, t in length_parts(mask, width)]
 
     # stable by length; a part closes before it would pass 12 positions, and
     # the 13-position row, longer than the budget, makes a part of its own
     assert cut(mask) == [([5, 1, 3], 3), ([4], 5), ([0], 7), ([2], 13)]
-    # the row cap closes parts the budget would have kept open
-    assert cut(mask, max_rows=2) == [([5, 1], 3), ([3, 4], 5), ([0], 7), ([2], 13)]
-    assert cut(mask, max_rows=1) == [([5], 2), ([1], 3), ([3], 3), ([4], 5), ([0], 7), ([2], 13)]
+    # narrower widths close fewer parts: 24, 48 and 96 positions to a part
+    assert cut(mask, 128) == [([5, 1, 3, 4], 5), ([0], 7), ([2], 13)]
+    assert cut(mask, 64) == [([5, 1, 3, 4, 0], 7), ([2], 13)]
+    assert cut(mask, 32) == [([5, 1, 3, 4, 0, 2], 13)]
     # the runner calls part_fn once per part, in that order, on the part's
     # records and trimmed length, so it visits every record exactly once
     records = np.arange(6) * 10
-    for max_rows in (None, 2):
-        got = map_parts(lambda part, t: (part.tolist(), t), records, mask, max_rows)
+    for width in (256, 128):
+        got = map_parts(lambda part, t: (part.tolist(), t), records, mask, width)
         assert [(rows.tolist(), part) for rows, part in got] == [
-            (rows, ([10 * row for row in rows], t)) for rows, t in cut(mask, max_rows)]
+            (rows, ([10 * row for row in rows], t)) for rows, t in cut(mask, width)]
         assert sorted(row for rows, _ in got for row in rows.tolist()) == list(range(6))
     assert map_parts(lambda part, t: pytest.fail("no part to run"),
-                     records[:0], mask[:0]) == []
-    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 1000)
-    assert cut(mask) == [([5, 1, 3, 4, 0, 2], 13)]
+                     records[:0], mask[:0], 256) == []
     # a length is one past the last real position, and at least 1
     assert cut(np.array([[1, 0, 1, 0], [0, 0, 0, 0]])) == [([1, 0], 3)]
-    assert length_parts(mask[:0]) == []
+    assert length_parts(mask[:0], 256) == []
     with pytest.raises(ValueError, match="empty batch"):
         pack_pretrain_batch(synthdata.ordered_examples(2, RngStream(1))[:0])
 
@@ -532,8 +534,9 @@ def two_lanes(monkeypatch):
 
 
 def one_row_parts(monkeypatch, rows):
-    """A mask whose length_parts are its rows in order, one row a part."""
-    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 4)
+    """A mask whose length_parts at width 1 are its rows in order, one row
+    a part."""
+    monkeypatch.setattr("nanoalbert.model.PART_ACTIVATIONS", 4)
     return np.ones((rows, 4), dtype=np.int32)
 
 
@@ -544,11 +547,11 @@ def lane_of_this_thread():
 
 
 def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes, monkeypatch):
-    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 4)
+    monkeypatch.setattr("nanoalbert.model.PART_ACTIVATIONS", 4)  # 2 positions to a part at width 1
     mask = np.zeros((7, 8), dtype=np.int32)
     for row, length in enumerate((3, 1, 4, 2, 4, 1, 3)):
         mask[row, :length] = 1
-    parts = length_parts(mask)
+    parts = length_parts(mask, 1)
     assert len(parts) == 6
     number = {tuple(rows.tolist()): i for i, (rows, _) in enumerate(parts)}
     threads, calls = {0: set(), 1: set()}, {0: [], 1: []}
@@ -560,7 +563,7 @@ def test_map_parts_runs_part_i_on_lane_i_mod_2_and_returns_part_order(two_lanes,
         time.sleep(0.001)  # lets the lanes interleave
         return part.tolist(), t
 
-    got = map_parts(part_fn, np.arange(7) * 10, mask)
+    got = map_parts(part_fn, np.arange(7) * 10, mask, 1)
     assert [(rows.tolist(), result) for rows, result in got] == [
         (rows.tolist(), ((rows * 10).tolist(), t)) for rows, t in parts]
     # lane 0 is the calling thread, in part order; lane 1 is one other
@@ -586,7 +589,7 @@ def test_step_parts_gives_each_lane_its_own_grads_and_returns_their_sum(
         grads["b"] += i
         return i
 
-    results, grads = step_parts(part_fn, params, np.arange(5), mask)
+    results, grads = step_parts(part_fn, params, np.arange(5), mask, 1)
     assert [(rows.tolist(), i) for rows, i in results] == [([i], i) for i in range(5)]
     # one dict per lane, part i's that of lane i % 2; lane 1's is added into lane 0's
     assert dicts == {0: {dict_of[0], dict_of[2], dict_of[4]}, 1: {dict_of[1], dict_of[3]}}
@@ -610,7 +613,7 @@ def test_hold_keeps_the_lanes_first_parts_in_flight_together(two_lanes, monkeypa
         events.append(("backward", i))
         return i
 
-    results, _ = step_parts(part_fn, params, np.arange(4), mask)
+    results, _ = step_parts(part_fn, params, np.arange(4), mask, 1)
     assert [i for _, i in results] == [0, 1, 2, 3]
     assert events.index(("backward", 0)) > events.index(("forward", 1))
     assert events.index(("backward", 2)) < events.index(("forward", 3))  # only first parts wait
@@ -625,7 +628,7 @@ def test_hold_keeps_the_lanes_first_parts_in_flight_together(two_lanes, monkeypa
             events.append(("backward", int(part[0])))
 
     events.clear()
-    step_parts(lane_1_never_holds, params, np.arange(2), mask[:2])
+    step_parts(lane_1_never_holds, params, np.arange(2), mask[:2], 1)
     assert events == [("end", 1), ("backward", 0)]
 
 
@@ -645,7 +648,7 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="^part 1 failed$"):
-        map_parts(part_fn, np.arange(6), mask)
+        map_parts(part_fn, np.arange(6), mask, 1)
     assert threading.active_count() == before
     # lane 0 skips part 4 after its own failure; lane 1 still runs part 1
     assert {0, 1, 2} <= set(ran) and 4 not in ran
@@ -659,8 +662,8 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
         time.sleep(0.2)
         return i
 
-    for run in (lambda: map_parts(first_fails, np.arange(6), mask),
-                lambda: step_parts(first_fails, {}, np.arange(6), mask)):
+    for run in (lambda: map_parts(first_fails, np.arange(6), mask, 1),
+                lambda: step_parts(first_fails, {}, np.arange(6), mask, 1)):
         ran.clear()
         with pytest.raises(ValueError, match="^part 0 failed$"):
             run()
@@ -669,7 +672,7 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
 
     # fit still puts the step number in front
     with pytest.raises(ValueError, match="^step 1: part 1 failed$"):
-        fit(lambda idx: (map_parts(part_fn, np.arange(6), mask), {}), {}, None,
+        fit(lambda idx: (map_parts(part_fn, np.arange(6), mask, 1), {}), {}, None,
             step_fn=lambda *args: None, schedule=Schedule(1e-3, 1, 10), seed=0,
             num_examples=6, batch_size=2, num_steps=1, out_dir=tmp_path, first=0,
             log_lines=lambda loss, lr: (), hook=lambda done: ())
@@ -694,7 +697,7 @@ def test_map_parts_lets_an_interrupt_through_and_stops_lane_1(two_lanes, monkeyp
             return i
 
         with pytest.raises(KeyboardInterrupt):  # not part 1's lower-numbered error
-            map_parts(part_fn, np.arange(6), mask)
+            map_parts(part_fn, np.arange(6), mask, 1)
         assert threading.active_count() == before
         assert sorted(ran) == [0, 1, 2]  # lane 1 ran no part after the interrupt
 
@@ -712,13 +715,13 @@ def test_map_parts_pins_blas_to_one_thread_while_its_lanes_run(monkeypatch):
         set_(2)  # as OPENBLAS_NUM_THREADS=2 or a 2-core machine configures it
         seen = {}
         map_parts(lambda part, t: seen.setdefault(lane_of_this_thread(), get()),
-                  np.arange(3), mask)
+                  np.arange(3), mask, 1)
         assert seen == {0: 1, 1: 1}
         assert get() == 2  # the caller's count is back
         assert trims == [0]  # lane 1's freed memory went back to the system
         set_(1)  # as OPENBLAS_NUM_THREADS=1 configures it: the lanes run in turn
         threads = set()
-        map_parts(lambda part, t: threads.add(threading.get_ident()), np.arange(3), mask)
+        map_parts(lambda part, t: threads.add(threading.get_ident()), np.arange(3), mask, 1)
         assert threads == {threading.get_ident()}
         assert get() == 1 and trims == [0]
     finally:
@@ -781,8 +784,8 @@ def test_lanes_run_one_after_the_other_without_openblas_with_the_same_bits(
     ner_params = init_parameters(config, RngStream(73).child("init"), heads=("ner",),
                                  num_labels=2)
     batch = mixed_length_ner_batch(74, LabelSet(["B"]))
-    assert len(length_parts(examples["input"]["attention_mask"])) >= 3
-    assert len(length_parts(batch["attention_mask"])) >= 3
+    assert len(length_parts(examples["input"]["attention_mask"], config.hidden_size)) >= 3
+    assert len(length_parts(batch["attention_mask"], config.hidden_size)) >= 3
     threads = set()
     for module, name in ((pretrain, "pretrain_loss_and_grads"), (ner, "ner_loss_and_grads")):
         def on_thread(*args, _fn=getattr(module, name), **kwargs):
@@ -857,8 +860,9 @@ def assert_split_step_matches_padded(split, padded, mask):
 
 @pytest.fixture
 def small_parts(monkeypatch):
-    """A part budget small enough to cut the batches below into 3+ parts."""
-    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 40)
+    """A part budget small enough to cut the batches below into 3+ parts:
+    20 positions to a part at tiny_config's width, 32."""
+    monkeypatch.setattr("nanoalbert.model.PART_ACTIVATIONS", 40 * 32)
 
 
 def test_split_trimmed_pretrain_step_equals_padded_step(small_parts):
@@ -867,7 +871,7 @@ def test_split_trimmed_pretrain_step_equals_padded_step(small_parts):
     examples = mixed_length_pretrain_examples(62)
     padded = _reference_pack(examples, trim=False)
     assert len(set(padded["attention_mask"].sum(axis=1).tolist())) >= 4
-    assert len(length_parts(padded["attention_mask"])) >= 3
+    assert len(length_parts(padded["attention_mask"], config.hidden_size)) >= 3
     losses, grads = pretrain_step(params, config, examples)
     want, want_grads = pretrain_loss_and_grads(params, config, padded)
     assert abs(losses.mlm_loss - want.mlm_loss) < 1e-6
@@ -881,7 +885,7 @@ def test_split_trimmed_ner_step_equals_padded_step(small_parts):
     params = init_parameters(config, RngStream(63).child("init"), heads=("ner",), num_labels=2)
     batch = mixed_length_ner_batch(64, LabelSet(["B"]))
     assert len(set(batch["attention_mask"].sum(axis=1).tolist())) >= 4
-    assert len(length_parts(batch["attention_mask"])) >= 3
+    assert len(length_parts(batch["attention_mask"], config.hidden_size)) >= 3
     padded = ner_loss_and_grads(params, config, batch["token_ids"], batch["type_ids"],
                                 batch["attention_mask"], batch["label_ids"])
     assert_split_step_matches_padded(ner_step(params, config, batch), padded,
@@ -892,7 +896,7 @@ def test_pretrain_part_without_masked_slot_trains(small_parts):
     config = synthdata.tiny_config(max_positions=32)
     params = init_parameters(config, RngStream(65).child("init"))
     examples = mixed_length_pretrain_examples(66)
-    parts = length_parts(examples["input"]["attention_mask"])
+    parts = length_parts(examples["input"]["attention_mask"], config.hidden_size)
     assert len(parts) >= 3
     shortest = parts[0][0]
     examples["mlm_labels"][shortest] = ops.IGNORE_INDEX  # the first part has no masked slot
@@ -904,8 +908,9 @@ def test_pretrain_part_without_masked_slot_trains(small_parts):
 
 
 def test_pretrain_step_memory_does_not_grow_with_batch_size(monkeypatch):
-    monkeypatch.setattr("nanoalbert.model.PART_POSITIONS", 64)
     config = synthdata.tiny_config(max_positions=32)
+    # 32 positions to a part
+    monkeypatch.setattr("nanoalbert.model.PART_ACTIVATIONS", 64 * config.hidden_size)
     params = init_parameters(config, RngStream(67).child("init"))
     examples = mixed_length_pretrain_examples(68, count=32)
     peaks = []
@@ -946,7 +951,7 @@ def test_pretrain_step_memory_at_benchmark_shape():
     this batch; 24.9 MiB with the lean caches)."""
     params = init_parameters(BENCH_SHAPE, RngStream(69).child("init"))
     examples = benchmark_shape_examples(70)
-    assert len(length_parts(examples["input"]["attention_mask"])) >= 10
+    assert len(length_parts(examples["input"]["attention_mask"], BENCH_SHAPE.hidden_size)) >= 10
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

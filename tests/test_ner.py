@@ -480,16 +480,16 @@ def test_predict_and_evaluate_split_pad_truncated_words(quick_setup, tmp_path):
     ls = result.label_set
     packed = pack_ner_examples(dev_ex, synthdata.WordVocab(), ls, max_len=8)
     assert (packed["label_ids"] != IGNORE_INDEX).sum(1).tolist() == [6] * len(dev_ex)
-    preds = predict_labels(result.params, result.config, ls, packed, batch_size=16)
+    preds = predict_labels(result.params, result.config, ls, packed)
     assert [len(p) for p in preds] == [8] * len(dev_ex)
     assert all(p[6:] == ["O", "O"] for p in preds)
     assert all(label in ls.labels for pred in preds for label in pred)
-    metrics = evaluate_split(result.params, result.config, ls, packed, dev_ex, batch_size=16)
+    metrics = evaluate_split(result.params, result.config, ls, packed, dev_ex)
     assert metrics == evaluate_entities([e.labels for e in dev_ex], preds)
     assert 0.0 <= metrics.overall.f1 <= 1.0
 
 
-def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup, tmp_path):
+def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup, tmp_path, monkeypatch):
     ck, train_ex, dev_ex = quick_setup
     result = run_quick(ck, train_ex, dev_ex, tmp_path)
     r = RngStream(43)
@@ -499,12 +499,15 @@ def test_predict_labels_in_sorted_groups_keep_input_order(quick_setup, tmp_path)
     packed = pack_ner_examples(sentences, synthdata.WordVocab(), result.label_set, max_len=16)
     lengths = packed["attention_mask"].sum(axis=1).tolist()
     assert len(set(lengths)) >= 5 and lengths != sorted(lengths)
-    one = predict_labels(result.params, result.config, result.label_set, packed, batch_size=1)
-    three = predict_labels(result.params, result.config, result.label_set, packed, batch_size=3)
+    predicted = []
+    # one row a part, then parts of at least 3 rows (2 lanes x 3 rows x 16 positions)
+    for budget in (1, 2 * 3 * 16 * result.config.hidden_size):
+        monkeypatch.setattr("nanoalbert.model.PART_ACTIVATIONS", budget)
+        predicted.append(predict_labels(result.params, result.config, result.label_set, packed))
+    one, three = predicted
     assert three == one
     assert [len(tags) for tags in three] == [len(s.words) for s in sentences]
-    assert predict_labels(result.params, result.config, result.label_set, packed[:0],
-                          batch_size=3) == []
+    assert predict_labels(result.params, result.config, result.label_set, packed[:0]) == []
 
 
 def test_finetune_at_batch_size_one(quick_setup, tmp_path):

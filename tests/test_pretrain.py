@@ -287,24 +287,25 @@ def test_train_refuses_to_resume_before_touching_its_log(tmp_path, corpus):
 # evaluation helpers
 # ---------------------------------------------------------------------------
 
-def test_evaluate_pretrain_weights_by_prediction_count(corpus, tmp_path):
+def test_evaluate_pretrain_weights_by_prediction_count(corpus, tmp_path, monkeypatch):
     config = synthdata.tiny_config()
     result = train(corpus, config, seed=13, num_steps=5, batch_size=8, schedule=SCHED,
                    out_dir=tmp_path)
-    whole = evaluate_pretrain(result.params, config, corpus, batch_size=17)
-    again = evaluate_pretrain(result.params, config, corpus, batch_size=120)
-    # weighted averaging makes the numbers batch-size independent
+    whole = evaluate_pretrain(result.params, config, corpus)
+    monkeypatch.setattr("nanoalbert.model.PART_ACTIVATIONS", 1)  # one row a part
+    again = evaluate_pretrain(result.params, config, corpus)
+    # weighted averaging makes the numbers independent of how parts are cut
     assert abs(whole.mlm_loss - again.mlm_loss) < 1e-6
     assert abs(whole.sop_loss - again.sop_loss) < 1e-6
     with pytest.raises(ValueError):
-        evaluate_pretrain(result.params, config, [], batch_size=4)
+        evaluate_pretrain(result.params, config, [])
 
 
 def test_sop_accuracy_bounds(corpus, tmp_path):
     config = synthdata.tiny_config()
     result = train(corpus, config, seed=14, num_steps=5, batch_size=8, schedule=SCHED,
                    out_dir=tmp_path)
-    acc = sop_accuracy(result.params, config, corpus[:50], batch_size=16)
+    acc = sop_accuracy(result.params, config, corpus[:50])
     assert 0.0 <= acc <= 1.0
     with pytest.raises(ValueError):
-        sop_accuracy(result.params, config, [], batch_size=16)
+        sop_accuracy(result.params, config, [])
