@@ -343,7 +343,7 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
             else:
                 pieces.append(_piece_at(vocab_path, lineno, text))
     known = set(pieces)
-    merges = []
+    merges, made_at = [], {}  # merged piece -> line of the merge that made it
     with open(merges_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f):
             line = line.rstrip("\n")
@@ -353,13 +353,18 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
             if len(parts) != 2:
                 raise ValueError(f"{merges_path}:{lineno + 1}: malformed merge line")
             left, right = (_piece_at(merges_path, lineno, text) for text in parts)
-            for piece in (left, right, left + right):
+            merged = left + right
+            for piece in (left, right, merged):
                 if piece not in known:
                     raise ValueError(f"{merges_path}:{lineno + 1}: piece "
                                      f"{piece_to_text(piece)!r} is not in the vocabulary")
-            if _SPACE.search(left + right):
+            if _SPACE.search(merged):
                 raise ValueError(f"{merges_path}:{lineno + 1}: merge "
-                                 f"{piece_to_text(left + right)!r} holds a whitespace byte")
+                                 f"{piece_to_text(merged)!r} holds a whitespace byte")
+            if merged in made_at:
+                raise ValueError(f"{merges_path}:{lineno + 1}: merge "
+                                 f"{piece_to_text(merged)!r} repeats line {made_at[merged]}")
+            made_at[merged] = lineno + 1
             merges.append((left, right))
     # train_vocab's pieces are the 256 bytes, then one per merge in merge
     # order: any other list means the two files come from different runs

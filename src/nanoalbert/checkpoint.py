@@ -213,6 +213,10 @@ def _decode(reader: _Reader) -> Checkpoint:
         if rank > _MAX_RANK:  # np.empty would refuse it without the file's name
             raise CorruptCheckpointError(f"tensor {name} has rank {rank}, above {_MAX_RANK}")
         dims = tuple(reader.u32() for _ in range(rank))
+        if 0 in dims and 4 * math.prod(d for d in dims if d) > reader.size:
+            # np.empty sizes an empty tensor's other dims, and would refuse these unnamed
+            raise CorruptCheckpointError(f"empty tensor {name} has shape {dims}, "
+                                         f"too big for the file")
         arr = reader.floats(dims)
         if name in tensors:
             raise CorruptCheckpointError(f"duplicate tensor {name}")

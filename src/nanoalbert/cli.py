@@ -80,24 +80,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_vocab_dir(vocab_dir, vocab_size: int, expected_by):
-    """The vocabulary in vocab_dir, refused unless it has the vocab_size
-    pieces that `expected_by` (the config, or a checkpoint path) asks for."""
+def _model_inputs(cfg, length_key: str, model_config, checkpoint, vocab_dir):
+    """The vocabulary in vocab_dir, once cfg's row length `length_key` fits
+    the model's max_positions and the vocabulary has its vocab_size pieces.
+    model_config comes from `checkpoint`, or from the config when None."""
     from .bpe import load_vocab
 
+    length, positions = getattr(cfg, length_key), model_config.max_positions
+    if length > positions:
+        where = f"{checkpoint} " if checkpoint else ""
+        raise CliError(f"{length_key}={length} exceeds {where}max_positions={positions}")
     path = Path(vocab_dir) / "vocab.txt"
     vocab = load_vocab(path, path.with_name("merges.txt"))
-    if vocab.size != vocab_size:
-        raise CliError(f"{path} has {vocab.size} pieces but {expected_by} "
-                       f"has vocab_size={vocab_size}")
+    if vocab.size != model_config.vocab_size:
+        raise CliError(f"{path} has {vocab.size} pieces but {checkpoint or 'the config'} "
+                       f"has vocab_size={model_config.vocab_size}")
     return vocab
 
 
-def _check_seq_length(cfg, snapshot, checkpoint) -> None:
-    """Refuse a finetune_max_seq_length the checkpoint has no positions for."""
-    if cfg.finetune_max_seq_length > snapshot.config.max_positions:
-        raise CliError(f"finetune_max_seq_length={cfg.finetune_max_seq_length} exceeds "
-                       f"{checkpoint} max_positions={snapshot.config.max_positions}")
+def _write_metrics(out: Path, metrics) -> None:
+    from .ner import metrics_keyvalues, metrics_report
+
+    write_file(out / "metrics.txt", metrics_report(metrics))
+    write_file(out / "metrics.kv", metrics_keyvalues(metrics))
 
 
 def _cmd_prep_corpus(args, cfg, out: Path) -> None:
@@ -148,10 +153,7 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
     from .pretrain import train
 
     model_config = model_config_from(cfg)
-    if cfg.max_seq_length > model_config.max_positions:
-        raise CliError(f"max_seq_length={cfg.max_seq_length} exceeds "
-                       f"max_positions={model_config.max_positions}")
-    vocab = _load_vocab_dir(args.vocab, model_config.vocab_size, "the config")
+    vocab = _model_inputs(cfg, "max_seq_length", model_config, None, args.vocab)
     examples = _pretrain_examples(args, cfg, out, vocab)
 
     peak = cfg.learning_rate
@@ -176,12 +178,12 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
 
 def _cmd_finetune(args, cfg, out: Path) -> None:
     from .checkpoint import load_checkpoint
-    from .ner import finetune, metrics_keyvalues, metrics_report, read_conll
+    from .ner import finetune, read_conll
 
     snapshot = load_checkpoint(args.checkpoint)
     snapshot.optim = None  # fine-tuning starts fresh AdamW moments: free the LAMB ones
-    _check_seq_length(cfg, snapshot, args.checkpoint)
-    vocab = _load_vocab_dir(args.vocab, snapshot.config.vocab_size, args.checkpoint)
+    vocab = _model_inputs(cfg, "finetune_max_seq_length", snapshot.config, args.checkpoint,
+                          args.vocab)
     train_examples, _ = read_conll(args.train)
     dev_examples, _ = read_conll(args.dev)
     test_examples = read_conll(args.test)[0] if args.test else None
@@ -190,13 +192,12 @@ def _cmd_finetune(args, cfg, out: Path) -> None:
                       out_dir=out)
     print(f"best_step={result.best_step} dev_f1={result.best_dev_f1:.4f}")
     if result.test_metrics is not None:
-        write_file(out / "metrics.txt", metrics_report(result.test_metrics))
-        write_file(out / "metrics.kv", metrics_keyvalues(result.test_metrics))
+        _write_metrics(out, result.test_metrics)
         print(f"test_f1={result.test_metrics.overall.f1:.4f}")
 
 
 def _cmd_evaluate(args, cfg, out: Path) -> None:
-    from .ner import evaluate_entities, metrics_keyvalues, metrics_report, read_conll
+    from .ner import evaluate_entities, read_conll
 
     gold_examples, _ = read_conll(args.gold)
     pred_examples, _ = read_conll(args.pred, predicted=True)
@@ -212,8 +213,7 @@ def _cmd_evaluate(args, cfg, out: Path) -> None:
                                      f"pred {pred_word!r}")
     except ValueError as exc:
         raise CliError(f"--gold {args.gold} and --pred {args.pred} disagree: {exc}") from None
-    write_file(out / "metrics.txt", metrics_report(metrics))
-    write_file(out / "metrics.kv", metrics_keyvalues(metrics))
+    _write_metrics(out, metrics)
     overall = metrics.overall
     print(f"precision={overall.precision:.4f} recall={overall.recall:.4f} "
           f"f1={overall.f1:.4f}")
@@ -226,9 +226,9 @@ def _cmd_predict(args, cfg, out: Path) -> None:
     snapshot = load_checkpoint(args.checkpoint)
     if snapshot.labels is None or "ner_weight" not in snapshot.params:
         raise CliError("checkpoint has no tagging head; fine-tune first")
-    _check_seq_length(cfg, snapshot, args.checkpoint)
     label_set = LabelSet(snapshot.labels)
-    vocab = _load_vocab_dir(args.vocab, snapshot.config.vocab_size, args.checkpoint)
+    vocab = _model_inputs(cfg, "finetune_max_seq_length", snapshot.config, args.checkpoint,
+                          args.vocab)
 
     examples = []
     with open(args.input, encoding="utf-8") as fh:

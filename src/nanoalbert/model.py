@@ -35,7 +35,7 @@ SOP hits, so held-out SOP accuracy needs no second forward.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,14 +61,16 @@ class ModelConfig:
     type_vocab_size: int = 2
 
     def __post_init__(self):
+        for f in fields(self):  # a depth or an intermediate size may be 0
+            least = 0 if f.name in ("num_layers", "intermediate_size") else 1
+            if getattr(self, f.name) < least:
+                raise ValueError(f"{f.name} must be >= {least}")
         if self.intermediate_size == 0:
             self.intermediate_size = 4 * self.hidden_size
         if self.hidden_size % self.num_heads != 0:
             raise ValueError("hidden_size must be divisible by num_heads")
         if self.embedding_size > self.hidden_size:
             raise ValueError("embedding_size must not exceed hidden_size")
-        if self.num_layers < 0:
-            raise ValueError("num_layers must be >= 0")
 
 
 # ---------------------------------------------------------------------------

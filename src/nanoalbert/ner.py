@@ -19,6 +19,7 @@ from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, check_labels, save_checkpoint
 from .config import RunConfig, format_pairs
 from .model import (
+    INIT_STD,
     ModelConfig,
     map_parts,
     ner_loss_and_grads,
@@ -420,7 +421,7 @@ def finetune(
     head_rng = RngStream(cfg.seed).child("ner-init")
     dtype = params["token_embedding"].dtype
     params["ner_weight"] = truncated_normal(
-        head_rng, (config.hidden_size, len(label_set)), 0.02, dtype=dtype
+        head_rng, (config.hidden_size, len(label_set)), INIT_STD, dtype=dtype
     )
     params["ner_bias"] = np.zeros(len(label_set), dtype=dtype)
 

@@ -73,55 +73,44 @@ def decays(name: str) -> bool:
     return not (name.endswith("_bias") or name.endswith("_gain"))
 
 
-def _validated(params, grads):
-    for name, p in params.items():
+def _adam_updates(state, params, grads, weight_decay):
+    """(p, update) per tensor: its Adam update with decoupled weight decay,
+    built one tensor at a time once every gradient is validated (finite,
+    shape-matched) and state.t is bumped; the caller applies each in place."""
+    pending = []
+    for name, p in params.items():  # all-or-nothing: check before mutating
         if name not in grads:
             raise ValueError(f"missing gradient for {name}")
         g = np.asarray(grads[name])
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
         ops.assert_all_finite(f"grad[{name}]", g)
-        yield name, p, g
-
-
-def _adam_update(state, name, p, g, t):
-    m, v = state.m[name], state.v[name]
-    m *= BETA1
-    m += (1.0 - BETA1) * g
-    v *= BETA2
-    v += (1.0 - BETA2) * np.square(g)
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    return m_hat / (np.sqrt(v_hat) + EPS)
+        pending.append((name, p, g))
+    state.t += 1
+    for name, p, g in pending:
+        m, v = state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        update = (m / (1.0 - BETA1 ** state.t)) / (np.sqrt(v / (1.0 - BETA2 ** state.t)) + EPS)
+        if weight_decay and decays(name):
+            update += weight_decay * p
+        yield p, update
 
 
 def adamw_step(state, params, grads, lr, weight_decay=DEFAULT_WEIGHT_DECAY):
     """One decoupled-weight-decay Adam step, in place."""
-    pending = list(_validated(params, grads))  # all-or-nothing: check before mutating
-    t = state.t + 1
-    for name, p, g in pending:
-        update = _adam_update(state, name, p, g, t)
-        if weight_decay and decays(name):
-            update += weight_decay * p
+    for p, update in _adam_updates(state, params, grads, weight_decay):
         p -= lr * update
-    state.t = t
     return params, state
 
 
 def lamb_step(state, params, grads, lr, weight_decay=DEFAULT_WEIGHT_DECAY):
-    """One LAMB step: Adam update scaled per tensor by the trust ratio."""
-    pending = list(_validated(params, grads))
-    t = state.t + 1
-    for name, p, g in pending:
-        update = _adam_update(state, name, p, g, t)
-        if weight_decay and decays(name):
-            update += weight_decay * p
+    """One LAMB step: the AdamW update scaled per tensor by the trust ratio."""
+    for p, update in _adam_updates(state, params, grads, weight_decay):
         p_norm = float(np.linalg.norm(p))
         u_norm = float(np.linalg.norm(update))
-        if p_norm == 0.0 or u_norm == 0.0:
-            ratio = 1.0
-        else:
-            ratio = min(p_norm / u_norm, TRUST_RATIO_MAX)
+        ratio = min(p_norm / u_norm, TRUST_RATIO_MAX) if p_norm and u_norm else 1.0
         p -= (lr * ratio) * update
-    state.t = t
     return params, state

@@ -437,6 +437,19 @@ def test_load_rejects_merge_holding_whitespace(tmp_path):
         load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
 
 
+def test_load_names_the_line_of_a_repeated_merge(tmp_path):
+    vocab = train_vocab("abab abab", 262)
+    save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    assert (tmp_path / "merges.txt").read_text() == "a\tb\n"
+    # the vocab.txt that the repeated merge implies: its piece twice
+    with open(tmp_path / "vocab.txt", "a", encoding="utf-8") as fh:
+        fh.write(f"ab\t{vocab.size}\n")
+    (tmp_path / "merges.txt").write_text("a\tb\n\na\tb\n")
+    with pytest.raises(ValueError) as refused:
+        load_vocab(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+    assert str(refused.value) == f"{tmp_path / 'merges.txt'}:3: merge 'ab' repeats line 1"
+
+
 def test_load_names_line_of_undecodable_piece(tmp_path):
     vocab = train_vocab("x", MIN_VOCAB_SIZE)
     save_vocab(vocab, tmp_path / "vocab.txt", tmp_path / "merges.txt")

@@ -182,6 +182,22 @@ def test_rank_numpy_cannot_allocate_is_refused_naming_file_and_tensor(saved, tmp
         load_checkpoint(bad)
 
 
+def test_empty_tensor_numpy_cannot_size_is_refused_naming_file_and_tensor(saved, tmp_path):
+    _, params, path = saved
+    raw = path.read_bytes()
+    name = min(params)
+    at = (len(MAGIC) + 4 + struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])[0] + 4
+          + 4 + len(name))
+    assert raw[at:at + 8] == struct.pack("<2I", 1, params[name].shape[0])
+    # no values, but numpy still sizes the other dims and finds them too big
+    dims = (0, 2**32 - 1, 2**32 - 1)
+    bad = tmp_path / "empty.ckpt"
+    bad.write_bytes(raw[:at] + struct.pack("<4I", 3, *dims) + raw[at + 8:])
+    with pytest.raises(CorruptCheckpointError) as refused:
+        load_checkpoint(bad)
+    assert str(refused.value) == f"{bad}: empty tensor {name} has shape {dims}, too big for the file"
+
+
 def test_save_and_load_hold_no_copy_of_the_file(tmp_path):
     # tensors go between arrays and the file directly: saving allocates
     # little beside the parameters, and loading little beyond its result

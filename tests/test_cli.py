@@ -603,6 +603,13 @@ def test_pretrain_rejects_sequences_past_max_positions(pipeline, tmp_path, capsy
     assert capsys.readouterr().err == "error: max_seq_length=40 exceeds max_positions=32\n"
 
 
+def test_pretrain_refuses_a_zero_head_count_in_one_line(pipeline, tmp_path, capsys):
+    assert run_cli("pretrain", "--out", tmp_path / "m",
+                   "--corpus", pipeline / "prep" / "corpus.txt", "--vocab", pipeline / "vocab",
+                   *TINY_OVERRIDES, "num_heads=0") == 1
+    assert capsys.readouterr().err == "error: num_heads must be >= 1\n"
+
+
 def test_pretrain_refuses_an_unknown_optimizer_before_resuming(pipeline, tmp_path, capsys):
     # one directory a run can resume, one already trained to the last step
     midway = tmp_path / "midway"

@@ -1,0 +1,182 @@
+"""Damaged binary files: every one-bit flip of a checkpoint's and an example
+cache's header, and bounded fuzzing of their bodies and truncation points.
+
+Each damaged file must load, or be refused with the reader's own error in
+one line that starts with the file's path; any other exception fails. With
+no checksum yet, some header flips load a different object: a step or
+optim_t digit, a depth (the shared block's tensors have the same shapes at
+every num_layers) or a label's name. Those are counted and pinned, and
+none may change a tensor or another config field.
+"""
+
+import dataclasses
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synthdata
+from nanoalbert.checkpoint import (
+    MAGIC,
+    ConfigMismatchError,
+    CorruptCheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
+from nanoalbert.cli import main
+from nanoalbert.corpus import EXAMPLES_MAGIC, CorpusError, read_examples, write_examples
+from nanoalbert.model import ModelConfig, init_parameters
+from nanoalbert.optim import OptimizerState
+from nanoalbert.rng import RngStream
+
+CONFIG = ModelConfig(vocab_size=8, embedding_size=4, hidden_size=8, num_layers=2,
+                     num_heads=2, max_positions=4)
+LABELS = ["O", "B-X", "I-X"]
+# the header fields no tensor shape checks, so a flip there can load
+UNCHECKED = {"step", "optim_t", "labels", "num_layers"}
+
+
+@pytest.fixture(scope="module")
+def tagger(tmp_path_factory):
+    """A tiny fine-tuned checkpoint with labels and AdamW moments."""
+    params = init_parameters(CONFIG, RngStream(5).child("init"), heads=("ner",), num_labels=3)
+    optim = OptimizerState.for_params(params)
+    optim.t = 12
+    for name in params:
+        optim.m[name] += 0.5
+        optim.v[name] += 0.25
+    path = tmp_path_factory.mktemp("tagger") / "tagger.ckpt"
+    save_checkpoint(path, CONFIG, params, step=12, labels=LABELS, optim=optim)
+    return path
+
+
+def _first_values_offset(raw: bytes) -> int:
+    """Offset of the first tensor's values: past the magic, the header, the
+    tensor count and the first tensor's name, rank and dims."""
+    at = len(MAGIC)
+    (header_len,) = struct.unpack_from("<I", raw, at)
+    at += 4 + header_len + 4
+    (name_len,) = struct.unpack_from("<I", raw, at)
+    at += 4 + name_len
+    (rank,) = struct.unpack_from("<I", raw, at)
+    return at + 4 + 4 * rank
+
+
+def _differences(loaded, original) -> set:
+    """The header fields and tensors on which two checkpoints differ."""
+    fields = {f.name for f in dataclasses.fields(ModelConfig)
+              if getattr(loaded.config, f.name) != getattr(original.config, f.name)}
+    fields |= {name for name in ("step", "labels")
+               if getattr(loaded, name) != getattr(original, name)}
+    if loaded.optim.t != original.optim.t:
+        fields.add("optim_t")
+    for group in ("params", "m", "v"):
+        have, want = ((ck.params if group == "params" else getattr(ck.optim, group))
+                      for ck in (loaded, original))
+        if have.keys() != want.keys():
+            fields.add(group)
+        else:
+            fields |= {f"{group}/{name}" for name in want
+                       if have[name].tobytes() != want[name].tobytes()}
+    return fields
+
+
+def _load_or_refuse(path, loader, errors):
+    """What loader(path) gives: the object, or None after checking the
+    refusal is one of `errors` in one line starting with the path."""
+    try:
+        return loader(path)
+    except errors as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: ") and "\n" not in message, message
+        return None
+
+
+def _with_bit_flipped(raw: bytes, bit: int) -> bytes:
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+CHECKPOINT_ERRORS = (CorruptCheckpointError, ConfigMismatchError)
+
+
+def test_every_header_bit_flip_of_a_checkpoint_loads_or_is_refused(tagger, tmp_path):
+    raw = tagger.read_bytes()
+    original = load_checkpoint(tagger)
+    target = tmp_path / "flipped.ckpt"
+    changed = []
+    for bit in range(8 * _first_values_offset(raw)):
+        target.write_bytes(_with_bit_flipped(raw, bit))
+        loaded = _load_or_refuse(target, load_checkpoint, CHECKPOINT_ERRORS)
+        if loaded is not None and (differences := _differences(loaded, original)):
+            assert differences <= UNCHECKED, (bit, differences)
+            changed.append(bit)
+    # of 1,664 flips, 70 load a different object (53 in the labels, 7 in
+    # each of the step and optim_t digits, 3 making num_layers 0, 3 or 6);
+    # a checksum over the file would take this to 0
+    assert len(changed) == 70, len(changed)
+
+
+def test_a_zero_head_count_in_a_checkpoint_is_refused_naming_the_file(tagger, tmp_path):
+    target = tmp_path / "no_heads.ckpt"
+    target.write_bytes(tagger.read_bytes().replace(b"\nnum_heads=2\n", b"\nnum_heads=0\n"))
+    with pytest.raises(ConfigMismatchError) as refused:
+        load_checkpoint(target)
+    assert str(refused.value) == (f"{target}: invalid config in header: "
+                                  "num_heads must be >= 1")
+
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    """A small example cache: 8 rows of T=16 with P=20 prediction slots."""
+    path = tmp_path_factory.mktemp("cache") / "examples.bin"
+    write_examples(path, synthdata.ordered_examples(4, RngStream(42)))
+    return path
+
+
+def test_every_header_bit_flip_of_an_example_cache_is_refused(cache, tmp_path):
+    raw = cache.read_bytes()
+    target = tmp_path / "flipped.bin"
+    for bit in range(8 * (len(EXAMPLES_MAGIC) + 12)):  # the magic and the N, T and P words
+        target.write_bytes(_with_bit_flipped(raw, bit))
+        assert _load_or_refuse(target, read_examples, CorpusError) is None, bit
+
+
+def _fuzz(path, data, loader, errors, body_start):
+    """One drawn case: path's bytes cut at a drawn length, which must be
+    refused, or with one drawn bit past body_start flipped."""
+    raw = path.read_bytes()
+    target = path.with_name("damaged" + path.suffix)
+    if data.draw(st.booleans(), label="truncate"):
+        target.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        assert _load_or_refuse(target, loader, errors) is None
+    else:
+        bit = data.draw(st.integers(8 * body_start, 8 * len(raw) - 1), label="bit")
+        target.write_bytes(_with_bit_flipped(raw, bit))
+        _load_or_refuse(target, loader, errors)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkpoint_body_flips_and_truncations_load_or_are_refused(tagger, data):
+    _fuzz(tagger, data, load_checkpoint, CHECKPOINT_ERRORS,
+          _first_values_offset(tagger.read_bytes()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_example_cache_body_flips_and_truncations_load_or_are_refused(cache, data):
+    _fuzz(cache, data, read_examples, CorpusError, len(EXAMPLES_MAGIC) + 12)
+
+
+def test_predict_refuses_a_checkpoint_with_no_heads_in_one_line(tagger, tmp_path, capsys):
+    target = tmp_path / "no_heads.ckpt"
+    target.write_bytes(tagger.read_bytes().replace(b"\nnum_heads=2\n", b"\nnum_heads=0\n"))
+    source = tmp_path / "input.txt"
+    source.write_text("aspirin lowers fever\n")
+    assert main(["predict", "--out", str(tmp_path / "pred"), "--checkpoint", str(target),
+                 "--vocab", str(tmp_path), "--input", str(source)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {target}: invalid config in header: num_heads must be >= 1\n")

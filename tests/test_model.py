@@ -92,6 +92,19 @@ def test_config_validation():
         ModelConfig(vocab_size=10, embedding_size=4, hidden_size=8, num_layers=-1, num_heads=2)
 
 
+LEAST_SIZES = dict(vocab_size=1, embedding_size=1, hidden_size=1, num_layers=0, num_heads=1,
+                   intermediate_size=0, max_positions=1, type_vocab_size=1)
+
+
+@pytest.mark.parametrize("name", LEAST_SIZES)
+def test_config_refuses_a_size_below_its_least_naming_the_field(name):
+    ModelConfig(**LEAST_SIZES)  # a zero intermediate_size means 4 * hidden_size
+    least = LEAST_SIZES[name]
+    with pytest.raises(ValueError) as refused:
+        ModelConfig(**{**LEAST_SIZES, name: least - 1})
+    assert str(refused.value) == f"{name} must be >= {least}"
+
+
 def test_intermediate_size_defaults_to_4h():
     cfg = ModelConfig(vocab_size=10, embedding_size=4, hidden_size=8, num_layers=1, num_heads=2)
     assert cfg.intermediate_size == 32
