@@ -19,6 +19,7 @@ import re
 from collections import Counter
 from heapq import heapify, heappop, heappush
 
+from .config import read_text
 from .rundir import write_file
 
 PAD_ID = 0
@@ -325,47 +326,43 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
     """Read a saved vocabulary, refused unless vocab.txt holds the pieces
     merges.txt implies; each error names its file and line."""
     pieces = []
-    with open(vocab_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                text, id_text = line.split("\t")
-                idx = int(id_text)
-            except ValueError:
-                raise ValueError(f"{vocab_path}:{lineno + 1}: malformed vocab line")
-            if idx != lineno:
-                raise ValueError(f"{vocab_path}:{lineno + 1}: ids must be dense")
-            if lineno < NUM_SPECIALS:
-                if text != SPECIAL_NAMES[lineno]:
-                    raise ValueError(f"{vocab_path}:{lineno + 1}: bad special token")
-            else:
-                pieces.append(_piece_at(vocab_path, lineno, text))
+    for lineno, line in enumerate(read_text(vocab_path).split("\n")):
+        if not line:
+            continue
+        try:
+            text, id_text = line.split("\t")
+            idx = int(id_text)
+        except ValueError:
+            raise ValueError(f"{vocab_path}:{lineno + 1}: malformed vocab line")
+        if idx != lineno:
+            raise ValueError(f"{vocab_path}:{lineno + 1}: ids must be dense")
+        if lineno < NUM_SPECIALS:
+            if text != SPECIAL_NAMES[lineno]:
+                raise ValueError(f"{vocab_path}:{lineno + 1}: bad special token")
+        else:
+            pieces.append(_piece_at(vocab_path, lineno, text))
     known = set(pieces)
     merges, made_at = [], {}  # merged piece -> line of the merge that made it
-    with open(merges_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{merges_path}:{lineno + 1}: malformed merge line")
-            left, right = (_piece_at(merges_path, lineno, text) for text in parts)
-            merged = left + right
-            for piece in (left, right, merged):
-                if piece not in known:
-                    raise ValueError(f"{merges_path}:{lineno + 1}: piece "
-                                     f"{piece_to_text(piece)!r} is not in the vocabulary")
-            if _SPACE.search(merged):
-                raise ValueError(f"{merges_path}:{lineno + 1}: merge "
-                                 f"{piece_to_text(merged)!r} holds a whitespace byte")
-            if merged in made_at:
-                raise ValueError(f"{merges_path}:{lineno + 1}: merge "
-                                 f"{piece_to_text(merged)!r} repeats line {made_at[merged]}")
-            made_at[merged] = lineno + 1
-            merges.append((left, right))
+    for lineno, line in enumerate(read_text(merges_path).split("\n")):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{merges_path}:{lineno + 1}: malformed merge line")
+        left, right = (_piece_at(merges_path, lineno, text) for text in parts)
+        merged = left + right
+        for piece in (left, right, merged):
+            if piece not in known:
+                raise ValueError(f"{merges_path}:{lineno + 1}: piece "
+                                 f"{piece_to_text(piece)!r} is not in the vocabulary")
+        if _SPACE.search(merged):
+            raise ValueError(f"{merges_path}:{lineno + 1}: merge "
+                             f"{piece_to_text(merged)!r} holds a whitespace byte")
+        if merged in made_at:
+            raise ValueError(f"{merges_path}:{lineno + 1}: merge "
+                             f"{piece_to_text(merged)!r} repeats line {made_at[merged]}")
+        made_at[merged] = lineno + 1
+        merges.append((left, right))
     # train_vocab's pieces are the 256 bytes, then one per merge in merge
     # order: any other list means the two files come from different runs
     implied = [bytes([b]) for b in range(256)] + [left + right for left, right in merges]

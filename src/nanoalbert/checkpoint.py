@@ -5,14 +5,19 @@ float32):
 
     magic "ABCK0001"
     header byte length, then that many bytes of UTF-8 "key=value" lines
-      (every ModelConfig field, plus step/optim_t and optional labels)
+      (every ModelConfig field, step, optim_t, and a tagger's labels and,
+      from taggers that record it, lowercase)
     tensor count, then per tensor sorted by name:
       name length, name bytes, rank, dims..., values
 
-Optimizer moments are stored alongside parameters under "optim/m/" and
-"optim/v/" name prefixes. Loading validates every tensor shape against the
-header config; corrupt files and config/shape disagreements raise distinct
-errors so callers can tell truncation from a wrong-model mistake.
+The header says which tensors follow (tensor_list): a tagger, which has a
+labels line, holds the encoder and a tagging head for that many labels;
+any other checkpoint the encoder and the MLM and SOP heads. Optimizer
+moments may follow each parameter under "optim/m/" and "optim/v/" names,
+tripling the count. Saving writes exactly that list, and loading checks
+each record's name, rank and dims against its next entry before reading
+values. Corrupt files and disagreements with the header raise distinct
+errors, so callers can tell truncation from a wrong-model mistake.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .rundir import write_file
 
 MAGIC = b"ABCK0001"
 _U32 = struct.Struct("<I")
-_MAX_RANK = 32  # the most dimensions numpy 1.x allocates (numpy 2: 64)
 
 
 class CorruptCheckpointError(ValueError):
@@ -51,39 +55,18 @@ class Checkpoint:
     step: int = 0
     labels: list[str] | None = None
     optim: OptimizerState | None = None
+    lowercase: bool | None = None  # a tagger's input rule; None: not recorded
 
 
-def _infer_heads(params) -> tuple[str, ...]:
-    heads = []
-    if "mlm_dense_weight" in params:
-        heads.append("mlm")
-    if "sop_weight" in params:
-        heads.append("sop")
-    if "ner_weight" in params:
-        heads.append("ner")
-    return tuple(heads)
-
-
-def _expected_shapes(config, params, labels):
-    heads = _infer_heads(params)
-    num_labels = None
-    if "ner" in heads:
-        num_labels = len(labels) if labels else int(params["ner_bias"].shape[0])
-    return parameter_shapes(config, heads, num_labels)
-
-
-def _validate(config, params, labels):
-    expected = _expected_shapes(config, params, labels)
-    for name in sorted(set(expected) | set(params)):
-        if name not in params:
-            raise ConfigMismatchError(f"missing tensor {name}")
-        if name not in expected:
-            raise ConfigMismatchError(f"unexpected tensor {name}")
-        got = tuple(params[name].shape)
-        if got != expected[name]:
-            raise ConfigMismatchError(
-                f"tensor {name} has shape {got}, config implies {expected[name]}"
-            )
+def tensor_list(config, labels, moments: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor a checkpoint with this header holds, in
+    file order: a tagger's parameters if it has labels, else a pretraining
+    model's, and with moments their "optim/m/" and "optim/v/" copies."""
+    shapes = (parameter_shapes(config, ("mlm", "sop")) if labels is None
+              else parameter_shapes(config, ("ner",), len(labels)))
+    if moments:
+        shapes |= {f"optim/{k}/{name}": shape for k in "mv" for name, shape in shapes.items()}
+    return sorted(shapes.items())
 
 
 def check_labels(labels) -> None:
@@ -93,11 +76,13 @@ def check_labels(labels) -> None:
             raise ValueError(f"label {label!r} may not contain ',' or newline")
 
 
-def _header_text(config, step, labels, optim_t) -> str:
+def _header_text(config, step, labels, optim_t, lowercase) -> str:
     pairs = [*dataclasses.asdict(config).items(), ("step", step), ("optim_t", optim_t)]
     if labels is not None:
         check_labels(labels)
         pairs.append(("labels", ",".join(labels)))
+    if lowercase is not None:
+        pairs.append(("lowercase", lowercase))
     return format_pairs(pairs)
 
 
@@ -111,23 +96,25 @@ def _write(fh, header: bytes, tensors) -> None:
         fh.write(arr.data)
 
 
-def save_checkpoint(path, config, params, step=0, labels=None, optim=None) -> None:
+def save_checkpoint(path, config, params, step=0, labels=None, optim=None,
+                    lowercase=None) -> None:
     """Write atomically and durably (rundir.write_file); tensors as float32.
+    The tensors must be those tensor_list gives for this header.
 
     Each tensor's values go from its array straight to the file, so saving
     holds no copy of the checkpoint in memory.
     """
-    _validate(config, params, labels)
     tensors = dict(params)
-    optim_t = 0
     if optim is not None:
-        optim_t = optim.t
-        for name, arr in optim.m.items():
-            tensors[f"optim/m/{name}"] = arr
-        for name, arr in optim.v.items():
-            tensors[f"optim/v/{name}"] = arr
-
-    header = _header_text(config, step, labels, optim_t).encode("utf-8")
+        tensors |= {f"optim/{k}/{name}": arr
+                    for k in "mv" for name, arr in getattr(optim, k).items()}
+    want = dict(tensor_list(config, labels, optim is not None))
+    have = {name: tuple(arr.shape) for name, arr in tensors.items()}
+    for name in sorted(want.keys() | have.keys()):
+        if have.get(name) != want.get(name):
+            raise ConfigMismatchError(f"tensor {name} has shape {have.get(name)}, "
+                                      f"but the header implies {want.get(name)}")
+    header = _header_text(config, step, labels, optim.t if optim else 0, lowercase).encode("utf-8")
     write_file(path, lambda fh: _write(fh, header, tensors))
 
 
@@ -165,10 +152,11 @@ class _Reader:
 
 
 # older checkpoints carry retired keys: share_parameters (the model only ever
-# ran with shared parameters), kind (the heads are read off the tensors) and
+# ran with shared parameters), kind (the labels line says which heads) and
 # dropout_rate (the model trains without dropout), so none says anything
 _HEADER_TYPES = {**typing.get_type_hints(ModelConfig), "step": int, "optim_t": int,
-                 "kind": str, "labels": str, "share_parameters": str, "dropout_rate": str}
+                 "labels": str, "lowercase": bool,
+                 "kind": str, "share_parameters": str, "dropout_rate": str}
 
 
 def _parse_header(text: str):
@@ -187,7 +175,8 @@ def _parse_header(text: str):
     except ValueError as exc:
         raise ConfigMismatchError(f"invalid config in header: {exc}")
     labels = pairs["labels"].split(",") if "labels" in pairs else None
-    return config, pairs.get("step", 0), pairs.get("optim_t", 0), labels
+    return Checkpoint(config=config, params={}, step=pairs.get("step", 0), labels=labels,
+                      lowercase=pairs.get("lowercase")), pairs.get("optim_t", 0)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -204,44 +193,35 @@ def load_checkpoint(path) -> Checkpoint:
 def _decode(reader: _Reader) -> Checkpoint:
     if reader.take(len(MAGIC)) != MAGIC:
         raise CorruptCheckpointError("bad magic: not a checkpoint file")
-    config, step, optim_t, labels = _parse_header(reader.take(reader.u32()).decode("utf-8"))
+    ck, optim_t = _parse_header(reader.take(reader.u32()).decode("utf-8"))
 
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(reader.u32()):
+    count = reader.u32()
+    expected = tensor_list(ck.config, ck.labels, moments=False)
+    if count == 3 * len(expected):
+        expected = tensor_list(ck.config, ck.labels, moments=True)
+    elif count < len(expected):
+        raise ConfigMismatchError(f"{count} tensors, but the header implies {len(expected)}")
+    groups = {"": ck.params, "optim/m": {}, "optim/v": {}}
+    for index in range(count):
         name = reader.take(reader.u32()).decode("utf-8")
+        want, shape = expected[index] if index < len(expected) else (None, ())
+        if name != want:
+            raise ConfigMismatchError(f"tensor {index + 1} of {count} is {name}, but the header "
+                                      f"implies {want or f'only {len(expected)}'}")
         rank = reader.u32()
-        if rank > _MAX_RANK:  # np.empty would refuse it without the file's name
-            raise CorruptCheckpointError(f"tensor {name} has rank {rank}, above {_MAX_RANK}")
+        if rank != len(shape):
+            raise ConfigMismatchError(f"tensor {name} has rank {rank}, but the header implies "
+                                      f"shape {shape}")
         dims = tuple(reader.u32() for _ in range(rank))
-        if 0 in dims and 4 * math.prod(d for d in dims if d) > reader.size:
-            # np.empty sizes an empty tensor's other dims, and would refuse these unnamed
-            raise CorruptCheckpointError(f"empty tensor {name} has shape {dims}, "
-                                         f"too big for the file")
-        arr = reader.floats(dims)
-        if name in tensors:
-            raise CorruptCheckpointError(f"duplicate tensor {name}")
-        tensors[name] = arr
+        if dims != shape:
+            raise ConfigMismatchError(f"tensor {name} has shape {dims}, but the header "
+                                      f"implies {shape}")
+        group, _, key = name.rpartition("/")
+        groups[group][key] = reader.floats(shape)
     if reader.pos != reader.size:
         raise CorruptCheckpointError(
             f"{reader.size - reader.pos} trailing bytes after last tensor"
         )
-
-    params, m, v = {}, {}, {}
-    for name, arr in tensors.items():
-        if name.startswith("optim/m/"):
-            m[name[len("optim/m/"):]] = arr
-        elif name.startswith("optim/v/"):
-            v[name[len("optim/v/"):]] = arr
-        else:
-            params[name] = arr
-
-    _validate(config, params, labels)
-    optim = None
-    if m or v:
-        if set(m) != set(params) or set(v) != set(params):
-            raise ConfigMismatchError("optimizer state does not cover parameters")
-        for name in params:
-            if m[name].shape != params[name].shape or v[name].shape != params[name].shape:
-                raise ConfigMismatchError(f"optimizer state shape mismatch for {name}")
-        optim = OptimizerState(m=m, v=v, t=optim_t)
-    return Checkpoint(config=config, params=params, step=step, labels=labels, optim=optim)
+    if groups["optim/m"]:
+        ck.optim = OptimizerState(m=groups["optim/m"], v=groups["optim/v"], t=optim_t)
+    return ck

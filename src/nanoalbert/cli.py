@@ -17,7 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import format_pairs, model_config_from, parse_config
+from .config import format_pairs, model_config_from, parse_config, read_text
 from .rundir import EXAMPLES, run_dir, write_file
 
 
@@ -117,7 +117,7 @@ def _cmd_prep_corpus(args, cfg, out: Path) -> None:
 def _cmd_build_vocab(args, cfg, out: Path) -> None:
     from .bpe import save_vocab, train_vocab
 
-    text = Path(args.corpus).read_text(encoding="utf-8")
+    text = read_text(args.corpus)
     if not text or text.isspace():
         raise CliError(f"{args.corpus} is an empty corpus")
     vocab = train_vocab(text, cfg.vocab_size)
@@ -139,7 +139,7 @@ def _pretrain_examples(args, cfg, out: Path, vocab):
                 raise CliError(f"{cache}: example {int(bad.any(axis=1).argmax())} has {what} "
                                f"outside the vocabulary [0, {vocab.size})")
         return examples
-    docs = split_corpus(Path(args.corpus).read_text(encoding="utf-8"))
+    docs = split_corpus(read_text(args.corpus))
     examples = build_pretrain_examples(
         docs, vocab, RngStream(cfg.seed).child("examples"), max_len=cfg.max_seq_length,
         mask_rate=cfg.mask_rate, max_predictions=cfg.max_predictions_per_seq,
@@ -224,18 +224,24 @@ def _cmd_predict(args, cfg, out: Path) -> None:
     from .ner import LabelSet, NerExample, pack_ner_examples, predict_labels
 
     snapshot = load_checkpoint(args.checkpoint)
-    if snapshot.labels is None or "ner_weight" not in snapshot.params:
+    if snapshot.labels is None:
         raise CliError("checkpoint has no tagging head; fine-tune first")
-    label_set = LabelSet(snapshot.labels)
+    try:
+        label_set = LabelSet(snapshot.labels)
+    except ValueError as exc:
+        raise CliError(f"{args.checkpoint}: {exc}") from None
+    if list(label_set.labels) != snapshot.labels:  # the ids the head was trained on
+        raise CliError(f"{args.checkpoint}: labels {','.join(snapshot.labels)} are not in "
+                       f"tag id order {','.join(label_set.labels)}")
+    if snapshot.lowercase not in (None, cfg.lowercase):
+        have, want = (str(value).lower() for value in (snapshot.lowercase, cfg.lowercase))
+        raise CliError(f"{args.checkpoint} was fine-tuned with lowercase={have}, but the "
+                       f"config says lowercase={want}")
     vocab = _model_inputs(cfg, "finetune_max_seq_length", snapshot.config, args.checkpoint,
                           args.vocab)
 
-    examples = []
-    with open(args.input, encoding="utf-8") as fh:
-        for line in fh:
-            words = line.split()
-            if words:
-                examples.append(NerExample(words=words, labels=["O"] * len(words)))
+    examples = [NerExample(words=words, labels=["O"] * len(words))
+                for words in map(str.split, read_text(args.input).split("\n")) if words]
     if not examples:
         raise CliError(f"{args.input} contains no sentences")
 
@@ -258,7 +264,7 @@ def _cmd_stats(args, cfg, out: Path) -> None:
     if args.corpus:
         from .corpus import corpus_stats
 
-        stats = corpus_stats(Path(args.corpus).read_text(encoding="utf-8"))
+        stats = corpus_stats(read_text(args.corpus))
     else:
         from .ner import dataset_stats
 

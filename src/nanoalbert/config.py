@@ -6,7 +6,7 @@ max seq 512, 20 predictions; fine-tuning: batch 32, AdamW, lr 1e-5,
 5336 steps, warmup 320, checkpoint/eval every 200). Values are strings in
 files and on the command line; RunConfig's annotations fix each key's type.
 parse_pairs and format_pairs read and write all typed key=value text,
-checkpoint headers included.
+checkpoint headers included. read_text reads every text input file.
 
 This module deliberately avoids importing numpy, so a CLI command that
 needs none (build-vocab) starts without loading it.
@@ -68,6 +68,18 @@ _RETIRED = {"dropout_rate": Literal["0", "0.0"], "optimizer": Literal["lamb"],
             "finetune_eval_batch_size": int}
 
 
+def read_text(path) -> str:
+    r"""The text of the UTF-8 file at `path`, with "\r\n" and "\r" read as
+    "\n"; bad UTF-8 is an error naming the file and the byte. Line readers
+    split the result at "\n" only: str.splitlines would also split at
+    "\x1c"-"\x1e", "\x85" and "\u2028"."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()  # one decode of the whole file: exc.start is a file offset
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
+
+
 def parse_pairs(lines, types: dict) -> dict:
     """Typed values of (location, "key=value") lines; a later line wins.
 
@@ -112,9 +124,9 @@ def parse_config(path=None, overrides=()) -> RunConfig:
     """Load defaults, then the optional file, then key=value overrides."""
     lines = []
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            # comments in files only: overrides and checkpoint labels may hold '#'
-            lines = [(f"{path}:{n}", line.split("#", 1)[0]) for n, line in enumerate(fh, 1)]
+        # comments in files only: overrides and checkpoint labels may hold '#'
+        lines = [(f"{path}:{n}", line.split("#", 1)[0])
+                 for n, line in enumerate(read_text(path).split("\n"), 1)]
     lines += [("override", item) for item in overrides]
     values = parse_pairs(lines, {**typing.get_type_hints(RunConfig), **_RETIRED})
     return RunConfig(**{key: value for key, value in values.items() if key not in _RETIRED})

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpe import MASK_ID, NUM_SPECIALS, Vocab, build_input_pair
+from .config import read_text
 from .ops import IGNORE_INDEX
 from .rng import RngStream
 from .rundir import write_file
@@ -58,16 +59,10 @@ def preprocess_documents(docs) -> str:
 
 def preprocess_files(paths) -> str:
     """One document per input file; bad UTF-8 is an error naming the file."""
-    docs = []
-    for path in paths:
-        with open(path, "rb") as f:
-            raw = f.read()
-        try:
-            docs.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CorpusError(
-                f"{path}: invalid UTF-8 at byte offset {exc.start}"
-            ) from None
+    try:
+        docs = [read_text(path) for path in paths]
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from None
     return preprocess_documents(docs)
 
 

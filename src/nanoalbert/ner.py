@@ -17,7 +17,7 @@ import numpy as np
 from . import ops
 from .bpe import CLS_ID, SEP_ID, Vocab
 from .checkpoint import Checkpoint, check_labels, save_checkpoint
-from .config import RunConfig, format_pairs
+from .config import RunConfig, format_pairs, read_text
 from .model import (
     INIT_STD,
     ModelConfig,
@@ -124,25 +124,24 @@ def read_conll(path, *, predicted=False) -> tuple[list[NerExample], LabelSet | N
             words.clear()
             labels.clear()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped:
-                flush()
-                continue
-            if stripped.startswith("-DOCSTART-"):
-                continue
-            columns = stripped.split()
-            if len(columns) < 2:
-                raise ConllError(f"{path}:{lineno}: missing label column")
-            word, label = columns[0], columns[-1]
-            try:
-                _parse_label(label)
-            except ValueError as exc:
-                raise ConllError(f"{path}:{lineno}: {exc}")
-            first_line_of.setdefault(label, lineno)
-            words.append(word)
-            labels.append(label)
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        stripped = line.strip()
+        if not stripped:
+            flush()
+            continue
+        if stripped.startswith("-DOCSTART-"):
+            continue
+        columns = stripped.split()
+        if len(columns) < 2:
+            raise ConllError(f"{path}:{lineno}: missing label column")
+        word, label = columns[0], columns[-1]
+        try:
+            _parse_label(label)
+        except ValueError as exc:
+            raise ConllError(f"{path}:{lineno}: {exc}")
+        first_line_of.setdefault(label, lineno)
+        words.append(word)
+        labels.append(label)
     flush()
     if predicted:
         return examples, None
@@ -471,7 +470,7 @@ def finetune(
         test_packed = pack_ner_examples(test_examples, vocab, label_set, max_len, lowercase)
         test_metrics = evaluate_split(best_params, config, label_set, test_packed, test_examples)
     save_checkpoint(out_dir / "best.ckpt", config, best_params,
-                    step=best_step, labels=list(label_set.labels))
+                    step=best_step, labels=list(label_set.labels), lowercase=lowercase)
     return FinetuneResult(
         params=best_params,
         config=config,

@@ -20,7 +20,7 @@ import re
 from contextlib import contextmanager
 from pathlib import Path
 
-from .config import ConfigError, effective_text, parse_config
+from .config import ConfigError, effective_text, parse_config, read_text
 
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d+)\.ckpt$")
 EXAMPLES = "examples.bin"  # the pretraining example cache
@@ -78,7 +78,7 @@ def run_dir(out, config, fresh: bool = False):
             raise ConfigError(f"{state} belongs to a run this command does not continue; "
                               "give it another --out")
         effective, text = out / "effective.cfg", effective_text(config)
-        stale = not effective.exists() or effective.read_text(encoding="utf-8") != text
+        stale = not effective.exists() or read_text(effective) != text
         if stale and state:
             _refuse_other_config(state, effective, config)
         write_file(out / "INCOMPLETE", "run started; this marker is removed on success\n")

@@ -98,6 +98,29 @@ def test_ner_checkpoint_keeps_labels(tmp_path):
         assert ck.params["ner_weight"].shape == (32, 3)
 
 
+def test_a_tagger_keeps_its_lowercase_rule(saved, tmp_path):
+    config = synthdata.tiny_config()
+    params = init_parameters(config, RngStream(4).child("init"),
+                             heads=("ner",), num_labels=3)
+    path = tmp_path / "tagger.ckpt"
+    for lowercase in (True, False):
+        save_checkpoint(path, config, params, labels=["O", "B-X", "I-X"], lowercase=lowercase)
+        assert load_checkpoint(path).lowercase is lowercase
+    assert load_checkpoint(saved[2]).lowercase is None  # not recorded
+
+
+def test_a_tensor_count_the_header_does_not_imply_is_refused(saved, tmp_path):
+    _, params, path = saved
+    raw = path.read_bytes()
+    at = len(MAGIC) + 4 + struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])[0]
+    bad = tmp_path / "short.ckpt"
+    bad.write_bytes(raw[:at] + struct.pack("<I", len(params) - 1) + raw[at + 4:])
+    with pytest.raises(ConfigMismatchError) as refused:
+        load_checkpoint(bad)
+    assert str(refused.value) == (f"{bad}: {len(params) - 1} tensors, but the header "
+                                  f"implies {len(params)}")
+
+
 def test_labels_with_reserved_characters_rejected(tmp_path):
     config = synthdata.tiny_config()
     params = init_parameters(config, RngStream(4).child("init"),
@@ -162,8 +185,10 @@ def test_duplicate_tensor_detected(saved, tmp_path):
     (count,) = struct.unpack("<I", raw[at:at + 4])
     dup = tmp_path / "dup.ckpt"
     dup.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + record)
-    with pytest.raises(CorruptCheckpointError, match=f"duplicate tensor {name}"):
+    with pytest.raises(ConfigMismatchError) as refused:
         load_checkpoint(dup)
+    assert str(refused.value) == (f"{dup}: tensor {count + 1} of {count + 1} is {name}, "
+                                  f"but the header implies only {count}")
 
 
 def test_rank_numpy_cannot_allocate_is_refused_naming_file_and_tensor(saved, tmp_path):
@@ -175,11 +200,13 @@ def test_rank_numpy_cannot_allocate_is_refused_naming_file_and_tensor(saved, tmp
     at += 4 + len(name)
     assert struct.unpack("<I", raw[at:at + 4])[0] == params[name].ndim == 1
     raw[at] ^= 1 << 6  # rank 1 -> 65, more dimensions than numpy allocates
+    # the header implies rank 1 for this tensor, so no dims or values are read
     bad = tmp_path / "rank.ckpt"
     bad.write_bytes(raw)
-    with pytest.raises(CorruptCheckpointError, match=rf"^{re.escape(str(bad))}: tensor {name} "
-                                                     r"has rank 65, above 32$"):
+    with pytest.raises(ConfigMismatchError) as refused:
         load_checkpoint(bad)
+    assert str(refused.value) == (f"{bad}: tensor {name} has rank 65, but the header "
+                                  f"implies shape {params[name].shape}")
 
 
 def test_empty_tensor_numpy_cannot_size_is_refused_naming_file_and_tensor(saved, tmp_path):
@@ -189,13 +216,15 @@ def test_empty_tensor_numpy_cannot_size_is_refused_naming_file_and_tensor(saved,
     at = (len(MAGIC) + 4 + struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])[0] + 4
           + 4 + len(name))
     assert raw[at:at + 8] == struct.pack("<2I", 1, params[name].shape[0])
-    # no values, but numpy still sizes the other dims and finds them too big
+    # no values, but numpy would still size the other dims and find them too
+    # big; the header implies rank 1 for this tensor, so none of it is read
     dims = (0, 2**32 - 1, 2**32 - 1)
     bad = tmp_path / "empty.ckpt"
     bad.write_bytes(raw[:at] + struct.pack("<4I", 3, *dims) + raw[at + 8:])
-    with pytest.raises(CorruptCheckpointError) as refused:
+    with pytest.raises(ConfigMismatchError) as refused:
         load_checkpoint(bad)
-    assert str(refused.value) == f"{bad}: empty tensor {name} has shape {dims}, too big for the file"
+    assert str(refused.value) == (f"{bad}: tensor {name} has rank 3, but the header "
+                                  f"implies shape {params[name].shape}")
 
 
 def test_save_and_load_hold_no_copy_of_the_file(tmp_path):

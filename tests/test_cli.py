@@ -17,7 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nanoalbert.checkpoint import save_checkpoint
 from nanoalbert.cli import main
+from nanoalbert.config import model_config_from, parse_config
+from nanoalbert.model import init_parameters
+from nanoalbert.rng import RngStream
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -902,6 +906,84 @@ def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):
                    "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
                    "--vocab", pipeline / "vocab", "--input", source) == 1
     assert "fine-tune first" in capsys.readouterr().err
+
+
+def _hand_saved_tagger(path, labels):
+    """A tagger for the pipeline's model with `labels` stored as given."""
+    config = model_config_from(parse_config(None, TINY_OVERRIDES))
+    params = init_parameters(config, RngStream(1).child("init"), heads=("ner",),
+                             num_labels=len(labels))
+    save_checkpoint(path, config, params, labels=labels)
+    return path
+
+
+@pytest.mark.parametrize("labels, why", [
+    (["O", "I-X"], "label 'I-X' has no matching B label"),
+    (["O", "B-X", "B-X"], "labels O,B-X,B-X are not in tag id order O,B-X"),
+    # id 2 trained as B-X: LabelSet would re-sort it to I-X and tag it so
+    (["O", "I-X", "B-X"], "labels O,I-X,B-X are not in tag id order O,B-X,I-X"),
+], ids=["orphan", "repeated", "unsorted"])
+def test_predict_refuses_a_label_list_it_would_misread(pipeline, tmp_path, capsys, labels, why):
+    checkpoint = _hand_saved_tagger(tmp_path / "tagger.ckpt", labels)
+    source = tmp_path / "input.txt"
+    source.write_text("aspirin lowers fever\n")
+    assert run_cli("predict", "--out", tmp_path / "pred", "--checkpoint", checkpoint,
+                   "--vocab", pipeline / "vocab", "--input", source,
+                   "finetune_max_seq_length=32") == 1
+    assert capsys.readouterr().err == f"error: {checkpoint}: {why}\n"
+    assert not (tmp_path / "pred" / "predictions.conll").exists()
+
+
+def test_predict_refuses_a_config_with_the_other_lowercase_rule(
+        pipeline, finetuned, tmp_path, capsys):
+    checkpoint = finetuned / "best.ckpt"
+    assert b"\nlowercase=false\n" in checkpoint.read_bytes()
+    source = tmp_path / "input.txt"
+    source.write_text("Aspirin lowers fever\n")
+    argv = ["predict", "--checkpoint", checkpoint, "--vocab", pipeline / "vocab",
+            "--input", source, "finetune_max_seq_length=32"]
+    assert run_cli(*argv[:1], "--out", tmp_path / "p0", *argv[1:], "lowercase=true") == 1
+    assert capsys.readouterr().err == (f"error: {checkpoint} was fine-tuned with "
+                                       "lowercase=false, but the config says lowercase=true\n")
+    assert run_cli(*argv[:1], "--out", tmp_path / "p1", *argv[1:], "lowercase=false") == 0
+    # a tagger whose header does not record the rule predicts under either
+    argv[2] = _hand_saved_tagger(tmp_path / "older.ckpt", ["O", "B-Drug"])
+    assert run_cli(*argv[:1], "--out", tmp_path / "p2", *argv[1:], "lowercase=true") == 0
+
+
+_NON_UTF8_INPUTS = {
+    "build-vocab --corpus": ["build-vocab", "--corpus", "BAD"],
+    "pretrain --corpus": ["pretrain", "--corpus", "BAD", "--vocab", "VOCAB", *TINY_OVERRIDES],
+    "vocab.txt": ["pretrain", "--corpus", "CORPUS", "--vocab", "VOCAB", *TINY_OVERRIDES],
+    "merges.txt": ["pretrain", "--corpus", "CORPUS", "--vocab", "VOCAB", *TINY_OVERRIDES],
+    "finetune --train": ["finetune", "--checkpoint", "PRETRAINED", "--vocab", "VOCAB",
+                         "--train", "BAD", "--dev", "GOLD", *FT_OVERRIDES],
+    "predict --input": ["predict", "--checkpoint", "TAGGER", "--vocab", "VOCAB",
+                        "--input", "BAD", "finetune_max_seq_length=32"],
+    "evaluate --gold": ["evaluate", "--gold", "BAD", "--pred", "GOLD"],
+    "evaluate --pred": ["evaluate", "--gold", "GOLD", "--pred", "BAD"],
+    "stats --corpus": ["stats", "--corpus", "BAD"],
+    "stats --conll": ["stats", "--conll", "BAD"],
+    "--config": ["stats", "--conll", "GOLD", "--config", "BAD"],
+    "effective.cfg": ["stats", "--conll", "GOLD"],
+}
+
+
+@pytest.mark.parametrize("source", _NON_UTF8_INPUTS)
+def test_a_non_utf8_text_input_is_refused_naming_the_file(
+        pipeline, finetuned, tmp_path, capsys, source):
+    vocab, out = tmp_path / "vocab", tmp_path / "out"
+    shutil.copytree(pipeline / "vocab", vocab)
+    out.mkdir()
+    bad = {"vocab.txt": vocab / "vocab.txt", "merges.txt": vocab / "merges.txt",
+           "effective.cfg": out / "effective.cfg"}.get(source, tmp_path / "bad.txt")
+    bad.write_bytes(b"fine\r\nstart \xff fine end\n")  # the offset counts the file's bytes
+    paths = {"BAD": bad, "VOCAB": vocab, "CORPUS": pipeline / "prep" / "corpus.txt",
+             "GOLD": pipeline / "dev.conll", "TAGGER": finetuned / "best.ckpt",
+             "PRETRAINED": pipeline / "pt" / "checkpoint-000004.ckpt"}
+    command, *rest = (paths.get(word, word) for word in _NON_UTF8_INPUTS[source])
+    assert run_cli(command, "--out", out, *rest) == 1
+    assert capsys.readouterr().err == f"error: {bad}: invalid UTF-8 at byte offset 12\n"
 
 
 def test_threads_1_and_2_write_byte_identical_runs(pipeline, tmp_path):

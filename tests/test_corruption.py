@@ -1,5 +1,6 @@
-"""Damaged binary files: every one-bit flip of a checkpoint's and an example
-cache's header, and bounded fuzzing of their bodies and truncation points.
+"""Damaged binary files: every one-bit flip of the header of a tagger, a
+pretraining checkpoint and an example cache, and bounded fuzzing of their
+bodies and truncation points.
 
 Each damaged file must load, or be refused with the reader's own error in
 one line that starts with the file's path; any other exception fails. With
@@ -48,6 +49,20 @@ def tagger(tmp_path_factory):
         optim.v[name] += 0.25
     path = tmp_path_factory.mktemp("tagger") / "tagger.ckpt"
     save_checkpoint(path, CONFIG, params, step=12, labels=LABELS, optim=optim)
+    return path
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """A tiny pretraining checkpoint: MLM and SOP heads, LAMB moments, no labels."""
+    params = init_parameters(CONFIG, RngStream(6).child("init"))
+    optim = OptimizerState.for_params(params)
+    optim.t = 9
+    for name in params:
+        optim.m[name] -= 0.5
+        optim.v[name] += 0.75
+    path = tmp_path_factory.mktemp("pretrained") / "pretrained.ckpt"
+    save_checkpoint(path, CONFIG, params, step=9, optim=optim)
     return path
 
 
@@ -102,9 +117,12 @@ def _with_bit_flipped(raw: bytes, bit: int) -> bytes:
 CHECKPOINT_ERRORS = (CorruptCheckpointError, ConfigMismatchError)
 
 
-def test_every_header_bit_flip_of_a_checkpoint_loads_or_is_refused(tagger, tmp_path):
-    raw = tagger.read_bytes()
-    original = load_checkpoint(tagger)
+def _header_flips_that_load_another(path, tmp_path) -> int:
+    """How many one-bit flips of path's header, tensor count and first
+    tensor record load a checkpoint that differs from the original; every
+    other flip must be refused in one line."""
+    raw = path.read_bytes()
+    original = load_checkpoint(path)
     target = tmp_path / "flipped.ckpt"
     changed = []
     for bit in range(8 * _first_values_offset(raw)):
@@ -113,10 +131,21 @@ def test_every_header_bit_flip_of_a_checkpoint_loads_or_is_refused(tagger, tmp_p
         if loaded is not None and (differences := _differences(loaded, original)):
             assert differences <= UNCHECKED, (bit, differences)
             changed.append(bit)
+    return len(changed)
+
+
+def test_every_header_bit_flip_of_a_checkpoint_loads_or_is_refused(tagger, tmp_path):
     # of 1,664 flips, 70 load a different object (53 in the labels, 7 in
     # each of the step and optim_t digits, 3 making num_layers 0, 3 or 6);
     # a checksum over the file would take this to 0
-    assert len(changed) == 70, len(changed)
+    assert _header_flips_that_load_another(tagger, tmp_path) == 70
+
+
+def test_every_header_bit_flip_of_a_pretraining_checkpoint_loads_or_is_refused(
+        pretrained, tmp_path):
+    # of 1,512 flips, 7 load a different object (2 in each of the one-digit
+    # step and optim_t, 3 making num_layers 0, 3 or 6)
+    assert _header_flips_that_load_another(pretrained, tmp_path) == 7
 
 
 def test_a_zero_head_count_in_a_checkpoint_is_refused_naming_the_file(tagger, tmp_path):
@@ -163,6 +192,13 @@ def _fuzz(path, data, loader, errors, body_start):
 def test_checkpoint_body_flips_and_truncations_load_or_are_refused(tagger, data):
     _fuzz(tagger, data, load_checkpoint, CHECKPOINT_ERRORS,
           _first_values_offset(tagger.read_bytes()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pretraining_checkpoint_body_flips_and_truncations_load_or_are_refused(pretrained, data):
+    _fuzz(pretrained, data, load_checkpoint, CHECKPOINT_ERRORS,
+          _first_values_offset(pretrained.read_bytes()))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

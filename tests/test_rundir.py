@@ -1,9 +1,11 @@
-"""The run directory's one owner and the one writer of run files.
+"""The run directory's one owner, the one writer of run files and the one
+reader of text files.
 
 write_file replaces a file through a fsynced temp file and a rename. A
 failed write, at the rename or at the fsync, must leave the old file and no
 temp file, and say which file it was writing. Only rundir names the files
-that decide how a run directory may be reused.
+that decide how a run directory may be reused, and only config.read_text
+opens a file as text to read it.
 """
 
 import ast
@@ -155,6 +157,41 @@ def test_no_module_but_rundir_writes_files():
     found = {path.name: _writes(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py")) if path.name != "rundir.py"}
     assert {name: writes for name, writes in found.items() if writes} == {}
+
+
+def _text_reads(source: str) -> list[str]:
+    """Each text read in `source`: a read_text, or a builtin open in text
+    mode (no mode, or a literal one without 'b') that does not write."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "read_text":
+            found.append(f"line {node.lineno}: read_text")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "open"):
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            if all(isinstance(mode, ast.Constant) and not set("bwax+") & set(mode.value)
+                   for mode in modes):
+                found.append(f"line {node.lineno}: open")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "open(p)", "open(p, 'r')", "open(p, mode='rt')", "open(p, encoding='utf-8')",
+    "p.read_text()", "Path(p).read_text(encoding='utf-8')",
+])
+def test_the_read_guard_finds_each_kind_of_text_read(source):
+    assert len(_text_reads(source)) == 1
+
+
+def test_no_module_but_config_reads_text_files():
+    """Every text input goes through config.read_text, which names the file
+    and the byte of bad UTF-8. Binary reads and writes are not text reads."""
+    assert _text_reads("open(p, 'rb')\nopen(p, 'r+b')\nopen(p, 'a', encoding='utf-8')\n"
+                       "p.read_bytes()") == []
+    package = Path(rundir.__file__).parent
+    found = {path.name: _text_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) if path.name != "config.py"}
+    assert {name: reads for name, reads in found.items() if reads} == {}
 
 
 _OWNED = ("effective.cfg", "INCOMPLETE", ".lock", "examples.bin", "checkpoint-")
