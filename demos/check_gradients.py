@@ -179,7 +179,7 @@ pretrain_params = init_parameters(config, RngStream(6).child("init"))
 split_losses, split_grads = pretrain_step(pretrain_params, config, records)
 padded_losses, padded_grads = pretrain_loss_and_grads(pretrain_params, config, padded_batch)
 
-ner_params = init_parameters(config, RngStream(7).child("init"), heads=("ner",), num_labels=3)
+ner_params = init_parameters(config, RngStream(7).child("init"), num_labels=3)
 ner_padded = ner_loss_and_grads(ner_params, config, tagged["token_ids"], tagged["type_ids"],
                                 tagged["attention_mask"], tagged["label_ids"])
 

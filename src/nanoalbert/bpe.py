@@ -381,27 +381,19 @@ def load_vocab(vocab_path, merges_path) -> Vocab:
 # ---------------------------------------------------------------------------
 
 def build_input_pair(seg_a, seg_b, max_len: int) -> tuple[list[int], list[int]]:
-    """Token and segment ids of [CLS] A [SEP] (B [SEP]), unpadded.
+    """Token and segment ids of [CLS] A [SEP] B [SEP], unpadded.
 
     Over-length inputs lose tokens from the tail of whichever segment is
     currently longer (ties truncate B) until the pair fits in max_len; a
-    non-empty segment is never truncated away entirely.
+    segment is never truncated away entirely.
     """
-    a = list(seg_a)
-    b = list(seg_b) if seg_b else []
-    overhead = 3 if b else 2
-    if max_len < overhead + (2 if b else 1):
-        raise ValueError(f"max_len {max_len} too small for special tokens")
-    budget = max_len - overhead
-    while len(a) + len(b) > budget:
+    a, b = list(seg_a), list(seg_b)
+    if not a or not b or max_len < 5:
+        raise ValueError(f"max_len {max_len} too small (< 5) or a segment empty "
+                         f"({len(a)} and {len(b)} ids)")
+    while len(a) + len(b) > max_len - 3:
         if len(a) > len(b):
             a.pop()
         else:
             b.pop()
-
-    ids = [CLS_ID, *a, SEP_ID]
-    types = [0] * len(ids)
-    if b:
-        ids += [*b, SEP_ID]
-        types += [1] * (len(b) + 1)
-    return ids, types
+    return [CLS_ID, *a, SEP_ID, *b, SEP_ID], [0] * (len(a) + 2) + [1] * (len(b) + 1)

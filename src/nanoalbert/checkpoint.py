@@ -62,8 +62,7 @@ def tensor_list(config, labels, moments: bool) -> list[tuple[str, tuple[int, ...
     """(name, shape) of every tensor a checkpoint with this header holds, in
     file order: a tagger's parameters if it has labels, else a pretraining
     model's, and with moments their "optim/m/" and "optim/v/" copies."""
-    shapes = (parameter_shapes(config, ("mlm", "sop")) if labels is None
-              else parameter_shapes(config, ("ner",), len(labels)))
+    shapes = parameter_shapes(config, None if labels is None else len(labels))
     if moments:
         shapes |= {f"optim/{k}/{name}": shape for k in "mv" for name, shape in shapes.items()}
     return sorted(shapes.items())

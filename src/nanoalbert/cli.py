@@ -225,7 +225,7 @@ def _cmd_predict(args, cfg, out: Path) -> None:
 
     snapshot = load_checkpoint(args.checkpoint)
     if snapshot.labels is None:
-        raise CliError("checkpoint has no tagging head; fine-tune first")
+        raise CliError(f"{args.checkpoint} has no tagging head; fine-tune first")
     try:
         label_set = LabelSet(snapshot.labels)
     except ValueError as exc:

@@ -3,9 +3,10 @@
 The layout: token/position/type embeddings at size E, layer-normed and
 projected to hidden size H, then one transformer block (post-norm residual
 order, GELU feed-forward) applied L times with a single shared parameter
-set. GELU is the tanh form of the BERT/ALBERT reference. Heads: tied-weight
-masked-LM decoder back to the vocabulary, a tanh pooler feeding the
-sentence-order classifier, and an optional per-token linear tagger.
+set. GELU is the tanh form of the BERT/ALBERT reference. A model is one of
+two kinds: the pretraining model adds a tied-weight masked-LM decoder back
+to the vocabulary and a tanh pooler feeding the sentence-order classifier;
+a tagger adds a per-token linear head over its labels.
 
 Parameters live in a flat name -> ndarray dict. Each linear and layer
 norm names its tensors once, by its forward/backward pair (_linear,
@@ -77,9 +78,19 @@ class ModelConfig:
 # parameter inventory
 # ---------------------------------------------------------------------------
 
-def block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    h, i = config.hidden_size, config.intermediate_size
-    shapes: dict[str, tuple[int, ...]] = {}
+def encoder_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the encoder both model kinds share: the factorized
+    embeddings, then the one shared block."""
+    e, h, i = config.embedding_size, config.hidden_size, config.intermediate_size
+    shapes: dict[str, tuple[int, ...]] = {
+        "token_embedding": (config.vocab_size, e),
+        "position_embedding": (config.max_positions, e),
+        "type_embedding": (config.type_vocab_size, e),
+        "embedding_norm_gain": (e,),
+        "embedding_norm_bias": (e,),
+        "embedding_projection_weight": (e, h),
+        "embedding_projection_bias": (h,),
+    }
     for part in ("query", "key", "value"):
         shapes[f"block_{part}_weight"] = (h, h)
         shapes[f"block_{part}_bias"] = (h,)
@@ -97,65 +108,49 @@ def block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def parameter_shapes(
-    config: ModelConfig,
-    heads=("mlm", "sop"),
-    num_labels: int | None = None,
+    config: ModelConfig, num_labels: int | None = None
 ) -> dict[str, tuple[int, ...]]:
-    """Name -> shape for every tensor the config defines.
+    """Name -> shape of one of the two model kinds, in draw order: with
+    num_labels None the pretraining model (the encoder, the pooler and SOP
+    classifier, then the masked-LM decoder), otherwise a tagger (the encoder
+    and a per-token linear head over num_labels tags).
 
     The masked-LM decoder weight is tied to token_embedding and therefore
-    not listed separately; the pooler belongs to the "sop" head.
+    not listed separately.
     """
-    v, e, h = config.vocab_size, config.embedding_size, config.hidden_size
-    shapes: dict[str, tuple[int, ...]] = {
-        "token_embedding": (v, e),
-        "position_embedding": (config.max_positions, e),
-        "type_embedding": (config.type_vocab_size, e),
-        "embedding_norm_gain": (e,),
-        "embedding_norm_bias": (e,),
-        "embedding_projection_weight": (e, h),
-        "embedding_projection_bias": (h,),
-    }
-    shapes.update(block_shapes(config))
-    if "sop" in heads:
-        shapes["pooler_weight"] = (h, h)
-        shapes["pooler_bias"] = (h,)
-        shapes["sop_weight"] = (h, 2)
-        shapes["sop_bias"] = (2,)
-    if "mlm" in heads:
-        shapes["mlm_dense_weight"] = (h, e)
-        shapes["mlm_dense_bias"] = (e,)
-        shapes["mlm_norm_gain"] = (e,)
-        shapes["mlm_norm_bias"] = (e,)
-        shapes["mlm_output_bias"] = (v,)
-    if "ner" in heads:
-        if not num_labels:
-            raise ValueError("ner head requires num_labels")
+    if num_labels is not None and num_labels < 1:
+        raise ValueError("num_labels must be >= 1")
+    e, h = config.embedding_size, config.hidden_size
+    shapes = encoder_shapes(config)
+    if num_labels is not None:
         shapes["ner_weight"] = (h, num_labels)
         shapes["ner_bias"] = (num_labels,)
+        return shapes
+    shapes["pooler_weight"] = (h, h)
+    shapes["pooler_bias"] = (h,)
+    shapes["sop_weight"] = (h, 2)
+    shapes["sop_bias"] = (2,)
+    shapes["mlm_dense_weight"] = (h, e)
+    shapes["mlm_dense_bias"] = (e,)
+    shapes["mlm_norm_gain"] = (e,)
+    shapes["mlm_norm_bias"] = (e,)
+    shapes["mlm_output_bias"] = (config.vocab_size,)
     return shapes
 
 
-def count_parameters(
-    config: ModelConfig,
-    heads=("mlm", "sop"),
-    num_labels: int | None = None,
-) -> int:
+def count_parameters(config: ModelConfig, num_labels: int | None = None) -> int:
     """Total trainable elements; the one shared block counts once at any depth."""
-    shapes = parameter_shapes(config, heads, num_labels)
+    shapes = parameter_shapes(config, num_labels)
     return sum(int(np.prod(shape)) for shape in shapes.values())
 
 
 def init_parameters(
-    config: ModelConfig,
-    rng: RngStream,
-    heads=("mlm", "sop"),
-    num_labels: int | None = None,
+    config: ModelConfig, rng: RngStream, num_labels: int | None = None
 ) -> dict[str, np.ndarray]:
     """Truncated-normal weights (std 0.02, clipped at 2 sigma), zero biases,
-    unit norm gains."""
+    unit norm gains, drawn from one stream in parameter_shapes order."""
     params = {}
-    for name, shape in parameter_shapes(config, heads, num_labels).items():
+    for name, shape in parameter_shapes(config, num_labels).items():
         if name.endswith("_gain"):
             params[name] = np.ones(shape, dtype=np.float32)
         elif name.endswith("_bias"):

@@ -21,9 +21,9 @@ from .config import RunConfig, format_pairs, read_text
 from .model import (
     INIT_STD,
     ModelConfig,
+    encoder_shapes,
     map_parts,
     ner_loss_and_grads,
-    parameter_shapes,
     step_parts,
     token_logits,
     truncated_normal,
@@ -416,7 +416,7 @@ def finetune(
     check_labels(label_set.labels)  # before training: best.ckpt must hold them
 
     # fresh head on top of copied encoder weights; the pretraining heads are dropped
-    params = {name: pretrained.params[name].copy() for name in parameter_shapes(config, heads=())}
+    params = {name: pretrained.params[name].copy() for name in encoder_shapes(config)}
     head_rng = RngStream(cfg.seed).child("ner-init")
     dtype = params["token_embedding"].dtype
     params["ner_weight"] = truncated_normal(

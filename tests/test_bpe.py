@@ -495,10 +495,6 @@ def test_load_refuses_vocab_and_merges_from_two_runs(tmp_path, monkeypatch):
 # input-pair assembly
 # ---------------------------------------------------------------------------
 
-def test_single_segment_layout():
-    assert build_input_pair([7, 8], [], max_len=6) == ([CLS_ID, 7, 8, SEP_ID], [0, 0, 0, 0])
-
-
 def test_pair_layout_and_type_ids():
     token_ids, type_ids = build_input_pair([7], [8, 9], max_len=6)
     assert token_ids == [CLS_ID, 7, SEP_ID, 8, 9, SEP_ID]
@@ -528,6 +524,7 @@ def test_truncation_never_empties_a_segment():
 def test_max_len_too_small_rejected():
     with pytest.raises(ValueError, match="too small"):
         build_input_pair([5], [6], max_len=4)
-    with pytest.raises(ValueError, match="too small"):
-        build_input_pair([5], [], max_len=2)
+    for seg_a, seg_b in (([5], []), ([], [6])):
+        with pytest.raises(ValueError, match="a segment empty"):
+            build_input_pair(seg_a, seg_b, max_len=6)
 

@@ -86,8 +86,7 @@ def test_optimizer_state_round_trips(tmp_path):
 
 def test_ner_checkpoint_keeps_labels(tmp_path):
     config = synthdata.tiny_config()
-    params = init_parameters(config, RngStream(4).child("init"),
-                             heads=("ner",), num_labels=3)
+    params = init_parameters(config, RngStream(4).child("init"), num_labels=3)
     path = tmp_path / "tagger.ckpt"
     # '#' starts a comment only in config files, and a header line splits
     # at its first '=', so both are plain label text
@@ -100,8 +99,7 @@ def test_ner_checkpoint_keeps_labels(tmp_path):
 
 def test_a_tagger_keeps_its_lowercase_rule(saved, tmp_path):
     config = synthdata.tiny_config()
-    params = init_parameters(config, RngStream(4).child("init"),
-                             heads=("ner",), num_labels=3)
+    params = init_parameters(config, RngStream(4).child("init"), num_labels=3)
     path = tmp_path / "tagger.ckpt"
     for lowercase in (True, False):
         save_checkpoint(path, config, params, labels=["O", "B-X", "I-X"], lowercase=lowercase)
@@ -123,8 +121,7 @@ def test_a_tensor_count_the_header_does_not_imply_is_refused(saved, tmp_path):
 
 def test_labels_with_reserved_characters_rejected(tmp_path):
     config = synthdata.tiny_config()
-    params = init_parameters(config, RngStream(4).child("init"),
-                             heads=("ner",), num_labels=2)
+    params = init_parameters(config, RngStream(4).child("init"), num_labels=2)
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "x.ckpt", config, params, labels=["O", "B,strange"])
 

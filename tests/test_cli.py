@@ -902,17 +902,16 @@ def test_predict_names_a_garbage_or_truncated_checkpoint(pipeline, finetuned, tm
 def test_predict_requires_tagging_head(pipeline, tmp_path, capsys):
     source = tmp_path / "input.txt"
     source.write_text("some words\n")
-    assert run_cli("predict", "--out", tmp_path / "nope",
-                   "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+    pretrained = pipeline / "pt" / "checkpoint-000004.ckpt"
+    assert run_cli("predict", "--out", tmp_path / "nope", "--checkpoint", pretrained,
                    "--vocab", pipeline / "vocab", "--input", source) == 1
-    assert "fine-tune first" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pretrained} has no tagging head; fine-tune first\n"
 
 
 def _hand_saved_tagger(path, labels):
     """A tagger for the pipeline's model with `labels` stored as given."""
     config = model_config_from(parse_config(None, TINY_OVERRIDES))
-    params = init_parameters(config, RngStream(1).child("init"), heads=("ner",),
-                             num_labels=len(labels))
+    params = init_parameters(config, RngStream(1).child("init"), num_labels=len(labels))
     save_checkpoint(path, config, params, labels=labels)
     return path
 

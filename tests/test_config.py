@@ -223,7 +223,8 @@ def test_cli_ner_and_pretrain_leave_scipy_unloaded():
         "from nanoalbert.rng import RngStream\n"
         "config = ModelConfig(vocab_size=50, embedding_size=8, hidden_size=16,\n"
         "                     num_layers=1, num_heads=2, max_positions=16)\n"
-        "init_parameters(config, RngStream(1), heads=('mlm', 'sop', 'ner'), num_labels=3)\n"
+        "init_parameters(config, RngStream(1))\n"
+        "init_parameters(config, RngStream(1), num_labels=3)\n"
         "nanoalbert.ner.truncated_normal(RngStream(1).child('ner-init'), (16, 3), 0.02)\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )

@@ -1,23 +1,37 @@
-"""Damaged binary files: every one-bit flip of the header of a tagger, a
-pretraining checkpoint and an example cache, and bounded fuzzing of their
-bodies and truncation points.
+"""Damaged files: every one-bit flip of the header of a tagger, a
+pretraining checkpoint and an example cache, bounded fuzzing of their
+bodies and truncation points, and bounded fuzzing of the text inputs.
 
-Each damaged file must load, or be refused with the reader's own error in
-one line that starts with the file's path; any other exception fails. With
+Each damaged binary file must load, or be refused with the reader's own
+error in one line that starts with the file's path; any other exception fails. With
 no checksum yet, some header flips load a different object: a step or
 optim_t digit, a depth (the shared block's tensors have the same shapes at
 every num_layers) or a label's name. Those are counted and pinned, and
 none may change a tensor or another config field.
+
+A damaged text input (the vocabulary pair, a CoNLL file, gold or
+predicted, a config file, a run directory's effective.cfg) must load, or
+be refused with a ValueError (its subclasses count) in one line naming the
+damaged file. The vocabulary is two files checked against each other, so a
+damaged vocab.txt may be refused naming merges.txt, and the other way
+round. A few cases also run through the CLI, which must exit 0 or print
+one `error:` line and exit 1.
 """
 
+import contextlib
 import dataclasses
+import io
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthdata
+from nanoalbert.bpe import load_vocab, save_vocab, train_vocab
 from nanoalbert.checkpoint import (
     MAGIC,
     ConfigMismatchError,
@@ -26,10 +40,13 @@ from nanoalbert.checkpoint import (
     save_checkpoint,
 )
 from nanoalbert.cli import main
+from nanoalbert.config import effective_text, parse_config
 from nanoalbert.corpus import EXAMPLES_MAGIC, CorpusError, read_examples, write_examples
 from nanoalbert.model import ModelConfig, init_parameters
+from nanoalbert.ner import read_conll
 from nanoalbert.optim import OptimizerState
 from nanoalbert.rng import RngStream
+from nanoalbert.rundir import EXAMPLES, run_dir
 
 CONFIG = ModelConfig(vocab_size=8, embedding_size=4, hidden_size=8, num_layers=2,
                      num_heads=2, max_positions=4)
@@ -41,7 +58,7 @@ UNCHECKED = {"step", "optim_t", "labels", "num_layers"}
 @pytest.fixture(scope="module")
 def tagger(tmp_path_factory):
     """A tiny fine-tuned checkpoint with labels and AdamW moments."""
-    params = init_parameters(CONFIG, RngStream(5).child("init"), heads=("ner",), num_labels=3)
+    params = init_parameters(CONFIG, RngStream(5).child("init"), num_labels=3)
     optim = OptimizerState.for_params(params)
     optim.t = 12
     for name in params:
@@ -216,3 +233,117 @@ def test_predict_refuses_a_checkpoint_with_no_heads_in_one_line(tagger, tmp_path
                  "--vocab", str(tmp_path), "--input", str(source)]) == 1
     assert capsys.readouterr().err == (
         f"error: {target}: invalid config in header: num_heads must be >= 1\n")
+
+
+# ---------------------------------------------------------------------------
+# text inputs
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+CONFIG_TEXT = """# a small run
+vocab_size=300
+hidden_size = 16
+num_heads=2  # divides hidden_size
+learning_rate=0.001
+lowercase=true
+optimizer=lamb
+"""
+OVERRIDES = ["vocab_size=300", "hidden_size=16", "seed=3"]
+
+
+@pytest.fixture(scope="module")
+def text_files(tmp_path_factory):
+    """Valid text inputs: a vocabulary pair, two equal CoNLL files (gold and
+    predicted), a config file, and a run directory whose effective.cfg
+    records OVERRIDES beside an examples.bin."""
+    root = tmp_path_factory.mktemp("text")
+    text = FIXTURES.joinpath("corpus.golden.txt").read_text(encoding="utf-8")
+    save_vocab(train_vocab(text, 280), root / "vocab.txt", root / "merges.txt")
+    for name in ("gold.conll", "pred.conll"):
+        shutil.copy(FIXTURES / "tiny.conll", root / name)
+    (root / "run.cfg").write_text(CONFIG_TEXT, encoding="utf-8")
+    run = root / "run"
+    run.mkdir()
+    (run / EXAMPLES).write_bytes(b"any state: run_dir only checks that it exists")
+    (run / "effective.cfg").write_text(effective_text(parse_config(None, OVERRIDES)),
+                                       encoding="utf-8")
+    return root
+
+
+def _run_in(directory: Path) -> None:
+    with run_dir(directory, parse_config(None, OVERRIDES)):
+        pass
+
+
+def _reader(root: Path, name: str):
+    """(the file to damage, its loader, the paths a refusal may name)."""
+    vocab, merges = root / "vocab.txt", root / "merges.txt"
+    gold, run_cfg, run = root / "gold.conll", root / "run.cfg", root / "run"
+    return {
+        "vocab.txt": (vocab, lambda: load_vocab(vocab, merges), (vocab, merges)),
+        "merges.txt": (merges, lambda: load_vocab(vocab, merges), (vocab, merges)),
+        "gold.conll": (gold, lambda: read_conll(gold), (gold,)),
+        "predicted.conll": (gold, lambda: read_conll(gold, predicted=True), (gold,)),
+        "run.cfg": (run_cfg, lambda: parse_config(run_cfg), (run_cfg,)),
+        "effective.cfg": (run / "effective.cfg", lambda: _run_in(run), (run / "effective.cfg",)),
+    }[name]
+
+
+@contextlib.contextmanager
+def _damaged(data, path: Path):
+    """path cut at a drawn length or with one drawn bit flipped for the body
+    of the with, then holding its own bytes again."""
+    original = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = original[:data.draw(st.integers(0, len(original) - 1), label="length")]
+    else:
+        damaged = _with_bit_flipped(original, data.draw(st.integers(0, 8 * len(original) - 1),
+                                                        label="bit"))
+    path.write_bytes(damaged)
+    try:
+        yield
+    finally:
+        path.write_bytes(original)
+
+
+def _text_loads_or_is_refused(load, names) -> None:
+    try:
+        load()
+    except ValueError as exc:
+        message = str(exc)
+        assert "\n" not in message, message
+        assert any(str(path) in message for path in names), message
+
+
+@pytest.mark.parametrize("name", ["vocab.txt", "merges.txt", "gold.conll", "predicted.conll",
+                                  "run.cfg", "effective.cfg"])
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_damaged_text_loads_or_is_refused_naming_the_file(text_files, name, data):
+    path, load, names = _reader(text_files, name)
+    with _damaged(data, path):
+        _text_loads_or_is_refused(load, names)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(data=st.data(), which=st.sampled_from(["conll", "pred", "config", "effective"]))
+def test_damaged_text_through_the_cli_is_one_error_line(text_files, data, which):
+    gold, pred = text_files / "gold.conll", text_files / "pred.conll"
+    run_cfg, run = text_files / "run.cfg", text_files / "run"
+    damaged, argv = {
+        "conll": (gold, ["stats", "--conll", gold]),
+        "pred": (pred, ["evaluate", "--gold", gold, "--pred", pred]),
+        "config": (run_cfg, ["stats", "--conll", gold, "--config", run_cfg]),
+        "effective": (run / "effective.cfg", ["stats", "--conll", gold, "--out", run,
+                                              *OVERRIDES]),
+    }[which]
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as out, _damaged(data, damaged),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        code = main([str(arg) for arg in argv] + ([] if run in argv else ["--out", out]))
+    message = err.getvalue()
+    if code:
+        assert code == 1 and message.startswith("error: ") and message.count("\n") == 1, message
+        assert str(damaged) in message, message
+    else:
+        assert message == ""

@@ -14,6 +14,7 @@ P=512) comes to 11,813,810 by the same accounting.
 """
 
 import ast
+import hashlib
 import re
 import sys
 import threading
@@ -43,9 +44,9 @@ from nanoalbert.model import (
     _block_forward,
     _pooler_forward,
     PretrainLosses,
-    block_shapes,
     count_parameters,
     encode_forward,
+    encoder_shapes,
     init_parameters,
     length_parts,
     map_parts,
@@ -151,11 +152,11 @@ def test_factorized_embeddings_beat_direct_lookup():
 
 
 def test_ner_head_shapes_need_num_labels():
-    shapes = parameter_shapes(TINY, heads=("ner",), num_labels=3)
+    shapes = parameter_shapes(TINY, num_labels=3)
     assert shapes["ner_weight"] == (16, 3)
     assert shapes["ner_bias"] == (3,)
     with pytest.raises(ValueError, match="num_labels"):
-        parameter_shapes(TINY, heads=("ner",))
+        parameter_shapes(TINY, num_labels=0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,20 @@ def test_init_gains_ones_biases_zero_weights_clipped():
     for name, value in params.items():
         if not (name.endswith("_gain") or name.endswith("_bias")):
             assert np.abs(value).max() <= 0.04 + 1e-6, name  # 2 sigma * 0.02
+
+
+@pytest.mark.parametrize("num_labels, digest", [
+    (None, "4932a0fd69ecd19f255549c76e8f86943a706ab235eb7933bb33d1febdf780f1"),
+    (3, "792e9f251385059cd90bf5578df5fda8061bf16845f41af6ad228a4100f05fd3"),
+])
+def test_initial_weights_keep_their_bytes(num_labels, digest):
+    # init_parameters draws one stream in inventory order, so these digests
+    # pin that order and every weight of both model kinds; the SOP gate and
+    # every checkpoint depend on them
+    h = hashlib.sha256()
+    for name, value in init_parameters(TINY, RngStream(5).child("init"), num_labels).items():
+        h.update(name.encode() + b"\0" + value.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_truncated_normal_moments():
@@ -213,9 +228,8 @@ def test_ndtri_port_draws_scipys_weights(monkeypatch):
     assert model._NDTR_HI == special.ndtr(INIT_CLIP_SIGMA)
 
     def draws():
-        inits = [init_parameters(config, RngStream(seed), heads=("mlm", "sop", "ner"),
-                                 num_labels=9)
-                 for config, seed in ((BENCH_SHAPE, 1), (TINY, 2))]
+        inits = [init_parameters(config, RngStream(seed), num_labels)  # both model kinds
+                 for config, seed in ((BENCH_SHAPE, 1), (TINY, 2)) for num_labels in (None, 9)]
         more = truncated_normal(RngStream(3), (1_000_000,), INIT_STD)
         wide = truncated_normal(RngStream(4), (1_000_000,), INIT_STD, dtype=np.float64)
         return inits, more, wide
@@ -333,8 +347,7 @@ def test_token_logits_give_the_training_forward_bits():
     of the tag scores (test_pretrain_losses_near_theoretical_start checks the
     same for the pretraining losses)."""
     config = synthdata.tiny_config()
-    params = init_parameters(config, RngStream(22).child("init"),
-                             heads=("ner",), num_labels=5)
+    params = init_parameters(config, RngStream(22).child("init"), num_labels=5)
     ids, types, mask = batch_for(config, RngStream(23), batch=3, seq=10)
     mask[1, 6:] = 0
     hidden = encode_forward(params, config, ids, types, mask, caches=[])
@@ -440,10 +453,10 @@ def test_empty_and_unmasked_batches_rejected(tiny_model):
 
 def test_sop_and_token_logit_shapes(monkeypatch):
     config = synthdata.tiny_config(max_positions=32)
-    params = init_parameters(config, RngStream(2).child("init"), heads=("mlm", "sop", "ner"),
-                             num_labels=3)
+    params = init_parameters(config, RngStream(2).child("init"))
+    tagger = init_parameters(config, RngStream(2).child("init"), num_labels=3)
     ids, types, mask = batch_for(config, RngStream(6))
-    assert token_logits(params, config, ids, types, mask).shape == (2, 8, 3)
+    assert token_logits(tagger, config, ids, types, mask).shape == (2, 8, 3)
     # SOP hits, counted part by part in the pretraining pass, equal those of
     # one full-width padded pass through the pooler and the SOP classifier
     examples = mixed_length_pretrain_examples(67)
@@ -467,8 +480,7 @@ def test_inference_memory_does_not_grow_with_depth():
             vocab_size=100, embedding_size=16, hidden_size=32, num_layers=depth,
             num_heads=2, max_positions=64,
         )
-        params = init_parameters(config, RngStream(9).child("init"),
-                                 heads=("ner",), num_labels=3)
+        params = init_parameters(config, RngStream(9).child("init"), num_labels=3)
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -794,8 +806,7 @@ def test_lanes_run_one_after_the_other_without_openblas_with_the_same_bits(
     config = synthdata.tiny_config(max_positions=32)
     pretrain_params = init_parameters(config, RngStream(71).child("init"))
     examples = mixed_length_pretrain_examples(72)
-    ner_params = init_parameters(config, RngStream(73).child("init"), heads=("ner",),
-                                 num_labels=2)
+    ner_params = init_parameters(config, RngStream(73).child("init"), num_labels=2)
     batch = mixed_length_ner_batch(74, LabelSet(["B"]))
     assert len(length_parts(examples["input"]["attention_mask"], config.hidden_size)) >= 3
     assert len(length_parts(batch["attention_mask"], config.hidden_size)) >= 3
@@ -895,7 +906,7 @@ def test_split_trimmed_pretrain_step_equals_padded_step(small_parts):
 
 def test_split_trimmed_ner_step_equals_padded_step(small_parts):
     config = synthdata.tiny_config()
-    params = init_parameters(config, RngStream(63).child("init"), heads=("ner",), num_labels=2)
+    params = init_parameters(config, RngStream(63).child("init"), num_labels=2)
     batch = mixed_length_ner_batch(64, LabelSet(["B"]))
     assert len(set(batch["attention_mask"].sum(axis=1).tolist())) >= 4
     assert len(length_parts(batch["attention_mask"], config.hidden_size)) >= 3
@@ -1024,7 +1035,7 @@ def test_full_pretrain_gradients_match_finite_differences():
 
 
 def test_ner_gradients_match_finite_differences():
-    params = f64_params(GRAD_CONFIG, 3, heads=("ner",), num_labels=3)
+    params = f64_params(GRAD_CONFIG, 3, num_labels=3)
     names = sorted(params)
     r = RngStream(3)
     ids, types, mask = batch_for(GRAD_CONFIG, r, batch=2, seq=6)
@@ -1049,7 +1060,7 @@ def test_each_loss_returns_a_gradient_for_exactly_its_parameters():
     ids, types, mask = batch_for(GRAD_CONFIG, r, batch=2, seq=6)
     labels = np.array([[-100, 0, 1, 2, 0, -100], [-100, 2, 1, -100, 0, -100]])
     pretrain_params = init_parameters(GRAD_CONFIG, r.child("pretrain"))
-    ner_params = init_parameters(GRAD_CONFIG, r.child("ner"), heads=("ner",), num_labels=3)
+    ner_params = init_parameters(GRAD_CONFIG, r.child("ner"), num_labels=3)
     _, pretrain_grads = pretrain_loss_and_grads(
         pretrain_params, GRAD_CONFIG, grad_batch(GRAD_CONFIG, 4))
     _, ner_grads = ner_loss_and_grads(ner_params, GRAD_CONFIG, ids, types, mask, labels)
@@ -1080,8 +1091,7 @@ def test_float32_steps_match_a_float64_reference():
         for step, params in (
                 (pretrain_total, init_parameters(config, RngStream(seed).child("init"))),
                 (lambda ps: ner_step(ps, config, batch),
-                 init_parameters(config, RngStream(seed).child("init"), heads=("ner",),
-                                 num_labels=2))):
+                 init_parameters(config, RngStream(seed).child("init"), num_labels=2))):
             loss, grads = step(params)
             want_loss, want_grads = step({n: p.astype(np.float64) for n, p in params.items()})
             assert abs(loss - want_loss) < 1e-6 * abs(want_loss), seed
@@ -1164,7 +1174,7 @@ def test_block_matches_einsum_reference():
     r = RngStream(21)
     params = {
         name: truncated_normal(r, shape, 0.5, dtype=np.float64)
-        for name, shape in block_shapes(config).items()
+        for name, shape in encoder_shapes(config).items() if name.startswith("block_")
     }
     x = truncated_normal(r, (3, 7, 12), 1.0, dtype=np.float64)
     d_out = truncated_normal(r, (3, 7, 12), 1.0, dtype=np.float64)
