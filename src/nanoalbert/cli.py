@@ -154,17 +154,19 @@ def _cmd_pretrain(args, cfg, out: Path) -> None:
 
     model_config = model_config_from(cfg)
     vocab = _model_inputs(cfg, "max_seq_length", model_config, None, args.vocab)
-    examples = _pretrain_examples(args, cfg, out, vocab)
-
     peak = cfg.learning_rate
     if cfg.rescale_learning_rate:
         peak = rescaled_peak(peak)
+    # checked before the example cache exists: a cache would block the corrected rerun
+    schedule = Schedule(peak, cfg.warmup_steps, cfg.training_steps)
+    examples = _pretrain_examples(args, cfg, out, vocab)
+
     result = train(
         examples, model_config,
         seed=cfg.seed,
         num_steps=cfg.training_steps,
         batch_size=cfg.train_batch_size,
-        schedule=Schedule(peak, cfg.warmup_steps, cfg.training_steps),
+        schedule=schedule,
         weight_decay=cfg.weight_decay,
         out_dir=out,
         checkpoint_every=cfg.save_checkpoint,

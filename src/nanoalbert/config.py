@@ -4,7 +4,8 @@ Keys mirror the published hyperparameter tables of the base setup
 (pretraining: batch 1024, LAMB, peak lr 0.00176, warmup 3125, 200k steps,
 max seq 512, 20 predictions; fine-tuning: batch 32, AdamW, lr 1e-5,
 5336 steps, warmup 320, checkpoint/eval every 200). Values are strings in
-files and on the command line; RunConfig's annotations fix each key's type.
+files and on the command line; RunConfig's annotations fix each key's type,
+and a value below the least any run can use is refused naming where it was set.
 parse_pairs and format_pairs read and write all typed key=value text,
 checkpoint headers included. read_text reads every text input file.
 
@@ -56,6 +57,26 @@ class RunConfig:
     lowercase: bool = False
     # run control
     seed: int = 0
+
+    def __post_init__(self):
+        _check_least(vars(self))
+
+
+# the least value of each key that some run can use: a pretraining row holds
+# [CLS] A [SEP] B [SEP], a tagged one [CLS] word [SEP]; 0 saves no checkpoint
+# and scores dev at the last step only
+_LEAST = {"train_batch_size": 1, "finetune_batch_size": 1, "max_predictions_per_seq": 1,
+          "save_checkpoint": 0, "max_seq_length": 5, "finetune_max_seq_length": 3}
+
+
+def _check_least(values: dict, where: dict | None = None) -> None:
+    """Refuse a value in `values` below its key's least value, naming the
+    key, the value and, from `where` (key -> location), where it was set."""
+    for key, least in _LEAST.items():
+        if key in values and values[key] < least:
+            place = f"{where[key]}: " if where else ""
+            raise ConfigError(f"{place}invalid value {values[key]} for {key} "
+                              f"(expected at least {least})")
 
 
 _BOOL_WORDS = {"true": True, "false": False}
@@ -129,6 +150,9 @@ def parse_config(path=None, overrides=()) -> RunConfig:
                  for n, line in enumerate(read_text(path).split("\n"), 1)]
     lines += [("override", item) for item in overrides]
     values = parse_pairs(lines, {**typing.get_type_hints(RunConfig), **_RETIRED})
+    # parse_pairs took every line, so each holds "=" and the last one per key wins
+    _check_least(values, {line.split("=", 1)[0].strip(): where for where, line in lines
+                          if line.strip()})
     return RunConfig(**{key: value for key, value in values.items() if key not in _RETIRED})
 
 

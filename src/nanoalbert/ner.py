@@ -100,9 +100,6 @@ class LabelSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LabelSet) and self.labels == other.labels
-
 
 def read_conll(path, *, predicted=False) -> tuple[list[NerExample], LabelSet | None]:
     """Parse token-per-line files: first column is the word, last the label,
@@ -434,7 +431,7 @@ def finetune(
     best_step = 0
     best_params = None  # fit always scores dev at its last step, and any F1 beats -1
 
-    def loss_fn(idx):
+    def step(idx, lr):
         batch = train_packed[idx]
         if (batch["label_ids"] == ops.IGNORE_INDEX).all():
             numbers = ", ".join(str(i + 1) for i in sorted(set(idx)))
@@ -442,7 +439,9 @@ def finetune(
                 f"training sentences {numbers} keep no word within "
                 f"finetune_max_seq_length={max_len}, so the batch has no label to learn"
             )
-        return ner_step(params, config, batch)
+        loss, grads = ner_step(params, config, batch)
+        adamw_step(state, params, grads, lr, cfg.weight_decay)  # a global: perfbench traces it
+        return (f"ner_loss\t{loss:.6f}",)
 
     def evaluate_dev(done):
         nonlocal best_f1, best_step, best_params
@@ -457,13 +456,11 @@ def finetune(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fine-tuning has no resume: a rerun starts over, and so does its log
-    fit(loss_fn, params, state, step_fn=adamw_step,
-        schedule=Schedule(cfg.finetune_learning_rate, cfg.finetune_warmup_steps,
-                          cfg.finetune_steps),
-        seed=cfg.seed, num_examples=len(train_examples),
-        batch_size=cfg.finetune_batch_size, num_steps=cfg.finetune_steps,
-        out_dir=out_dir, first=0, log_lines=lambda loss, lr: (f"ner_loss\t{loss:.6f}",),
-        hook=evaluate_dev, every=cfg.save_checkpoint, weight_decay=cfg.weight_decay)
+    fit(step, schedule=Schedule(cfg.finetune_learning_rate, cfg.finetune_warmup_steps,
+                                cfg.finetune_steps),
+        seed=cfg.seed, num_examples=len(train_examples), batch_size=cfg.finetune_batch_size,
+        num_steps=cfg.finetune_steps, out_dir=out_dir, first=0, hook=evaluate_dev,
+        every=cfg.save_checkpoint)
 
     test_metrics = None
     if test_examples:

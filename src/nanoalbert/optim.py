@@ -103,7 +103,6 @@ def adamw_step(state, params, grads, lr, weight_decay=DEFAULT_WEIGHT_DECAY):
     """One decoupled-weight-decay Adam step, in place."""
     for p, update in _adam_updates(state, params, grads, weight_decay):
         p -= lr * update
-    return params, state
 
 
 def lamb_step(state, params, grads, lr, weight_decay=DEFAULT_WEIGHT_DECAY):
@@ -113,4 +112,3 @@ def lamb_step(state, params, grads, lr, weight_decay=DEFAULT_WEIGHT_DECAY):
         u_norm = float(np.linalg.norm(update))
         ratio = min(p_norm / u_norm, TRUST_RATIO_MAX) if p_norm and u_norm else 1.0
         p -= (lr * ratio) * update
-    return params, state

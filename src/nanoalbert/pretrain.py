@@ -1,5 +1,5 @@
-"""The deterministic step loop (fit) that pretraining and NER fine-tuning
-share, and pretraining over packed MLM+SOP examples on top of it.
+"""The deterministic step loop (fit), which pretraining and NER fine-tuning
+each drive with one callable per step, and MLM+SOP pretraining on top of it.
 
 Batch composition at every step is a pure function of (seed, step), so a run
 resumed from a step-N checkpoint replays exactly the batches an uninterrupted
@@ -53,38 +53,34 @@ def batch_indices(seed: int, step: int, num_examples: int, batch_size: int) -> l
     return [r.randint(num_examples) for _ in range(batch_size)]
 
 
-def fit(loss_fn, params: dict, state: OptimizerState, *, step_fn, schedule: Schedule,
-        seed: int, num_examples: int, batch_size: int, num_steps: int, out_dir, first: int,
-        log_lines, hook, every: int = 0, weight_decay: float = DEFAULT_WEIGHT_DECAY):
+def fit(step_fn, *, schedule: Schedule, seed: int, num_examples: int, batch_size: int,
+        num_steps: int, out_dir, first: int, hook, every: int = 0) -> None:
     """The step loop shared by pretraining and fine-tuning.
 
     Step s trains on batch_indices(seed, s, ...) at lr_at(schedule, s + 1):
-    loss_fn(indices) returns (loss, grads) and step_fn updates params and
-    state in place. out_dir/train.log, opened by open_log at `first`, gets
-    every line of the run under its step number: after each step the
-    "metric<TAB>value" lines of log_lines(loss, lr), then, every `every`
-    steps and at the last step (every=0: last step only), those that
-    hook(done) returns. Returns the last step's loss, None if no step ran.
-    A ValueError from loss_fn is raised again with the step number in front.
+    step_fn(indices, lr) runs the whole step (loss, gradients, optimizer
+    update) and returns its "metric<TAB>value" lines. out_dir/train.log,
+    opened by open_log at `first`, gets each line of the run under its step:
+    each step's lines, then, every `every` steps and at the last step
+    (every=0: last step only), those of hook(done). A step's ValueError or
+    FloatingPointError is raised again, same type, with the step in front.
     """
-    loss = None
     with open_log(Path(out_dir) / "train.log", first) as log:
         for step in range(first, num_steps):
             idx = batch_indices(seed, step, num_examples, batch_size)
-            lr = lr_at(schedule, step + 1)
-            try:
-                loss, grads = loss_fn(idx)
-            except ValueError as exc:
-                raise ValueError(f"step {step + 1}: {exc}") from exc
-            step_fn(state, params, grads, lr, weight_decay)
-            del grads  # freed before the next step's loss_fn builds its own
             done = step + 1
-            for line in log_lines(loss, lr):
+            lr = lr_at(schedule, done)
+            try:
+                lines = step_fn(idx, lr)
+            except ValueError as exc:
+                raise ValueError(f"step {done}: {exc}") from exc
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"step {done}: {exc}") from exc
+            for line in lines:
                 print(f"{done}\t{line}", file=log)
             if done == num_steps or (every and done % every == 0):
                 for line in hook(done):
                     print(f"{done}\t{line}", file=log)
-    return loss
 
 
 def _resume_point(out_dir: Path, config: ModelConfig, num_steps: int):
@@ -124,7 +120,7 @@ def train(
     touched), logs each step to train.log cut back to the resume step, and
     saves a checkpoint every checkpoint_every steps and at the last. A
     checkpoint that already reached num_steps is returned with last=None."""
-    params = state = None
+    params = state = last = None
     first = 0
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,21 +139,19 @@ def train(
         params = init_parameters(config, RngStream(seed).child("init"))
         state = OptimizerState.for_params(params)
 
-    def loss_fn(idx):
-        return pretrain_step(params, config, examples[idx])
-
-    def log_lines(losses, lr):
-        return (f"lr\t{lr:.8f}", f"mlm_loss\t{losses.mlm_loss:.6f}",
-                f"sop_loss\t{losses.sop_loss:.6f}", f"total_loss\t{losses.total:.6f}")
+    def step(idx, lr):
+        nonlocal last
+        last, grads = pretrain_step(params, config, examples[idx])
+        lamb_step(state, params, grads, lr, weight_decay)  # a global: perfbench traces it
+        return (f"lr\t{lr:.8f}", f"mlm_loss\t{last.mlm_loss:.6f}",
+                f"sop_loss\t{last.sop_loss:.6f}", f"total_loss\t{last.total:.6f}")
 
     def save(done):
         save_checkpoint(checkpoint_path(out_dir, done), config, params, step=done, optim=state)
         return ()
 
-    last = fit(loss_fn, params, state, step_fn=lamb_step, schedule=schedule, seed=seed,
-               num_examples=len(examples), batch_size=batch_size, num_steps=num_steps,
-               out_dir=out_dir, first=first, log_lines=log_lines, hook=save,
-               every=checkpoint_every, weight_decay=weight_decay)
+    fit(step, schedule=schedule, seed=seed, num_examples=len(examples), batch_size=batch_size,
+        num_steps=num_steps, out_dir=out_dir, first=first, hook=save, every=checkpoint_every)
     return TrainResult(params=params, optim=state, step=num_steps, last=last)
 
 

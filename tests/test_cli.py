@@ -7,6 +7,7 @@ own fresh --out directory.
 
 import fcntl
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -614,6 +615,66 @@ def test_pretrain_refuses_a_zero_head_count_in_one_line(pipeline, tmp_path, caps
     assert capsys.readouterr().err == "error: num_heads must be >= 1\n"
 
 
+@pytest.mark.parametrize("command, setting, least", [
+    ("pretrain", "train_batch_size=0", 1),
+    ("pretrain", "train_batch_size=-3", 1),
+    ("pretrain", "max_predictions_per_seq=0", 1),
+    ("pretrain", "save_checkpoint=-1", 0),
+    ("pretrain", "max_seq_length=4", 5),
+    ("finetune", "save_checkpoint=-2", 0),
+    ("finetune", "finetune_batch_size=0", 1),
+    ("finetune", "finetune_max_seq_length=2", 3),
+])
+def test_a_setting_no_run_can_use_is_refused_before_out_is_made(
+        pipeline, tmp_path, capsys, command, setting, least):
+    inputs = {"pretrain": ["--corpus", pipeline / "prep" / "corpus.txt",
+                           "--vocab", pipeline / "vocab"],
+              "finetune": ["--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                           "--vocab", pipeline / "vocab", "--train", pipeline / "train.conll",
+                           "--dev", pipeline / "dev.conll"]}[command]
+    key, value = setting.split("=")
+    overrides = [o for o in TINY_OVERRIDES + FT_OVERRIDES if not o.startswith(f"{key}=")]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a run config\nseed=3\n{setting}\n")
+    for where, argv in (("override", [setting]), (f"{config}:3", ["--config", config])):
+        out = tmp_path / "out"
+        assert run_cli(command, "--out", out, *inputs, *argv, *overrides) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}: invalid value {value} for {key} (expected at least {least})\n")
+        assert not out.exists()
+
+
+def test_effective_cfg_with_a_setting_no_run_can_use_is_refused_naming_its_line(
+        pipeline, tmp_path, capsys):
+    out = shutil.copytree(pipeline / "pt", tmp_path / "pt")
+    effective = out / "effective.cfg"
+    lines = read(effective).splitlines()
+    n = next(i for i, line in enumerate(lines, 1) if line.startswith("train_batch_size="))
+    lines[n - 1] = "train_batch_size=0"
+    effective.write_text("\n".join(lines) + "\n")
+    assert run_cli("pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+                   "--vocab", pipeline / "vocab", *TINY_OVERRIDES) == 1
+    assert capsys.readouterr().err == (
+        f"error: {effective}:{n}: invalid value 0 for train_batch_size (expected at least 1)\n")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("warmup_steps=4", "need 0 < warmup_steps < total_steps"),
+    ("learning_rate=0", "peak_lr must be positive"),
+])
+def test_pretrain_refuses_a_schedule_before_writing_the_example_cache(
+        pipeline, tmp_path, capsys, setting, message):
+    out = tmp_path / "pt"
+    args = ["pretrain", "--out", out, "--corpus", pipeline / "prep" / "corpus.txt",
+            "--vocab", pipeline / "vocab", *TINY_OVERRIDES]
+    assert run_cli(*args, setting) == 1  # training_steps=4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "examples.bin").exists()
+    assert run_cli(*args) == 0  # the corrected rerun, into the same --out
+    for name in ("examples.bin", "checkpoint-000004.ckpt", "train.log"):
+        assert (out / name).read_bytes() == (pipeline / "pt" / name).read_bytes(), name
+
+
 def test_pretrain_refuses_an_unknown_optimizer_before_resuming(pipeline, tmp_path, capsys):
     # one directory a run can resume, one already trained to the last step
     midway = tmp_path / "midway"
@@ -781,6 +842,17 @@ def test_finetune_batch_without_a_labelled_word_fails_with_located_error(
     assert err.count("\n") == 0
     assert err == ("error: step 1: training sentences 1, 2 keep no word within "
                    "finetune_max_seq_length=16, so the batch has no label to learn")
+
+
+def test_a_diverging_finetune_names_the_step_of_its_non_finite_gradient(
+        pipeline, tmp_path, capsys):
+    assert run_cli("finetune", "--out", tmp_path / "ft",
+                   "--checkpoint", pipeline / "pt" / "checkpoint-000004.ckpt",
+                   "--vocab", pipeline / "vocab",
+                   "--train", pipeline / "train.conll", "--dev", pipeline / "dev.conll",
+                   *FT_OVERRIDES, "finetune_learning_rate=1e30") == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(r"error: step \d+: non-finite values in grad\[\w+\]", last), last
 
 
 def test_finetune_refuses_a_label_the_checkpoint_cannot_store_before_step_1(

@@ -697,10 +697,9 @@ def test_map_parts_raises_the_lowest_failing_part_after_joining_its_worker(
 
     # fit still puts the step number in front
     with pytest.raises(ValueError, match="^step 1: part 1 failed$"):
-        fit(lambda idx: (map_parts(part_fn, np.arange(6), mask, 1), {}), {}, None,
-            step_fn=lambda *args: None, schedule=Schedule(1e-3, 1, 10), seed=0,
-            num_examples=6, batch_size=2, num_steps=1, out_dir=tmp_path, first=0,
-            log_lines=lambda loss, lr: (), hook=lambda done: ())
+        fit(lambda idx, lr: map_parts(part_fn, np.arange(6), mask, 1),
+            schedule=Schedule(1e-3, 1, 10), seed=0, num_examples=6, batch_size=2,
+            num_steps=1, out_dir=tmp_path, first=0, hook=lambda done: ())
     assert threading.active_count() == before
 
 

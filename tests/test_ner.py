@@ -10,6 +10,7 @@ so precision = recall = F1 = 0.5.
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import synthdata
+from nanoalbert import ner
 from nanoalbert.bpe import CLS_ID, PAD_ID, SEP_ID, train_vocab
 from nanoalbert.checkpoint import Checkpoint, load_checkpoint
 from nanoalbert.config import RunConfig
@@ -41,6 +43,7 @@ from nanoalbert.ner import (
     read_conll,
 )
 from nanoalbert.ops import IGNORE_INDEX
+from nanoalbert.optim import adamw_step
 from nanoalbert.rng import RngStream
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
@@ -56,7 +59,7 @@ def test_label_set_layout():
     assert ls.id_of("O") == 0
     assert ls.label_of(ls.id_of("I-Dis")) == "I-Dis"
     assert len(ls) == 4
-    assert ls == LabelSet(["B-Chem", "B-Dis", "I-Dis"])  # order-insensitive
+    assert ls.labels == LabelSet(["B-Chem", "B-Dis", "I-Dis"]).labels  # order-insensitive
 
 
 def test_label_set_rejects_orphan_i():
@@ -461,6 +464,22 @@ def test_finetune_log_puts_dev_f1_after_its_step_loss(quick_setup, tmp_path):
     assert [(step, metric) for step, metric, _ in rows] == expected
     assert [value for _, metric, value in rows if metric == "dev_f1"] == [
         f"{f1:.4f}" for _, f1 in result.history]
+
+
+def test_finetune_frees_each_steps_gradients_before_the_next_update(
+        quick_setup, tmp_path, monkeypatch):
+    refs = []
+
+    def recording_adamw_step(state, params, grads, *args):
+        assert all(ref() is None for step in refs for ref in step), \
+            "a finished step's gradients are alive"
+        refs.append([weakref.ref(g) for g in grads.values()])
+        adamw_step(state, params, grads, *args)
+
+    monkeypatch.setattr(ner, "adamw_step", recording_adamw_step)
+    ck, train_ex, dev_ex = quick_setup
+    run_quick(ck, train_ex, dev_ex, tmp_path, finetune_steps=3, finetune_warmup_steps=1)
+    assert len(refs) == 3 and all(ref() is None for step in refs for ref in step)
 
 
 def test_finetune_validates_inputs(quick_setup, tmp_path):

@@ -74,11 +74,14 @@ def test_checkpoint_naming_and_latest(tmp_path):
 
 def _hook_steps(out_dir, num_steps, every, first=0):
     fired = []
-    fit(lambda idx: (0.0, {}), {}, None,
-        step_fn=lambda state, params, grads, lr, weight_decay: None,
-        schedule=SCHED, seed=0, num_examples=20, batch_size=4, num_steps=num_steps,
-        out_dir=out_dir, first=first, log_lines=lambda loss, lr: (),
-        hook=lambda done: fired.append(done) or (), every=every)
+
+    def hook(done):  # the step's own lines reach train.log before its hook fires
+        assert (out_dir / "train.log").read_text().endswith(f"{done}\tloss\t0\n")
+        fired.append(done)
+        return (f"hook\t{done}",)
+
+    fit(lambda idx, lr: ("loss\t0",), schedule=SCHED, seed=0, num_examples=20, batch_size=4,
+        num_steps=num_steps, out_dir=out_dir, first=first, hook=hook, every=every)
     return fired
 
 
@@ -90,34 +93,32 @@ def test_fit_hook_cadence(tmp_path):
     assert _hook_steps(tmp_path, 5, 4, first=5) == []
 
 
-def test_fit_frees_each_steps_gradients_before_the_next_loss_fn(tmp_path):
+def test_train_frees_each_steps_gradients_before_the_next_update(tmp_path, corpus, monkeypatch):
     refs = []
 
-    def loss_fn(idx):
-        assert all(ref() is None for ref in refs), "a finished step's gradients are alive"
-        grads = {"w": np.zeros(3)}
-        refs.append(weakref.ref(grads["w"]))
-        return 0.0, grads
+    def recording_lamb_step(state, params, grads, *args):
+        assert all(ref() is None for step in refs for ref in step), \
+            "a finished step's gradients are alive"
+        refs.append([weakref.ref(g) for g in grads.values()])
+        lamb_step(state, params, grads, *args)
 
-    fit(loss_fn, {}, None, step_fn=lambda state, params, grads, lr, wd: None,
-        schedule=SCHED, seed=0, num_examples=20, batch_size=4, num_steps=3, out_dir=tmp_path,
-        first=0, log_lines=lambda loss, lr: (), hook=lambda done: ())
-    assert len(refs) == 3
+    monkeypatch.setattr(pretrain, "lamb_step", recording_lamb_step)
+    train(corpus, synthdata.tiny_config(), seed=8, num_steps=3, batch_size=8,
+          schedule=SCHED, out_dir=tmp_path)
+    assert len(refs) == 3 and all(ref() is None for step in refs for ref in step)
 
 
 def test_fit_feeds_batches_and_lr_by_step(tmp_path):
     seen = []
 
-    def loss_fn(idx):
-        seen.append(idx)
-        return 0.0, {}
+    def step_fn(idx, lr):
+        seen.append((idx, lr))
+        return ()
 
-    lrs = []
-    fit(loss_fn, {}, None, step_fn=lambda state, params, grads, lr, wd: lrs.append(lr),
-        schedule=SCHED, seed=9, num_examples=30, batch_size=5, num_steps=3, out_dir=tmp_path,
-        first=1, log_lines=lambda loss, lr: (), hook=lambda done: ())
-    assert seen == [batch_indices(9, step, 30, 5) for step in (1, 2)]
-    assert lrs == [SCHED.peak_lr * 2 / 10, SCHED.peak_lr * 3 / 10]
+    fit(step_fn, schedule=SCHED, seed=9, num_examples=30, batch_size=5, num_steps=3,
+        out_dir=tmp_path, first=1, hook=lambda done: ())
+    assert seen == [(batch_indices(9, 1, 30, 5), SCHED.peak_lr * 2 / 10),
+                    (batch_indices(9, 2, 30, 5), SCHED.peak_lr * 3 / 10)]
 
 
 def test_train_saves_each_checkpoint_once(tmp_path, corpus, monkeypatch):
